@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteGroup, Subgroup, TooLarge, all_subgroups
+from .core import (FiniteGroup, Subgroup, TooLarge, all_subgroups,
+                   greedy_generators, row_classes)
 
 __all__ = [
     "AbelianGroup",
@@ -82,20 +83,16 @@ class BetaPartition:
 
 
 def beta_partition(g: FiniteGroup) -> BetaPartition:
-    """Group the elements of g by identical centralizer member-sets."""
-    comm = g.commuting_matrix()
-    _, inverse = np.unique(comm, axis=0, return_inverse=True)
-    buckets: dict[int, list[int]] = {}
-    for x in range(g.order):
-        buckets.setdefault(int(inverse[x]), []).append(x)
-    groups = sorted(buckets.values(), key=lambda c: c[0])
-    center_pos = next(i for i, c in enumerate(groups) if c[0] == 0)
-    ordered = [groups[center_pos]] + [c for i, c in enumerate(groups) if i != center_pos]
-    class_of = [0] * g.order
-    for cid, members in enumerate(ordered):
-        for x in members:
-            class_of[x] = cid
-    return BetaPartition(g, tuple(tuple(c) for c in ordered), tuple(class_of))
+    """Group the elements of g by identical centralizer member-sets.
+
+    Classes are numbered by smallest member, so the center (the class of the
+    identity) comes first.
+    """
+    class_of = row_classes(g.commuting_matrix())
+    members = np.argsort(class_of, kind="stable")
+    bounds = np.cumsum(np.bincount(class_of))[:-1]
+    classes = tuple(tuple(c.tolist()) for c in np.split(members, bounds))
+    return BetaPartition(g, classes, tuple(class_of.tolist()))
 
 
 def cent_count(g: FiniteGroup) -> int:
@@ -174,15 +171,8 @@ def h_subgroup(g: FiniteGroup, class_id: int,
 
 def _cyclic_homs(gab: FiniteGroup, m: int):
     """Yield every homomorphism from abelian group gab to Z/m as an array."""
-    n = gab.order
     orders = gab.element_orders()
-    # greedy generating sequence
-    gens: list[int] = []
-    covered = {0}
-    while len(covered) < n:
-        x = next(i for i in range(n) if i not in covered)
-        gens.append(x)
-        covered = set(gab.generated_subgroup(gens).members)
+    gens = greedy_generators(gab.table)
 
     def extend(fmap: dict[int, int], gen: int, val: int) -> Optional[dict[int, int]]:
         fmap = dict(fmap)
@@ -298,14 +288,7 @@ def _find_complement(g: FiniteGroup, a_sub: Subgroup) -> Optional[Subgroup]:
     target = g.order // a_sub.size
     quo = g.quotient(a_sub)
     cosets = a_sub.cosets()
-    # greedy generating sequence of the quotient
-    gens: list[int] = []
-    covered = {0}
-    while len(covered) < quo.order:
-        x = next(i for i in range(quo.order) if i not in covered)
-        gens.append(x)
-        covered = set(quo.generated_subgroup(gens).members)
-    lift_choices = [cosets[q].members for q in gens]
+    lift_choices = [cosets[q].members for q in greedy_generators(quo.table)]
     a_set = a_sub.member_set()
 
     def rec(i: int, picked: list[int]) -> Optional[Subgroup]:

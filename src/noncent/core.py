@@ -1,8 +1,11 @@
 """Immutable finite groups over 0-based element indices, with structural queries.
 
-A group is a validated n x n multiplication table.  Index 0 is always the
-identity.  All operations are pure; FiniteGroup and Subgroup never mutate
-after construction (internal caches aside), so instances are safe to share.
+A group is a validated n x n multiplication table.  Validation is exact at
+every order: associativity is checked by Light's test on a generating set
+(Clifford & Preston, Algebraic Theory of Semigroups I, 1961, 1.2).  Index 0
+is always the identity.  All operations are pure; FiniteGroup and Subgroup
+never mutate after construction (internal caches aside), so instances are
+safe to share.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ __all__ = [
     "from_table",
     "from_permutations",
     "direct_product",
+    "greedy_generators",
+    "row_classes",
+    "table_from_action",
     "is_isomorphic",
     "all_subgroups",
 ]
 
-# Full associativity validation is O(n^3); above this order only random
-# triples are checked.
-FULL_ASSOC_LIMIT = 256
 ISO_ORDER_CAP = 512
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -379,16 +382,11 @@ class FiniteGroup:
         return self.frattini_by_maximal_subgroups()
 
     def _frattini_p_group(self, p: int) -> Subgroup:
-        inv = self.inverses()
-        gens = set()
-        for x in range(self.order):
-            gens.add(self.power(x, p))
-        for a in range(self.order):
-            for b in range(a + 1, self.order):
-                ab = int(self.table[a, b])
-                ba = int(self.table[b, a])
-                gens.add(int(self.table[int(inv[ba]), ab]))
-        return self.generated_subgroup(gens)
+        idx = np.arange(self.order)
+        powers = idx
+        for _ in range(p - 1):
+            powers = self.table[powers, idx]
+        return self.generated_subgroup(np.union1d(powers, self._commutators()))
 
     def frattini_by_maximal_subgroups(self) -> Subgroup:
         """Frattini subgroup straight from the definition; exponential fallback."""
@@ -422,14 +420,12 @@ class FiniteGroup:
         return out
 
     def commutator_subgroup(self) -> Subgroup:
-        inv = self.inverses()
-        gens = set()
-        for a in range(self.order):
-            for b in range(a + 1, self.order):
-                ab = int(self.table[a, b])
-                ba = int(self.table[b, a])
-                gens.add(int(self.table[int(inv[ba]), ab]))
-        return self.generated_subgroup(gens)
+        return self.generated_subgroup(self._commutators())
+
+    def _commutators(self) -> np.ndarray:
+        """Distinct commutators a^-1 b^-1 a b = (b*a)^-1 (a*b), in one gather."""
+        t = self.table
+        return np.unique(t[self.inverses()[t.T], t])
 
 
 def _is_power_of(n: int, p: int) -> bool:
@@ -452,7 +448,8 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
 
     The identity is relocated to index 0 by relabeling if needed.  Raises
     NotAGroup when the Latin-square, identity, inverse, or associativity
-    checks fail.
+    checks fail.  Associativity is checked exactly at every order, by Light's
+    test on a generating set.
     """
     table = np.asarray(rows, dtype=np.int64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -478,13 +475,10 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
     if len(labels) != n:
         raise NotAGroup("label count does not match order")
     if e != 0:
+        # swap indices 0 and e; the swap is its own inverse
         perm = idx.copy()
         perm[e], perm[0] = 0, e
-        new = np.empty_like(table)
-        for i in range(n):
-            for j in range(n):
-                new[perm[i], perm[j]] = perm[table[i, j]]
-        table = new
+        table = perm[table[np.ix_(perm, perm)]]
         labels[0], labels[e] = labels[e], labels[0]
 
     _check_associativity(table)
@@ -492,24 +486,56 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
     return FiniteGroup(table, labels)
 
 
+def greedy_generators(table: np.ndarray) -> list[int]:
+    """Generating sequence: each generator is the smallest index not yet
+    reached from the identity (index 0) by right multiplication with the
+    generators before it.
+
+    In a finite group the right closure is the generated subgroup, so this is
+    the "first element outside <gens>" sequence.
+    """
+    reached = np.zeros(table.shape[0], dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            img = table[frontier[:, None], gens].ravel()
+            frontier = np.unique(img[~reached[img]])
+            reached[frontier] = True
+    return gens
+
+
 def _check_associativity(table: np.ndarray) -> None:
-    n = table.shape[0]
-    if n <= FULL_ASSOC_LIMIT:
-        for k in range(n):
-            left = table[table, k]          # (i*j)*k
-            right = table[:, table[:, k]]   # i*(j*k)
-            if not (left == right).all():
-                i, j = np.argwhere(left != right)[0]
-                raise NotAGroup(f"associativity fails at ({int(i)},{int(j)},{k})")
-    else:
-        # 10 * n^2 random triples, seeded by n for reproducibility
-        rng = np.random.default_rng(n)
-        for _ in range(10):
-            i = rng.integers(0, n, size=n * n)
-            j = rng.integers(0, n, size=i.size)
-            k = rng.integers(0, n, size=i.size)
-            if not (table[table[i, j], k] == table[i, table[j, k]]).all():
-                raise NotAGroup("associativity fails on a sampled triple")
+    """Light's test: (x*y)*g = x*(y*g) for all x, y and each generator g.
+
+    Exact: the g that pass are closed under products, and every element is a
+    left-nested product of generators (table has its identity at index 0).
+    """
+    for g in greedy_generators(table):
+        left = table[table, g]          # (x*y)*g
+        right = table[:, table[:, g]]   # x*(y*g)
+        if not (left == right).all():
+            x, y = np.argwhere(left != right)[0]
+            raise NotAGroup(f"associativity fails at ({int(x)},{int(y)},{g})")
+
+
+def table_from_action(act: Sequence[Sequence[int]], parent: Sequence[int],
+                      letter: Sequence[int]) -> np.ndarray:
+    """Cayley table from the right-regular action of generating letters.
+
+    act[l][i] is element i times letter l.  Element j > 0 is element
+    parent[j] times letter[j], with parent[j] < j (a BFS spanning tree), so
+    i * j = (i * parent[j]) * letter[j] fills the table column by column.
+    """
+    n = len(parent)
+    act = np.asarray(act, dtype=np.int64)
+    cols = np.empty((n, n), dtype=np.int64)  # cols[j] is column j
+    cols[0] = np.arange(n)
+    for j in range(1, n):
+        cols[j] = act[letter[j]][cols[parent[j]]]
+    return cols.T
 
 
 def _check_inverses(table: np.ndarray) -> None:
@@ -535,22 +561,20 @@ def from_permutations(degree: int, generators: Sequence[Sequence[int]],
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
-            nxt = tuple(cur[g[i]] for i in range(degree))  # cur applied after g
+    act: list[list[int]] = [[] for _ in gens]
+    parent, letter = [0], [0]
+    for i, cur in enumerate(elems):  # elems grows while walked: a BFS queue
+        for x, g in enumerate(gens):
+            nxt = tuple(cur[k] for k in g)  # cur applied after g
             if nxt not in index:
                 if len(elems) >= cap:
                     raise ClosureExceeded(cap)
                 index[nxt] = len(elems)
                 elems.append(nxt)
-                queue.append(nxt)
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[tuple(a[b[k]] for k in range(degree))]
+                parent.append(i)
+                letter.append(x)
+            act[x].append(index[nxt])
+    table = table_from_action(act, parent, letter)
     labels = ["".join(str(x) if degree <= 10 else f"{x}," for x in el) for el in elems]
     return from_table(table, labels)
 
@@ -591,13 +615,27 @@ def all_subgroups(g: FiniteGroup, limit: int = 20_000) -> list[Subgroup]:
     return [Subgroup(g, m) for m in out]
 
 
+def row_classes(m: np.ndarray) -> np.ndarray:
+    """Class id per row of boolean matrix m: equal rows share an id, and ids
+    number the classes in order of their first row.
+
+    Each row is keyed by its packed bits as one opaque value; packing is
+    injective at a fixed width, so the keys are exact.
+    """
+    packed = np.packbits(m, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[ids]
+
+
 # --- isomorphism testing ---------------------------------------------------
 
 def _invariant_vector(g: FiniteGroup) -> tuple:
     comm = g.commuting_matrix()
     cent_sizes = comm.sum(axis=1)
-    _, class_ids = np.unique(comm, axis=0, return_inverse=True)
-    beta_sizes = tuple(sorted(np.bincount(class_ids).tolist()))
+    beta_sizes = tuple(sorted(np.bincount(row_classes(comm)).tolist()))
     conj_sizes = tuple(sorted(len(c) for c in g.conjugacy_classes()))
     orders = g.element_orders()
     center_hist = tuple(sorted(int(orders[z])
@@ -618,7 +656,7 @@ def _element_fingerprints(g: FiniteGroup) -> list[tuple]:
     orders = g.element_orders()
     comm = g.commuting_matrix()
     cent = comm.sum(axis=1)
-    _, beta_ids = np.unique(comm, axis=0, return_inverse=True)
+    beta_ids = row_classes(comm)
     beta_count = np.bincount(beta_ids)
     class_size = np.empty(g.order, dtype=np.int64)
     for c in g.conjugacy_classes():

@@ -46,6 +46,13 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     return g
 
 
+def _split_grid(n: int, m: int):
+    """(fa, ia, fb, ib) with divmod(a, m) = (fa, ia) down the rows and
+    divmod(b, m) = (fb, ib) across the columns of an n x n grid."""
+    f, i = np.divmod(np.arange(n), m)
+    return f[:, None], i[:, None], f[None, :], i[None, :]
+
+
 def dihedral(m: int) -> FiniteGroup:
     """Dihedral group of order 2m: <r, s | r^m = s^2 = e, s r s = r^-1>.
 
@@ -53,17 +60,9 @@ def dihedral(m: int) -> FiniteGroup:
     """
     if m < 2:
         raise ValueError("dihedral needs m >= 2")
-    n = 2 * m
-    table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        fa, ia = divmod(a, m)
-        for b in range(n):
-            fb, ib = divmod(b, m)
-            if fa == 0:
-                # r^ia * (s^fb r^ib): pushing r^ia past s flips its sign
-                table[a, b] = fb * m + ((ib - ia) % m if fb else (ia + ib) % m)
-            else:
-                table[a, b] = (1 - fb) * m + ((ia + ib) % m if fb == 0 else (ib - ia) % m)
+    fa, ia, fb, ib = _split_grid(2 * m, m)
+    # (s^fa r^ia)(s^fb r^ib): pushing r^ia past s flips its sign
+    table = (fa ^ fb) * m + np.where(fb == 1, ib - ia, ia + ib) % m
     labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, m)]
     labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, m)]
     return from_table(table, labels)
@@ -79,20 +78,9 @@ def generalized_quaternion(order: int) -> FiniteGroup:
         raise ValueError("generalized quaternion is defined for orders 2^k, k >= 3")
     m = order // 2
     half = m // 2  # b^2 = a^half
-    n = order
-    table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        fa, ia = divmod(a, m)
-        for b in range(n):
-            fb, ib = divmod(b, m)
-            if fa == 0 and fb == 0:
-                table[a, b] = (ia + ib) % m
-            elif fa == 0:
-                table[a, b] = m + (ib - ia) % m
-            elif fb == 0:
-                table[a, b] = m + (ia + ib) % m
-            else:
-                table[a, b] = (half + ib - ia) % m
+    fa, ia, fb, ib = _split_grid(order, m)
+    # as in the dihedral case, plus b^2 = a^half when both factors carry b
+    table = (fa ^ fb) * m + np.where(fb == 1, ib - ia + half * fa, ia + ib) % m
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
     labels += ["b"] + [f"ba{i}" if i > 1 else "ba" for i in range(1, m)]
     return from_table(table, labels)
@@ -107,17 +95,9 @@ def modular_M(order: int) -> FiniteGroup:
         raise ValueError("modular_M is defined for orders 2^k, k >= 3")
     m = order // 2
     t = m // 2 + 1  # b a b = a^t
-    n = order
-    table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        fa, ia = divmod(a, m)
-        for b in range(n):
-            fb, ib = divmod(b, m)
-            if fb == 0:
-                table[a, b] = fa * m + (ia + ib) % m
-            else:
-                # a^ia b = b a^{ia*t}, so (b^fa a^ia)(b a^ib) = b^{fa+1} a^{ia*t+ib}
-                table[a, b] = (1 - fa) * m + (ia * t + ib) % m
+    fa, ia, fb, ib = _split_grid(order, m)
+    # a^ia b = b a^{ia*t}, so (b^fa a^ia)(b a^ib) = b^{fa+1} a^{ia*t+ib}
+    table = (fa ^ fb) * m + (np.where(fb == 1, ia * t, ia) + ib) % m
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
     labels += ["b"] + [f"ba{i}" if i > 1 else "ba" for i in range(1, m)]
     return from_table(table, labels)
@@ -135,15 +115,10 @@ def heisenberg(p: int) -> FiniteGroup:
     n = p ** 3
     if n > FAMILY_ORDER_CAP:
         raise ValueError(f"order {p}^3 exceeds cap {FAMILY_ORDER_CAP}")
-    table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        a1, r = divmod(x, p * p)
-        b1, c1 = divmod(r, p)
-        for y in range(n):
-            a2, r = divmod(y, p * p)
-            b2, c2 = divmod(r, p)
-            a, b = (a1 + a2) % p, (b1 + b2) % p
-            c = (c1 + c2 + a1 * b2) % p
-            table[x, y] = a * p * p + b * p + c
+    a, r = np.divmod(np.arange(n), p * p)
+    b, c = np.divmod(r, p)
+    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
+    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
+    table = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
     labels = [f"t({x // (p * p)},{(x // p) % p},{x % p})" for x in range(n)]
     return from_table(table, labels)

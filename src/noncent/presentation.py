@@ -22,9 +22,7 @@ import os
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import FiniteGroup, from_table
+from .core import FiniteGroup, from_table, table_from_action
 
 __all__ = [
     "ParseError",
@@ -403,14 +401,14 @@ def _lookahead(ct: _CosetTable, rel_letters: list[list[int]]):
 
 def _table_to_group(ct: _CosetTable, pres: Presentation) -> FiniteGroup:
     # renumber live cosets in BFS discovery order from coset 0
+    # and record the action of each letter on the renumbered cosets
     start = ct.rep(0)
     order: list[int] = [start]
     number = {start: 0}
     words: list[list[int]] = [[]]
-    qi = 0
-    while qi < len(order):
-        cur = order[qi]
-        qi += 1
+    act: list[list[int]] = [[] for _ in range(ct.width)]
+    parent, letter = [0], [0]
+    for i, cur in enumerate(order):  # order grows while walked: a BFS queue
         for x in range(ct.width):
             nxt = ct.rows[cur][x]
             if nxt is None:
@@ -419,19 +417,11 @@ def _table_to_group(ct: _CosetTable, pres: Presentation) -> FiniteGroup:
             if nxt not in number:
                 number[nxt] = len(order)
                 order.append(nxt)
-                words.append(words[qi - 1] + [x])
-    n = len(order)
-
-    def step(coset: int, letters: list[int]) -> int:
-        for x in letters:
-            coset = ct.rep(ct.rows[coset][x])
-        return coset
-
-    table = np.empty((n, n), dtype=np.int64)
-    for j in range(n):
-        wj = words[j]
-        for i in range(n):
-            table[i, j] = number[step(order[i], wj)]
+                words.append(words[i] + [x])
+                parent.append(i)
+                letter.append(x)
+            act[x].append(number[nxt])
+    table = table_from_action(act, parent, letter)
 
     labels = []
     for w in words:

@@ -1,0 +1,387 @@
+"""Array kernels cross-checked against the slow reference implementations
+they replaced, which are kept here as test-only oracles."""
+
+import re
+
+import numpy as np
+import pytest
+
+from noncent import analysis, core, families, presentation
+from noncent.core import NotAGroup, from_permutations, from_table
+from noncent.presentation import enumerate_presentation, parse
+
+
+# --- oracles -----------------------------------------------------------------
+
+def slow_associativity_failure(table):
+    """First (i, j, k) with (ij)k != i(jk), scanning every k; None if associative."""
+    table = np.asarray(table)
+    for k in range(table.shape[0]):
+        left = table[table, k]
+        right = table[:, table[:, k]]
+        if not (left == right).all():
+            i, j = np.argwhere(left != right)[0]
+            return int(i), int(j), k
+    return None
+
+
+def slow_from_permutations(degree, gens):
+    """Table and labels by BFS closure plus a double loop over element pairs."""
+    gens = [tuple(g) for g in gens]
+    ident = tuple(range(degree))
+    elems, index, queue = [ident], {ident: 0}, [ident]
+    while queue:
+        cur = queue.pop(0)
+        for g in gens:
+            nxt = tuple(cur[g[i]] for i in range(degree))
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                queue.append(nxt)
+    n = len(elems)
+    table = np.empty((n, n), dtype=np.int64)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            table[i, j] = index[tuple(a[b[k]] for k in range(degree))]
+    labels = ["".join(str(x) if degree <= 10 else f"{x}," for x in el) for el in elems]
+    return table, labels
+
+
+def slow_coset_table(ct, pres):
+    """Table and labels from a coset table by tracing every word from every coset."""
+    start = ct.rep(0)
+    order, number, words = [start], {start: 0}, [[]]
+    qi = 0
+    while qi < len(order):
+        cur = order[qi]
+        qi += 1
+        for x in range(ct.width):
+            nxt = ct.rep(ct.rows[cur][x])
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+                words.append(words[qi - 1] + [x])
+    n = len(order)
+    table = np.empty((n, n), dtype=np.int64)
+    for j in range(n):
+        for i in range(n):
+            coset = order[i]
+            for x in words[j]:
+                coset = ct.rep(ct.rows[coset][x])
+            table[i, j] = number[coset]
+    labels = ["*".join(pres.generators[x // 2] + ("" if x % 2 == 0 else "^-1")
+                       for x in w) or "e" for w in words]
+    return table, labels
+
+
+def slow_dihedral(m):
+    n = 2 * m
+    table = np.empty((n, n), dtype=np.int64)
+    for a in range(n):
+        fa, ia = divmod(a, m)
+        for b in range(n):
+            fb, ib = divmod(b, m)
+            if fa == 0:
+                table[a, b] = fb * m + ((ib - ia) % m if fb else (ia + ib) % m)
+            else:
+                table[a, b] = (1 - fb) * m + ((ia + ib) % m if fb == 0 else (ib - ia) % m)
+    return table
+
+
+def slow_quaternion(order):
+    m = order // 2
+    half = m // 2
+    table = np.empty((order, order), dtype=np.int64)
+    for a in range(order):
+        fa, ia = divmod(a, m)
+        for b in range(order):
+            fb, ib = divmod(b, m)
+            if fa == 0 and fb == 0:
+                table[a, b] = (ia + ib) % m
+            elif fa == 0:
+                table[a, b] = m + (ib - ia) % m
+            elif fb == 0:
+                table[a, b] = m + (ia + ib) % m
+            else:
+                table[a, b] = (half + ib - ia) % m
+    return table
+
+
+def slow_modular(order):
+    m = order // 2
+    t = m // 2 + 1
+    table = np.empty((order, order), dtype=np.int64)
+    for a in range(order):
+        fa, ia = divmod(a, m)
+        for b in range(order):
+            fb, ib = divmod(b, m)
+            if fb == 0:
+                table[a, b] = fa * m + (ia + ib) % m
+            else:
+                table[a, b] = (1 - fa) * m + (ia * t + ib) % m
+    return table
+
+
+def slow_heisenberg(p):
+    n = p ** 3
+    table = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        a1, r = divmod(x, p * p)
+        b1, c1 = divmod(r, p)
+        for y in range(n):
+            a2, r = divmod(y, p * p)
+            b2, c2 = divmod(r, p)
+            c = (c1 + c2 + a1 * b2) % p
+            table[x, y] = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + c
+    return table
+
+
+def slow_beta_classes(g):
+    """Elements grouped by the frozenset of their centralizer, center first,
+    then by smallest member."""
+    comm = g.commuting_matrix()
+    buckets = {}
+    for x in range(g.order):
+        buckets.setdefault(frozenset(np.flatnonzero(comm[x]).tolist()), []).append(x)
+    center = [c for c in buckets.values() if c[0] == 0]
+    rest = sorted((c for c in buckets.values() if c[0] != 0), key=lambda c: c[0])
+    return tuple(tuple(c) for c in center + rest)
+
+
+def slow_greedy_generators(g):
+    gens, covered = [], {0}
+    while len(covered) < g.order:
+        gens.append(next(i for i in range(g.order) if i not in covered))
+        covered = set(g.generated_subgroup(gens).members)
+    return gens
+
+
+def slow_commutators(g):
+    inv = g.inverses()
+    return {int(g.table[int(inv[int(g.table[b, a])]), int(g.table[a, b])])
+            for a in range(g.order) for b in range(g.order)}
+
+
+def random_latin_square(n, rng):
+    """Latin square with identity row and column 0.
+
+    Rows after the first are random perfect matchings of columns to symbols
+    still free in them (one exists by Hall's theorem); sorting the rows by
+    their first entry then makes column 0 the identity column.
+    """
+    rows = [list(range(n))]
+    used = [{j} for j in range(n)]
+    for _ in range(1, n):
+        owner = {}  # symbol -> column
+
+        def augment(col, seen):
+            for s in rng.permutation(n).tolist():
+                if s in used[col] or s in seen:
+                    continue
+                seen.add(s)
+                if s not in owner or augment(owner[s], seen):
+                    owner[s] = col
+                    return True
+            return False
+
+        for col in rng.permutation(n).tolist():
+            assert augment(col, set())
+        row = [0] * n
+        for s, col in owner.items():
+            row[col] = s
+            used[col].add(s)
+        rows.append(row)
+    rows.sort(key=lambda r: r[0])
+    return np.array(rows, dtype=np.int64)
+
+
+def relabeled(g, rng):
+    """g's table under a random relabeling that keeps the identity at 0."""
+    perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+    out = np.empty((g.order, g.order), dtype=np.int64)
+    out[np.ix_(perm, perm)] = perm[g.table]
+    return out
+
+
+def named_triple(exc):
+    x, y, g = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(exc)).groups())
+    return x, y, g
+
+
+def assert_triple_fails(table, triple):
+    x, y, g = triple
+    assert table[table[x, y], g] != table[x, table[y, g]]
+
+
+# --- associativity -------------------------------------------------------------
+
+class TestLightAssociativity:
+    def test_matches_full_loop_on_random_latin_squares(self):
+        rng = np.random.default_rng(20181221)
+        verdicts = set()
+        for n in range(1, 13):
+            for _ in range(15):
+                table = random_latin_square(n, rng)
+                expected = slow_associativity_failure(table)
+                try:
+                    from_table(table)
+                except NotAGroup as exc:
+                    assert expected is not None, (n, table.tolist())
+                    assert "associativity" in str(exc)
+                    assert_triple_fails(table, named_triple(exc))
+                    verdicts.add(False)
+                else:
+                    assert expected is None, (n, table.tolist())
+                    verdicts.add(True)
+        assert verdicts == {True, False}
+
+    def test_matches_full_loop_on_relabeled_groups(self):
+        rng = np.random.default_rng(7)
+        for g in (families.cyclic(12), families.dihedral(6),
+                  families.generalized_quaternion(8),
+                  core.direct_product(families.cyclic(2), families.dihedral(3))):
+            table = relabeled(g, rng)
+            assert slow_associativity_failure(table) is None
+            assert (from_table(table).table == table).all()
+
+    def test_intercalate_swap_at_order_512(self):
+        # Z/512 has the intercalate rows {1, 257} x columns {2, 258}; swapping
+        # it keeps a Latin square with identity but breaks associativity
+        table = np.array(families.cyclic(512).table, dtype=np.int64)
+        r, c = np.ix_([1, 257], [2, 258])
+        table[r, c] = table[r, c][:, ::-1]
+        assert (table[0] == np.arange(512)).all() and (table[:, 0] == np.arange(512)).all()
+        with pytest.raises(NotAGroup, match="associativity") as info:
+            from_table(table)
+        assert_triple_fails(table, named_triple(info.value))
+
+    def test_failure_only_at_a_later_generator(self):
+        # E8 with the intercalate on rows and columns {2, 3} swapped: right
+        # multiplication by the first generator still associates
+        table = np.array(families.elementary_abelian(2, 3).table, dtype=np.int64)
+        r, c = np.ix_([2, 3], [2, 3])
+        table[r, c] = table[r, c][:, ::-1]
+        first = core.greedy_generators(table)[0]
+        assert (table[table, first] == table[:, table[:, first]]).all()
+        with pytest.raises(NotAGroup, match="associativity") as info:
+            from_table(table)
+        assert_triple_fails(table, named_triple(info.value))
+
+    def test_greedy_generators_match_subgroup_closure(self, small_corpus):
+        for label, g in small_corpus:
+            assert core.greedy_generators(g.table) == slow_greedy_generators(g), label
+
+
+# --- table builders -------------------------------------------------------------
+
+class TestTableBuilders:
+    @pytest.mark.parametrize("degree, gens", [
+        (3, []),
+        (4, [(1, 2, 3, 0), (2, 1, 0, 3)]),
+        (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+        (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+        (7, [(1, 2, 3, 4, 5, 6, 0)]),
+    ])
+    def test_from_permutations_matches_double_loop(self, degree, gens):
+        g = from_permutations(degree, gens)
+        table, labels = slow_from_permutations(degree, gens)
+        assert (g.table == table).all()
+        assert g.labels == tuple(labels)
+
+    def test_from_permutations_random_generators(self):
+        rng = np.random.default_rng(5)
+        for degree in (4, 5, 5, 6):
+            gens = [tuple(rng.permutation(degree).tolist()) for _ in range(2)]
+            g = from_permutations(degree, gens)
+            table, labels = slow_from_permutations(degree, gens)
+            assert (g.table == table).all(), gens
+            assert g.labels == tuple(labels)
+
+    @pytest.mark.parametrize("text", [
+        "< a | a^1 >",
+        "< a | a^16 >",
+        "< a,b | a^4, b^2, b*a*b^-1 = a^-1 >",
+        "< a,b | a^8, b^2 = a^4, b*a*b^-1 = a^-1 >",
+        "< a,b | a^3, b^2, (a*b)^2 >",
+        "< a,b,c | a^2, b^2, c^2, a*b = b*a, a*c = c*a, b*c = c*b >",
+        "< r,s | r^32, s^2, s*r*s^-1 = r^-1 >",
+    ])
+    def test_coset_table_matches_word_tracing(self, text, monkeypatch):
+        seen = {}
+        fast = presentation._table_to_group
+
+        def spy(ct, pres):
+            seen["slow"] = slow_coset_table(ct, pres)
+            return fast(ct, pres)
+
+        monkeypatch.setattr(presentation, "_table_to_group", spy)
+        g = enumerate_presentation(parse(text))
+        table, labels = seen["slow"]
+        assert (g.table == table).all()
+        assert g.labels == tuple(labels)
+
+    @pytest.mark.parametrize("ctor, oracle, args", [
+        (families.dihedral, slow_dihedral, (2, 3, 5, 8, 13)),
+        (families.generalized_quaternion, slow_quaternion, (8, 16, 64)),
+        (families.modular_M, slow_modular, (8, 16, 64)),
+        (families.heisenberg, slow_heisenberg, (3, 5)),
+    ])
+    def test_family_tables_match_double_loop(self, ctor, oracle, args):
+        for a in args:
+            assert (ctor(a).table == oracle(a)).all(), a
+
+
+class TestEdgeCases:
+    def test_permutations_without_generators(self):
+        g = from_permutations(3, [])
+        assert g.order == 1
+        assert g.table.tolist() == [[0]]
+        assert g.labels == ("012",)
+
+    def test_one_generator_trivial_presentation(self):
+        g = enumerate_presentation(parse("< a | a^1 >"))
+        assert g.order == 1
+        assert g.table.tolist() == [[0]]
+        assert g.labels == ("e",)
+
+
+# --- centralizer classes and commutators -----------------------------------------
+
+class TestRowKeys:
+    @pytest.mark.parametrize("make", [
+        lambda: families.dihedral(256),
+        lambda: families.modular_M(512),
+        lambda: core.direct_product(families.dihedral(64), families.cyclic(5)),
+        lambda: from_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]),
+        lambda: families.heisenberg(11),
+    ])
+    def test_beta_partition_matches_frozenset_grouping(self, make):
+        g = make()
+        assert g.order >= 512
+        part = analysis.beta_partition(g)
+        assert part.classes == slow_beta_classes(g)
+        assert all(part.class_of[x] == cid
+                   for cid, c in enumerate(part.classes) for x in c)
+
+    def test_row_classes_match_unique_rows(self, small_corpus):
+        for label, g in small_corpus:
+            comm = g.commuting_matrix()
+            _, ids = np.unique(comm, axis=0, return_inverse=True)
+            fast = core.row_classes(comm)
+            same = ids[:, None] == ids[None, :]
+            assert (same == (fast[:, None] == fast[None, :])).all(), label
+
+
+class TestCommutators:
+    def test_one_gather_matches_pair_loop(self, small_corpus):
+        for label, g in small_corpus:
+            assert set(g._commutators().tolist()) == slow_commutators(g), label
+            assert g.commutator_subgroup() == g.generated_subgroup(slow_commutators(g))
+
+    def test_p_group_frattini_matches_powers_and_commutators(self, small_corpus):
+        for label, g in small_corpus:
+            p = g.is_p_group()
+            if not isinstance(p, int):
+                continue
+            seeds = {g.power(x, p) for x in range(g.order)} | slow_commutators(g)
+            assert g._frattini_p_group(p) == g.generated_subgroup(seeds), label

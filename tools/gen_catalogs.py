@@ -741,18 +741,8 @@ def assign_labels64(rows) -> dict[str, tuple]:
 
 # --- catalog emission ----------------------------------------------------------
 
-def greedy_generators(g: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    covered = {0}
-    while len(covered) < g.order:
-        x = next(i for i in range(g.order) if i not in covered)
-        gens.append(x)
-        covered = set(g.generated_subgroup(gens).members)
-    return gens
-
-
 def perm_entry(label: str, g: FiniteGroup, comment: str = "") -> str:
-    gens = greedy_generators(g)
+    gens = core.greedy_generators(g.table)
     lines = []
     if comment:
         lines.append(f"# {comment}")
