@@ -141,12 +141,11 @@ def maximal_centralizers(g: FiniteGroup,
     if part is None:
         part = beta_partition(g)
     cents = [(cid, part.centralizer_of_class(cid)) for cid in range(1, len(part.classes))]
-    out = []
-    for cid, c in cents:
-        cm = c.member_set()
-        if not any(cm < d.member_set() for _, d in cents):
-            out.append((cid, c))
-    return out
+    masks = np.array([c.mask for _, c in cents], dtype=np.int64)
+    common = masks @ masks.T  # |C_i & C_j|
+    size = np.diag(common)
+    inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
+    return [cent for cent, inside in zip(cents, inside_larger.any(axis=1)) if not inside]
 
 
 def h_subgroup(g: FiniteGroup, class_id: int,
@@ -161,9 +160,8 @@ def h_subgroup(g: FiniteGroup, class_id: int,
     maximal_ids = {cid for cid, _ in maximal_centralizers(g, part)}
     if class_id not in maximal_ids:
         raise NotMaximal(f"class {class_id} does not have a maximal centralizer")
-    members = sorted(set(part.classes[class_id]) | set(part.classes[0]))
     try:
-        return g.subgroup(members)
+        return g.subgroup(np.union1d(part.classes[class_id], part.classes[0]))
     except ValueError as exc:
         raise NotASubgroup(
             f"beta-class {class_id} union center is not a subgroup: {exc}") from exc
@@ -212,7 +210,7 @@ def _cyclic_homs(gab: FiniteGroup, m: int):
 
 
 def _central_cyclic_splits(g: FiniteGroup, z: int,
-                           gab: FiniteGroup, coset_of: dict[int, int]) -> bool:
+                           gab: FiniteGroup, coset_index: np.ndarray) -> bool:
     """True iff <z> (z central) is a direct factor of g.
 
     <z> of order m splits off exactly when some homomorphism g -> Z/m sends z
@@ -220,7 +218,7 @@ def _central_cyclic_splits(g: FiniteGroup, z: int,
     through the abelianization gab.
     """
     m = g.element_order(z)
-    zbar = coset_of[z]
+    zbar = int(coset_index[z])
     if gab.element_order(zbar) != m:
         return False
     for fmap in _cyclic_homs(gab, m):
@@ -229,16 +227,11 @@ def _central_cyclic_splits(g: FiniteGroup, z: int,
     return False
 
 
-def _abelianization(g: FiniteGroup) -> tuple[FiniteGroup, dict[int, int]]:
+def _abelianization(g: FiniteGroup) -> tuple[FiniteGroup, np.ndarray]:
     """G/[G,G] plus the element-to-coset projection map."""
     comm_sub = g.commutator_subgroup()
-    gab = g.quotient(comm_sub)
-    # quotient() indexes cosets in the same order as comm_sub.cosets()
-    coset_of: dict[int, int] = {}
-    for idx, c in enumerate(comm_sub.cosets()):
-        for mem in c.members:
-            coset_of[mem] = idx
-    return gab, coset_of
+    # quotient() numbers its elements by comm_sub.coset_index()
+    return g.quotient(comm_sub), comm_sub.coset_index()
 
 
 def is_reduced_regular(g: FiniteGroup) -> bool:
@@ -252,11 +245,11 @@ def is_reduced_regular(g: FiniteGroup) -> bool:
     """
     if g.is_abelian or g.is_p_group() != 2 or is_regular(g) is None:
         raise NotRegular2Group("reduced-regularity needs a regular non-abelian 2-group")
-    gab, coset_of = _abelianization(g)
+    gab, coset_index = _abelianization(g)
     for z in g.center().members:
         if z == 0:
             continue
-        if _central_cyclic_splits(g, z, gab, coset_of):
+        if _central_cyclic_splits(g, z, gab, coset_index):
             return False
     return True
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .core import (FiniteGroup, Subgroup, TooLarge, all_subgroups,
+import numpy as np
+
+from .core import (FiniteGroup, Subgroup, TooLarge, _prime_factors, all_subgroups,
                    direct_product, is_isomorphic, is_prime, is_prime_power)
 from . import analysis
 from .analysis import BetaPartition, beta_partition
@@ -53,6 +55,7 @@ class _Ctx:
         self.label = label
         self._part: Optional[BetaPartition] = None
         self._gz = None
+        self._coset_index = None
         self._maximal = None
 
     @property
@@ -71,15 +74,24 @@ class _Ctx:
             self._gz = self.g.quotient(self.center)
         return self._gz
 
+    @property
+    def coset_index(self):
+        """Center coset of every element, numbered as in G/Z(G)."""
+        if self._coset_index is None:
+            self._coset_index = self.center.coset_index()
+        return self._coset_index
+
     def coset_order(self, x: int) -> int:
         """Order of the image of x in G/Z(G)."""
-        if not hasattr(self, "_coset_of"):
-            cosets = self.center.cosets()
-            self._coset_of = {}
-            for idx, c in enumerate(cosets):
-                for m in c.members:
-                    self._coset_of[m] = idx
-        return self.quotient_by_center.element_order(self._coset_of[x])
+        return self.quotient_by_center.element_order(int(self.coset_index[x]))
+
+    def beta_mask(self, cid: int):
+        """Membership mask of beta-class cid."""
+        return np.asarray(self.part.class_of) == cid
+
+    def beta_union_center(self, cid: int):
+        """Membership mask of beta(x) union Z(G) for class cid."""
+        return self.beta_mask(cid) | self.beta_mask(0)
 
     @property
     def maximal_classes(self):
@@ -156,7 +168,7 @@ def check_ba(g, label="G") -> CheckResult:
     if ctx.g.is_abelian:
         return _na("ba", ctx, "abelian")
     pk = is_prime_power(ctx.index)
-    fac_p = _smallest_prime_divisor(ctx.g.order)
+    fac_p = min(_prime_factors(ctx.g.order))
     if pk is None or pk[1] != 3 or pk[0] != fac_p:
         return _na("ba", ctx, "[G:Z] is not p^3 for the smallest prime p")
     p = pk[0]
@@ -170,29 +182,18 @@ def check_ba(g, label="G") -> CheckResult:
                             "expected": expected, "cent_count": n})
 
 
-def _smallest_prime_divisor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def check_ereg1(g, label="G") -> CheckResult:
     """Regular iff every class is exactly one center coset (both directions)."""
     ctx = _ctx(g, label)
     if ctx.g.is_abelian:
         return _na("ereg1", ctx, "abelian")
     lhs = ctx.regular_degree() is not None
-    z = ctx.center
-    tbl = ctx.g.table
+    cidx = ctx.coset_index
     rhs = True
     bad = None
     for cid, members in enumerate(ctx.part.classes):
-        x = members[0]
-        coset = tuple(sorted(int(tbl[x, h]) for h in z.members))
-        if coset != members:
+        coset = np.flatnonzero(cidx == cidx[members[0]])
+        if tuple(coset.tolist()) != members:
             rhs = False
             bad = cid
             break
@@ -320,24 +321,16 @@ def _p_part_decomposition(ctx: _Ctx, p: int):
     """Split G as (p-elements) x (central p'-part); None with a witness when
     the p-elements fail to form a subgroup of the right order."""
     g = ctx.g
-    orders = g.element_orders()
-    p_elems = [x for x in range(g.order) if _is_p_power(int(orders[x]), p)]
-    h = g.generated_subgroup(p_elems)
-    if set(h.members) != set(p_elems):
+    p_elems = g.p_element_mask(p)
+    h = g.generated_subgroup(np.flatnonzero(p_elems))
+    if not np.array_equal(h.mask, p_elems):
         return None, ("p_elements_not_closed",)
-    a_members = [x for x in ctx.center.members if int(orders[x]) % p != 0]
-    a = g.subgroup(sorted(a_members))
-    if len(h.members) * a.size != g.order:
-        return None, ("sizes", len(h.members), a.size)
-    if len(h.member_set() & a.member_set()) != 1:
+    a = g.subgroup(np.flatnonzero(ctx.center.mask & (g.element_orders() % p != 0)))
+    if h.size * a.size != g.order:
+        return None, ("sizes", h.size, a.size)
+    if np.count_nonzero(h.mask & a.mask) != 1:
         return None, ("intersection_nontrivial",)
     return (h, a), ()
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def check_big(g, label="G") -> CheckResult:
@@ -370,16 +363,6 @@ def check_big(g, label="G") -> CheckResult:
 
 # --- section 3: the induced graph ----------------------------------------------
 
-def _h_sets(ctx: _Ctx):
-    """(class id, centralizer, beta-union-center set) per maximal class."""
-    out = []
-    zset = set(ctx.part.classes[0])
-    for cid, cent in ctx.maximal_classes:
-        hx = set(ctx.part.classes[cid]) | zset
-        out.append((cid, cent, hx))
-    return out
-
-
 def check_lg(g, label="G") -> CheckResult:
     """beta(x) union Z(G) is a subgroup whenever C(x) is maximal."""
     ctx = _ctx(g, label)
@@ -400,15 +383,14 @@ def check_lg1(g, label="G") -> CheckResult:
     ctx = _ctx(g, label)
     if ctx.g.is_abelian or ctx.induced_degree() is None:
         return _na("lg1", ctx, "not induced regular")
-    strict = [(cid, cent, hx) for cid, cent, hx in _h_sets(ctx)
-              if set(cent.members) != hx]
+    strict = [(cid, cent) for cid, cent in ctx.maximal_classes
+              if not np.array_equal(cent.mask, ctx.beta_union_center(cid))]
     if not strict:
         return _na("lg1", ctx, "no maximal centralizer exceeds beta u Z")
     found = {}
-    for cid, cent, hx in strict:
-        beta = set(ctx.part.classes[cid])
-        ys = [y for y in cent.members if y not in beta
-              and is_prime(ctx.coset_order(y))]
+    for cid, cent in strict:
+        ys = [y for y in np.flatnonzero(cent.mask & ~ctx.beta_mask(cid)).tolist()
+              if is_prime(ctx.coset_order(y))]
         if not ys:
             return _result("lg1", ctx, False, witness=(("class", cid),))
         found[cid] = ys[0]
@@ -422,14 +404,12 @@ def check_lg2(g, label="G") -> CheckResult:
     if ctx.g.is_abelian or ctx.induced_degree() is None:
         return _na("lg2", ctx, "not induced regular")
     applicable = False
-    for cid, cent, hx in _h_sets(ctx):
-        beta = set(ctx.part.classes[cid])
+    for cid, cent in ctx.maximal_classes:
         primes = set()
-        for y in cent.members:
-            if y not in beta:
-                o = ctx.coset_order(y)
-                if o != 2 and is_prime(o):
-                    primes.add(o)
+        for y in np.flatnonzero(cent.mask & ~ctx.beta_mask(cid)).tolist():
+            o = ctx.coset_order(y)
+            if o != 2 and is_prime(o):
+                primes.add(o)
         if not primes:
             continue
         applicable = True
@@ -451,8 +431,8 @@ def check_lg2(g, label="G") -> CheckResult:
 def _quotient_by_center_of(ctx: _Ctx, sub: Subgroup) -> FiniteGroup:
     """(members of sub)/Z(G) as a group; Z(G) is central in sub."""
     hx_group = sub.as_group()
-    pos = {m: i for i, m in enumerate(sub.members)}
-    z_in_h = hx_group.subgroup(sorted(pos[z] for z in ctx.center.members))
+    # positions in sub.members of the center's elements
+    z_in_h = hx_group.subgroup(np.flatnonzero(ctx.center.mask[sub.mask]))
     return hx_group.quotient(z_in_h)
 
 
@@ -497,10 +477,9 @@ def check_cmg(g, label="G") -> CheckResult:
         return _na("cmg", ctx, "not induced regular")
     if ctx.g.order % 2 == 0:
         return _na("cmg", ctx, "even order")
-    zset = set(ctx.part.classes[0])
     for cid in range(1, len(ctx.part.classes)):
         cent = ctx.part.centralizer_of_class(cid)
-        if set(cent.members) == set(ctx.part.classes[cid]) | zset:
+        if np.array_equal(cent.mask, ctx.beta_union_center(cid)):
             return _na("cmg", ctx, "some centralizer equals beta u Z")
     quo = ctx.quotient_by_center
     p = quo.is_elementary_p() if quo.order > 1 else None

@@ -99,52 +99,61 @@ def is_prime_power(n: int) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A validated subgroup, as a sorted tuple of parent element indices."""
+    """A subgroup of parent, as a sorted tuple of parent element indices.
+
+    Its working form is `mask`, a read-only boolean array over the parent's
+    elements built once from members; every subgroup operation reads it.
+    The constructor trusts its input: FiniteGroup.subgroup validates a member
+    set, and generated_subgroup / centralizer / center build correct ones.
+    """
 
     parent: "FiniteGroup"
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[list(self.members)] = True
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._member_set
+        return 0 <= x < self.parent.order and bool(self.mask[x])
 
     def __iter__(self):
         return iter(self.members)
 
     def member_set(self) -> frozenset:
-        return self._member_set
+        return frozenset(self.members)
 
     def as_group(self) -> "FiniteGroup":
         """Materialize this subgroup as a standalone FiniteGroup.
 
         New element i corresponds to parent element self.members[i]; index 0
-        stays the identity because members are sorted and contain 0.
+        stays the identity because members are sorted and contain 0.  The
+        table is the parent's restricted to a subgroup, so it is not
+        validated again.
         """
         g = self.parent
-        pos = {m: i for i, m in enumerate(self.members)}
-        n = len(self.members)
-        rows = [[pos[int(g.table[a, b])] for b in self.members] for a in self.members]
-        labels = [g.labels[m] for m in self.members]
-        return from_table(rows, labels)
+        pos = np.cumsum(self.mask) - 1
+        return FiniteGroup(pos[g.table[np.ix_(self.mask, self.mask)]],
+                           [g.labels[m] for m in self.members])
+
+    def coset_index(self) -> np.ndarray:
+        """Number of the left coset x*H of every parent element x; cosets are
+        numbered by their smallest member, so the identity coset is 0."""
+        return np.unique(self.parent.table[:, self.mask].min(axis=1), return_inverse=True)[1]
 
     def cosets(self) -> list["Coset"]:
         """Left cosets x*H, ordered by smallest member (identity coset first)."""
-        g = self.parent
-        seen = set()
-        out = []
-        for x in range(g.order):
-            if x in seen:
-                continue
-            members = tuple(sorted(int(g.table[x, h]) for h in self.members))
-            seen.update(members)
-            out.append(Coset(representative=members[0], members=members))
-        return out
+        idx = self.coset_index()
+        by_coset = np.argsort(idx, kind="stable")
+        bounds = np.cumsum(np.bincount(idx))[:-1]
+        return [Coset(representative=int(c[0]), members=tuple(c.tolist()))
+                for c in np.split(by_coset, bounds)]
 
 
 @dataclass(frozen=True)
@@ -163,7 +172,9 @@ class FiniteGroup:
 
     table[i, j] is the index of (element i) * (element j).  Construct through
     from_table / from_permutations / the family constructors, which validate
-    the axioms; the raw constructor trusts its input.
+    the axioms.  The raw constructor trusts its input; it is used only for
+    tables that are correct by construction (direct_product,
+    Subgroup.as_group, quotient).
     """
 
     __slots__ = ("order", "table", "labels", "_inv", "_comm", "_elt_orders",
@@ -245,12 +256,10 @@ class FiniteGroup:
 
     def centralizer(self, x: int) -> Subgroup:
         """Subgroup of all elements commuting with x."""
-        members = tuple(int(i) for i in np.flatnonzero(self.commuting_matrix()[x]))
-        return Subgroup(self, members)
+        return Subgroup(self, tuple(np.flatnonzero(self.commuting_matrix()[x]).tolist()))
 
     def center(self) -> Subgroup:
-        members = tuple(int(i) for i in np.flatnonzero(self.commuting_matrix().all(axis=1)))
-        return Subgroup(self, members)
+        return Subgroup(self, tuple(np.flatnonzero(self.commuting_matrix().all(axis=1)).tolist()))
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Conjugacy classes ordered by smallest member."""
@@ -270,69 +279,57 @@ class FiniteGroup:
         return self._conj_class
 
     def subgroup(self, members: Iterable[int]) -> Subgroup:
-        """Validate a member set as a subgroup (closure, inverses, Lagrange)."""
-        ms = tuple(sorted(set(int(m) for m in members)))
-        if not ms or ms[0] != 0:
+        """Validate a member set as a subgroup and return it.
+
+        The set must lie in 0..n-1, contain the identity and be closed under
+        products; in a finite group that makes it a subgroup (inverses and
+        Lagrange follow).  Raises ValueError otherwise.
+        """
+        ms = np.unique(np.fromiter(members, dtype=np.int64))
+        if ms.size and (ms[0] < 0 or ms[-1] >= self.order):
+            raise ValueError(f"subgroup members must lie in 0..{self.order - 1}")
+        if not ms.size or ms[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
-        mset = frozenset(ms)
-        inv = self.inverses()
-        for a in ms:
-            if int(inv[a]) not in mset:
-                raise ValueError(f"member set not closed under inverse at {a}")
-            for b in ms:
-                if int(self.table[a, b]) not in mset:
-                    raise ValueError(f"member set not closed under product at ({a},{b})")
-        assert self.order % len(ms) == 0, "Lagrange violation: parent order not divisible"
-        return Subgroup(self, ms)
+        sub = Subgroup(self, tuple(ms.tolist()))
+        closed = sub.mask[self.table[np.ix_(ms, ms)]]
+        if not closed.all():
+            a, b = np.argwhere(~closed)[0]
+            raise ValueError(f"member set not closed under product at ({ms[a]},{ms[b]})")
+        return sub
 
     def generated_subgroup(self, seeds: Iterable[int]) -> Subgroup:
-        """Smallest subgroup containing the seed elements."""
-        members = {0}
-        frontier = [0]
-        seeds = [int(s) for s in seeds]
-        for s in seeds:
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                row = self.table[a]
-                for b in list(members):
-                    for c in (int(row[b]), int(self.table[b, a])):
-                        if c not in members:
-                            members.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return Subgroup(self, tuple(sorted(members)))
+        """Smallest subgroup containing the seed elements: the right closure
+        of the identity under the seeds (in a finite group the generated
+        monoid is the subgroup)."""
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        _right_closure(self.table, reached, np.fromiter(seeds, dtype=np.int64))
+        return Subgroup(self, tuple(np.flatnonzero(reached).tolist()))
+
+    def p_element_mask(self, p: int) -> np.ndarray:
+        """Boolean mask of the elements whose order is a power of p."""
+        p_part = p ** _prime_factors(self.order).get(p, 0)
+        return p_part % self.element_orders() == 0
 
     def is_normal(self, h: Subgroup) -> bool:
         """True iff g*H*g^-1 = H for every g."""
         if h.parent is not self:
             raise ValueError("subgroup belongs to a different group")
-        inv = self.inverses()
-        mset = h.member_set()
-        members = np.asarray(h.members, dtype=np.int32)
-        for g in range(self.order):
-            conj = self.table[self.table[g, members], int(inv[g])]
-            if any(int(c) not in mset for c in conj):
-                return False
-        return True
+        t = self.table
+        return bool(h.mask[t[t[:, h.mask], self.inverses()[:, None]]].all())
 
     def quotient(self, n_sub: Subgroup) -> "FiniteGroup":
-        """Quotient group G/N on the cosets of N; coset of the identity is index 0."""
+        """Quotient group G/N on the cosets of N; coset of the identity is index 0.
+
+        The table is the coset map applied to products of the coset
+        representatives (smallest members), so it is not validated again.
+        """
         if not self.is_normal(n_sub):
             raise NotNormal("subgroup is not normal; quotient undefined")
-        cosets = n_sub.cosets()
-        coset_of = {}
-        for idx, c in enumerate(cosets):
-            for m in c.members:
-                coset_of[m] = idx
-        k = len(cosets)
-        rows = [[coset_of[int(self.table[cosets[i].representative, cosets[j].representative])]
-                 for j in range(k)] for i in range(k)]
-        labels = [f"[{self.labels[c.representative]}]" for c in cosets]
-        return from_table(rows, labels)
+        cidx = n_sub.coset_index()
+        reps = np.unique(cidx, return_index=True)[1]
+        return FiniteGroup(cidx[self.table[np.ix_(reps, reps)]],
+                           [f"[{self.labels[r]}]" for r in reps])
 
     def is_p_group(self) -> Union[int, str, None]:
         """Prime p when |G| = p^k (k >= 1); TRIVIAL for order 1; None otherwise."""
@@ -373,12 +370,9 @@ class FiniteGroup:
             return self._frattini_p_group(p)
         sylows = self._sylow_decomposition()
         if sylows is not None:
-            gens: list[int] = []
-            for prime, syl in sylows:
-                sub = syl.as_group()
-                phi = sub._frattini_p_group(prime)
-                gens.extend(syl.members[i] for i in phi.members)
-            return self.generated_subgroup(gens)
+            return self.generated_subgroup(np.concatenate([
+                np.flatnonzero(syl.mask)[syl.as_group()._frattini_p_group(prime).mask]
+                for prime, syl in sylows]))
         return self.frattini_by_maximal_subgroups()
 
     def _frattini_p_group(self, p: int) -> Subgroup:
@@ -406,15 +400,13 @@ class FiniteGroup:
 
         Succeeds exactly when G is nilpotent; returns None otherwise.
         """
-        fac = _prime_factors(self.order)
-        orders = self.element_orders()
         out = []
-        for prime, mult in fac.items():
-            members = [x for x in range(self.order) if _is_power_of(int(orders[x]), prime)]
-            if len(members) != prime ** mult:
+        for prime, mult in _prime_factors(self.order).items():
+            mask = self.p_element_mask(prime)
+            if np.count_nonzero(mask) != prime ** mult:
                 return None
             try:
-                out.append((prime, self.subgroup(members)))
+                out.append((prime, self.subgroup(np.flatnonzero(mask))))
             except ValueError:
                 return None
         return out
@@ -426,12 +418,6 @@ class FiniteGroup:
         """Distinct commutators a^-1 b^-1 a b = (b*a)^-1 (a*b), in one gather."""
         t = self.table
         return np.unique(t[self.inverses()[t.T], t])
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _find_identity(table: np.ndarray) -> int:
@@ -499,12 +485,18 @@ def greedy_generators(table: np.ndarray) -> list[int]:
     gens: list[int] = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            img = table[frontier[:, None], gens].ravel()
-            frontier = np.unique(img[~reached[img]])
-            reached[frontier] = True
+        _right_closure(table, reached, gens)
     return gens
+
+
+def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
+    """Mark in place every element reached from the marked ones by right
+    multiplication with gens."""
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        img = table[frontier[:, None], gens].ravel()
+        frontier = np.unique(img[~reached[img]])
+        reached[frontier] = True
 
 
 def _check_associativity(table: np.ndarray) -> None:
@@ -594,25 +586,19 @@ def all_subgroups(g: FiniteGroup, limit: int = 20_000) -> list[Subgroup]:
 
     Exponential in the worst case; intended for small groups (catalog scale).
     """
-    seen = {frozenset([0])}
-    queue = [(0,)]
-    out = [(0,)]
+    trivial = Subgroup(g, (0,))
+    found = {trivial.members: trivial}
+    queue = [trivial]
     while queue:
         base = queue.pop()
-        base_set = set(base)
-        for x in range(1, g.order):
-            if x in base_set:
-                continue
-            closure = g.generated_subgroup(list(base) + [x]).members
-            key = frozenset(closure)
-            if key not in seen:
-                seen.add(key)
-                out.append(closure)
-                queue.append(closure)
-                if len(out) > limit:
+        for x in np.flatnonzero(~base.mask).tolist():
+            sub = g.generated_subgroup(base.members + (x,))
+            if sub.members not in found:
+                found[sub.members] = sub
+                queue.append(sub)
+                if len(found) > limit:
                     raise TooLarge(f"subgroup enumeration exceeded {limit} subgroups")
-    out.sort(key=lambda m: (len(m), m))
-    return [Subgroup(g, m) for m in out]
+    return sorted(found.values(), key=lambda s: (s.size, s.members))
 
 
 def row_classes(m: np.ndarray) -> np.ndarray:
@@ -672,19 +658,11 @@ def _element_fingerprints(g: FiniteGroup) -> list[tuple]:
 
 def _generating_sequence(g: FiniteGroup, rarity: dict) -> list[int]:
     gens: list[int] = []
-    current = {0}
+    current = np.arange(g.order) == 0
     fps = _element_fingerprints(g)
-    while len(current) < g.order:
-        best = None
-        for x in range(g.order):
-            if x in current:
-                continue
-            key = (rarity[fps[x]], x)
-            if best is None or key < best:
-                best = key
-        x = best[1]
-        gens.append(x)
-        current = set(g.generated_subgroup(gens).members)
+    while not current.all():
+        gens.append(min(np.flatnonzero(~current).tolist(), key=lambda x: (rarity[fps[x]], x)))
+        current = g.generated_subgroup(gens).mask
     return gens
 
 

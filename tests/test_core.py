@@ -331,6 +331,18 @@ class TestSubgroupType:
         with pytest.raises(ValueError):
             g.subgroup([1, 2])  # missing identity
 
+    def test_validation_out_of_range(self):
+        g = families.dihedral(4)
+        for members in ([0, 8], [0, 100], [-1, 0], [-8, 0, 2]):
+            with pytest.raises(ValueError):
+                g.subgroup(members)
+
+    def test_membership_outside_parent_range(self):
+        z = families.dihedral(4).center()
+        assert z.members == (0, 2)
+        for x in (-8, -6, -1, 8, 100):
+            assert x not in z
+
     def test_as_group_roundtrip(self):
         g = families.dihedral(4)
         h = g.subgroup([0, 1, 2, 3]).as_group()

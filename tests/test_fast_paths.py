@@ -148,11 +148,76 @@ def slow_beta_classes(g):
     return tuple(tuple(c) for c in center + rest)
 
 
+def slow_generated_subgroup(g, seeds):
+    """Sorted members of <seeds> by a two-sided BFS closure over element pairs."""
+    members = {0}
+    frontier = [0]
+    for s in seeds:
+        if s not in members:
+            members.add(s)
+            frontier.append(s)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(members):
+                for c in (int(g.table[a, b]), int(g.table[b, a])):
+                    if c not in members:
+                        members.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def slow_is_normal(g, h):
+    """g*H*g^-1 inside H, one conjugating element at a time."""
+    inv = g.inverses()
+    mset = set(h.members)
+    for x in range(g.order):
+        if any(int(g.table[int(g.table[x, m]), int(inv[x])]) not in mset for m in h.members):
+            return False
+    return True
+
+
+def slow_cosets(h):
+    """(representative, members) of each left coset, scanning x upward."""
+    g = h.parent
+    seen, out = set(), []
+    for x in range(g.order):
+        if x in seen:
+            continue
+        members = tuple(sorted(int(g.table[x, m]) for m in h.members))
+        seen.update(members)
+        out.append((members[0], members))
+    return out
+
+
+def slow_quotient(g, n_sub):
+    """G/N from a dict coset map, validated by from_table."""
+    cosets = slow_cosets(n_sub)
+    coset_of = {m: i for i, (_, members) in enumerate(cosets) for m in members}
+    rows = [[coset_of[int(g.table[r, s])] for s, _ in cosets] for r, _ in cosets]
+    return from_table(rows, [f"[{g.labels[r]}]" for r, _ in cosets])
+
+
+def slow_as_group(h):
+    """The subgroup's own table from a dict position map, validated by from_table."""
+    g = h.parent
+    pos = {m: i for i, m in enumerate(h.members)}
+    rows = [[pos[int(g.table[a, b])] for b in h.members] for a in h.members]
+    return from_table(rows, [g.labels[m] for m in h.members])
+
+
+def is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def slow_greedy_generators(g):
     gens, covered = [], {0}
     while len(covered) < g.order:
         gens.append(next(i for i in range(g.order) if i not in covered))
-        covered = set(g.generated_subgroup(gens).members)
+        covered = set(slow_generated_subgroup(g, gens))
     return gens
 
 
@@ -385,3 +450,82 @@ class TestCommutators:
                 continue
             seeds = {g.power(x, p) for x in range(g.order)} | slow_commutators(g)
             assert g._frattini_p_group(p) == g.generated_subgroup(seeds), label
+
+
+# --- subgroups on membership masks ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def subgroup_corpus(small_corpus, order16_entries, order32_entries):
+    """small_corpus, every order-16 and order-32 catalog entry, and small_corpus
+    under a random relabeling."""
+    rng = np.random.default_rng(11)
+    out = list(small_corpus)
+    out += [(e.label, e.group()) for e in list(order16_entries) + list(order32_entries)]
+    out += [(label + "~", from_table(relabeled(g, rng))) for label, g in small_corpus]
+    return out
+
+
+def same_group(a, b):
+    return (a.table.dtype == b.table.dtype and (a.table == b.table).all()
+            and a.labels == b.labels)
+
+
+class TestMaskSubgroups:
+    def test_closure_matches_bfs_on_random_seeds(self, subgroup_corpus):
+        rng = np.random.default_rng(1)
+        for label, g in subgroup_corpus:
+            for _ in range(8):
+                seeds = rng.integers(0, g.order, size=int(rng.integers(0, 5))).tolist()
+                assert g.generated_subgroup(seeds).members == \
+                    slow_generated_subgroup(g, seeds), (label, seeds)
+
+    def test_subgroup_validation_matches_closure(self, subgroup_corpus):
+        rng = np.random.default_rng(2)
+        verdicts = set()
+        for label, g in subgroup_corpus:
+            seed_sets = [rng.integers(0, g.order, size=k).tolist() for k in (1, 1, 2, 3, 3, 3)]
+            candidates = [slow_generated_subgroup(g, seeds) for seeds in seed_sets[:3]]
+            candidates += [tuple(sorted({0, *seeds})) for seeds in seed_sets[3:]]
+            for cand in candidates:
+                closed = slow_generated_subgroup(g, cand) == cand
+                try:
+                    accepted = g.subgroup(cand).members == cand
+                except ValueError:
+                    accepted = False
+                assert accepted == closed, (label, cand)
+                verdicts.add(closed)
+        assert verdicts == {True, False}
+
+    def test_normality_cosets_and_tables_match_loops(self, subgroup_corpus):
+        verdicts = set()
+        for label, g in subgroup_corpus:
+            for h in core.all_subgroups(g):
+                normal = g.is_normal(h)
+                assert normal == slow_is_normal(g, h), (label, h.members)
+                verdicts.add(normal)
+                cosets = slow_cosets(h)
+                assert [(c.representative, c.members) for c in h.cosets()] == cosets
+                idx = h.coset_index()
+                assert all(idx[x] == i for i, (_, members) in enumerate(cosets)
+                           for x in members), (label, h.members)
+                assert same_group(h.as_group(), slow_as_group(h)), (label, h.members)
+                if normal:
+                    assert same_group(g.quotient(h), slow_quotient(g, h)), (label, h.members)
+        assert verdicts == {True, False}
+
+    def test_p_element_mask_matches_order_loop(self, subgroup_corpus):
+        for label, g in subgroup_corpus:
+            orders = g.element_orders()
+            for p in (2, 3, 5, 7):
+                expected = [x for x in range(g.order) if is_power_of(int(orders[x]), p)]
+                assert np.flatnonzero(g.p_element_mask(p)).tolist() == expected, (label, p)
+
+    def test_maximal_centralizers_match_set_inclusion(self, subgroup_corpus):
+        for label, g in subgroup_corpus:
+            if g.is_abelian:
+                continue
+            part = analysis.beta_partition(g)
+            cents = [(cid, part.centralizer_of_class(cid)) for cid in range(1, part.cent_count)]
+            expected = [cid for cid, c in cents
+                        if not any(c.member_set() < d.member_set() for _, d in cents)]
+            assert [cid for cid, _ in analysis.maximal_centralizers(g, part)] == expected, label
