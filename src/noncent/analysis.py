@@ -12,8 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (FiniteGroup, Subgroup, TooLarge, all_subgroups,
-                   greedy_generators, row_classes)
+from .core import FiniteGroup, Subgroup, TooLarge, all_subgroups, greedy_generators
 
 __all__ = [
     "AbelianGroup",
@@ -79,20 +78,17 @@ class BetaPartition:
         return self.parent.centralizer(self.classes[cid][0])
 
     def center(self) -> Subgroup:
-        return Subgroup(self.parent, self.classes[0])
+        return self.parent.center()
 
 
 def beta_partition(g: FiniteGroup) -> BetaPartition:
     """Group the elements of g by identical centralizer member-sets.
 
     Classes are numbered by smallest member, so the center (the class of the
-    identity) comes first.
+    identity) comes first.  The classes are computed once per group and
+    cached on it (FiniteGroup.beta_classes).
     """
-    class_of = row_classes(g.commuting_matrix())
-    members = np.argsort(class_of, kind="stable")
-    bounds = np.cumsum(np.bincount(class_of))[:-1]
-    classes = tuple(tuple(c.tolist()) for c in np.split(members, bounds))
-    return BetaPartition(g, classes, tuple(class_of.tolist()))
+    return BetaPartition(g, g.beta_classes(), tuple(g.beta_class_ids().tolist()))
 
 
 def cent_count(g: FiniteGroup) -> int:
@@ -133,35 +129,37 @@ def is_induced_regular(g: FiniteGroup) -> Optional[int]:
     return (g.order - len(part.classes[0])) - s
 
 
-def maximal_centralizers(g: FiniteGroup,
-                         part: Optional[BetaPartition] = None) -> list[tuple[int, Subgroup]]:
-    """Proper centralizers maximal under inclusion, as (class id, subgroup)."""
+def _maximal_class_ids(g: FiniteGroup) -> list[int]:
+    """Non-central classes whose centralizer is maximal under inclusion,
+    decided from the commuting-matrix rows of one member per class."""
     if g.is_abelian:
         raise AbelianGroup("no proper centralizers in an abelian group")
-    if part is None:
-        part = beta_partition(g)
-    cents = [(cid, part.centralizer_of_class(cid)) for cid in range(1, len(part.classes))]
-    masks = np.array([c.mask for _, c in cents], dtype=np.int64)
-    common = masks @ masks.T  # |C_i & C_j|
+    reps = [c[0] for c in g.beta_classes()[1:]]
+    rows = g.commuting_matrix()[reps].astype(np.int64)
+    common = rows @ rows.T  # |C_i & C_j|
     size = np.diag(common)
     inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
-    return [cent for cent, inside in zip(cents, inside_larger.any(axis=1)) if not inside]
+    return [cid for cid, inside in enumerate(inside_larger.any(axis=1), start=1)
+            if not inside]
 
 
-def h_subgroup(g: FiniteGroup, class_id: int,
-               part: Optional[BetaPartition] = None) -> Subgroup:
+def maximal_centralizers(g: FiniteGroup) -> list[tuple[int, Subgroup]]:
+    """Proper centralizers maximal under inclusion, as (class id, subgroup)."""
+    classes = g.beta_classes()
+    return [(cid, g.centralizer(classes[cid][0])) for cid in _maximal_class_ids(g)]
+
+
+def h_subgroup(g: FiniteGroup, class_id: int) -> Subgroup:
     """The set beta(x) union Z(G) for a maximal-centralizer class, verified
     to be a subgroup.
 
     NotASubgroup here would be a falsification witness, not a user error.
     """
-    if part is None:
-        part = beta_partition(g)
-    maximal_ids = {cid for cid, _ in maximal_centralizers(g, part)}
-    if class_id not in maximal_ids:
+    if class_id not in _maximal_class_ids(g):
         raise NotMaximal(f"class {class_id} does not have a maximal centralizer")
+    classes = g.beta_classes()
     try:
-        return g.subgroup(np.union1d(part.classes[class_id], part.classes[0]))
+        return g.subgroup(np.union1d(classes[class_id], classes[0]))
     except ValueError as exc:
         raise NotASubgroup(
             f"beta-class {class_id} union center is not a subgroup: {exc}") from exc

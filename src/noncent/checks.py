@@ -15,17 +15,16 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import (FiniteGroup, Subgroup, TooLarge, _prime_factors, all_subgroups,
-                   direct_product, is_isomorphic, is_prime, is_prime_power)
+from .core import (FiniteGroup, Subgroup, _prime_factors, direct_product,
+                   is_isomorphic, is_prime, is_prime_power)
 from . import analysis
-from .analysis import BetaPartition, beta_partition
+from .analysis import beta_partition
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
            "scan_conjecture_tconj", "scan_conjecture_lco",
            "format_results", "results_to_kv"]
 
 ISO_CONFIRM_CAP = 128
-EMBED_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -47,85 +46,32 @@ class CheckResult:
         return f"{status}  {self.check_id:<14} {self.group_label}{extra}"
 
 
-class _Ctx:
-    """Per-group cache shared by the checks."""
-
-    def __init__(self, g: FiniteGroup, label: str):
-        self.g = g
-        self.label = label
-        self._part: Optional[BetaPartition] = None
-        self._gz = None
-        self._coset_index = None
-        self._maximal = None
-
-    @property
-    def part(self) -> BetaPartition:
-        if self._part is None:
-            self._part = beta_partition(self.g)
-        return self._part
-
-    @property
-    def center(self) -> Subgroup:
-        return self.part.center()
-
-    @property
-    def quotient_by_center(self) -> FiniteGroup:
-        if self._gz is None:
-            self._gz = self.g.quotient(self.center)
-        return self._gz
-
-    @property
-    def coset_index(self):
-        """Center coset of every element, numbered as in G/Z(G)."""
-        if self._coset_index is None:
-            self._coset_index = self.center.coset_index()
-        return self._coset_index
-
-    def coset_order(self, x: int) -> int:
-        """Order of the image of x in G/Z(G)."""
-        return self.quotient_by_center.element_order(int(self.coset_index[x]))
-
-    def beta_mask(self, cid: int):
-        """Membership mask of beta-class cid."""
-        return np.asarray(self.part.class_of) == cid
-
-    def beta_union_center(self, cid: int):
-        """Membership mask of beta(x) union Z(G) for class cid."""
-        return self.beta_mask(cid) | self.beta_mask(0)
-
-    @property
-    def maximal_classes(self):
-        if self._maximal is None:
-            self._maximal = analysis.maximal_centralizers(self.g, self.part)
-        return self._maximal
-
-    @property
-    def cent_count(self) -> int:
-        return self.part.cent_count
-
-    @property
-    def index(self) -> int:
-        return self.g.order // self.center.size
-
-    def regular_degree(self) -> Optional[int]:
-        return analysis.is_regular(self.g)
-
-    def induced_degree(self) -> Optional[int]:
-        return analysis.is_induced_regular(self.g)
+def _na(cid, label, reason) -> CheckResult:
+    return CheckResult(cid, label, applicable=False, passed=True, reason=reason)
 
 
-def _ctx(g, label):
-    return g if isinstance(g, _Ctx) else _Ctx(g, label)
-
-
-def _na(cid, ctx, reason) -> CheckResult:
-    return CheckResult(cid, ctx.label, applicable=False, passed=True, reason=reason)
-
-
-def _result(cid, ctx, passed, witness=(), details=None, reason="") -> CheckResult:
-    return CheckResult(cid, ctx.label, applicable=True, passed=bool(passed),
+def _result(cid, label, passed, witness=(), details=None, reason="") -> CheckResult:
+    return CheckResult(cid, label, applicable=True, passed=bool(passed),
                        witness=tuple(witness) if not passed else (),
                        details=details or {}, reason=reason)
+
+
+def _index(g: FiniteGroup) -> int:
+    """[G:Z(G)]."""
+    return g.order // len(g.beta_classes()[0])
+
+
+def _centralizer_indices(g: FiniteGroup) -> list[int]:
+    """Distinct indices [G:C(x)] over the non-central beta classes, ascending;
+    |C(x)| is the commuting-matrix row sum of one member x per class."""
+    reps = [c[0] for c in g.beta_classes()[1:]]
+    return sorted(set((g.order // g.commuting_matrix()[reps].sum(axis=1)).tolist()))
+
+
+def _coset_orders(g: FiniteGroup) -> np.ndarray:
+    """Order of the image in G/Z(G) of every element."""
+    gz, coset_index = g.central_quotient()
+    return gz.element_orders()[coset_index]
 
 
 def _elementary_abelian_quotient_prime(q: FiniteGroup) -> Optional[int]:
@@ -135,48 +81,65 @@ def _elementary_abelian_quotient_prime(q: FiniteGroup) -> Optional[int]:
     return q.is_elementary_p()
 
 
+def _abelian_embeds(a_orders: np.ndarray, b_orders: np.ndarray) -> bool:
+    """Whether abelian group A embeds in abelian group B, given the orders of
+    their elements.
+
+    With Omega_k the elements whose order divides p^k, |Omega_k|/|Omega_k-1|
+    is p to the number of cyclic factors of order at least p^k in the Sylow
+    p-subgroup.  A embeds in B exactly when that ratio for A is at most the
+    ratio for B, for every prime p and every k >= 1 (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. II).  Comparing |Omega_k| alone does
+    not suffice: |Omega_k(C4)| <= |Omega_k(C2 x C2)| for every k, yet C4 does
+    not embed in C2 x C2.
+    """
+    for p, e in _prime_factors(int(a_orders.max())).items():
+        omega_a = [np.count_nonzero(p ** k % a_orders == 0) for k in range(e + 1)]
+        omega_b = [np.count_nonzero(p ** k % b_orders == 0) for k in range(e + 1)]
+        if any(omega_a[k] * omega_b[k - 1] > omega_b[k] * omega_a[k - 1]
+               for k in range(1, e + 1)):
+            return False
+    return True
+
+
 # --- section 2: the full graph ------------------------------------------------
 
 def check_be0(g, label="G") -> CheckResult:
     """Non-abelian groups have at least four distinct centralizers."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("be0", ctx, "abelian")
-    n = ctx.cent_count
-    return _result("be0", ctx, n >= 4, witness=(("cent_count", n),),
+    if g.is_abelian:
+        return _na("be0", label, "abelian")
+    n = len(g.beta_classes())
+    return _result("be0", label, n >= 4, witness=(("cent_count", n),),
                    details={"cent_count": n})
 
 
 def check_be(g, label="G") -> CheckResult:
     """G/Z isomorphic to Cp x Cp forces exactly p + 2 centralizers."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("be", ctx, "abelian")
-    quo = ctx.quotient_by_center
+    if g.is_abelian:
+        return _na("be", label, "abelian")
+    quo = g.central_quotient()[0]
     p = _elementary_abelian_quotient_prime(quo)
     if p is None or quo.order != p * p:
-        return _na("be", ctx, "G/Z not of shape Cp x Cp")
-    n = ctx.cent_count
-    return _result("be", ctx, n == p + 2, witness=(("cent_count", n), ("p", p)),
+        return _na("be", label, "G/Z not of shape Cp x Cp")
+    n = len(g.beta_classes())
+    return _result("be", label, n == p + 2, witness=(("cent_count", n), ("p", p)),
                    details={"p": p, "cent_count": n, "expected": p + 2})
 
 
 def check_ba(g, label="G") -> CheckResult:
     """Index p^3 over the center: |Cent| is p^2+p+2 when every non-central
     centralizer has index p^2, else p^2+2."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("ba", ctx, "abelian")
-    pk = is_prime_power(ctx.index)
-    fac_p = min(_prime_factors(ctx.g.order))
+    if g.is_abelian:
+        return _na("ba", label, "abelian")
+    pk = is_prime_power(_index(g))
+    fac_p = min(_prime_factors(g.order))
     if pk is None or pk[1] != 3 or pk[0] != fac_p:
-        return _na("ba", ctx, "[G:Z] is not p^3 for the smallest prime p")
+        return _na("ba", label, "[G:Z] is not p^3 for the smallest prime p")
     p = pk[0]
-    indices = sorted({ctx.g.order // ctx.part.centralizer_of_class(cid).size
-                      for cid in range(1, len(ctx.part.classes))})
+    indices = _centralizer_indices(g)
     expected = p * p + p + 2 if indices == [p * p] else p * p + 2
-    n = ctx.cent_count
-    return _result("ba", ctx, n == expected,
+    n = len(g.beta_classes())
+    return _result("ba", label, n == expected,
                    witness=(("cent_count", n), ("indices", tuple(indices))),
                    details={"p": p, "indices": tuple(indices),
                             "expected": expected, "cent_count": n})
@@ -184,20 +147,19 @@ def check_ba(g, label="G") -> CheckResult:
 
 def check_ereg1(g, label="G") -> CheckResult:
     """Regular iff every class is exactly one center coset (both directions)."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("ereg1", ctx, "abelian")
-    lhs = ctx.regular_degree() is not None
-    cidx = ctx.coset_index
+    if g.is_abelian:
+        return _na("ereg1", label, "abelian")
+    lhs = analysis.is_regular(g) is not None
+    cidx = g.central_quotient()[1]
     rhs = True
     bad = None
-    for cid, members in enumerate(ctx.part.classes):
+    for cid, members in enumerate(g.beta_classes()):
         coset = np.flatnonzero(cidx == cidx[members[0]])
         if tuple(coset.tolist()) != members:
             rhs = False
             bad = cid
             break
-    return _result("ereg1", ctx, lhs == rhs,
+    return _result("ereg1", label, lhs == rhs,
                    witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
                             ("first_non_coset_class", bad)),
                    details={"regular": lhs, "all_classes_are_cosets": rhs})
@@ -205,127 +167,108 @@ def check_ereg1(g, label="G") -> CheckResult:
 
 def check_ereg2(g, label="G") -> CheckResult:
     """Regular iff the number of centralizers equals [G:Z] (both directions)."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("ereg2", ctx, "abelian")
-    lhs = ctx.regular_degree() is not None
-    rhs = ctx.cent_count == ctx.index
-    return _result("ereg2", ctx, lhs == rhs,
-                   witness=(("regular", lhs), ("cent_count", ctx.cent_count),
-                            ("index", ctx.index)),
-                   details={"cent_count": ctx.cent_count, "index": ctx.index})
+    if g.is_abelian:
+        return _na("ereg2", label, "abelian")
+    lhs = analysis.is_regular(g) is not None
+    n, index = len(g.beta_classes()), _index(g)
+    return _result("ereg2", label, lhs == (n == index),
+                   witness=(("regular", lhs), ("cent_count", n), ("index", index)),
+                   details={"cent_count": n, "index": index})
 
 
 def check_creg(g, label="G") -> CheckResult:
     """Regular groups have elementary abelian 2-group central quotients."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.regular_degree() is None:
-        return _na("creg", ctx, "not a non-abelian regular group")
-    quo = ctx.quotient_by_center
+    if g.is_abelian or analysis.is_regular(g) is None:
+        return _na("creg", label, "not a non-abelian regular group")
+    quo = g.central_quotient()[0]
     p = _elementary_abelian_quotient_prime(quo)
-    return _result("creg", ctx, p == 2,
+    return _result("creg", label, p == 2,
                    witness=(("quotient_order_histogram", quo.order_histogram()),),
                    details={"quotient_order": quo.order})
 
 
 def check_ccreg_c2c2(g, label="G") -> CheckResult:
     """G/Z isomorphic to C2 x C2 forces regularity."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("ccreg_c2c2", ctx, "abelian")
-    quo = ctx.quotient_by_center
+    if g.is_abelian:
+        return _na("ccreg_c2c2", label, "abelian")
+    quo = g.central_quotient()[0]
     if quo.order != 4 or _elementary_abelian_quotient_prime(quo) != 2:
-        return _na("ccreg_c2c2", ctx, "G/Z not C2 x C2")
-    deg = ctx.regular_degree()
-    return _result("ccreg_c2c2", ctx, deg is not None,
-                   witness=(("class_sizes", ctx.part.class_sizes()),),
+        return _na("ccreg_c2c2", label, "G/Z not C2 x C2")
+    deg = analysis.is_regular(g)
+    return _result("ccreg_c2c2", label, deg is not None,
+                   witness=(("class_sizes", beta_partition(g).class_sizes()),),
                    details={"degree": deg})
 
 
 def check_ccreg_c2cubed(g, label="G") -> CheckResult:
     """Under G/Z = C2^3: regular iff every non-central centralizer has index 4."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("ccreg_c2cubed", ctx, "abelian")
-    quo = ctx.quotient_by_center
+    if g.is_abelian:
+        return _na("ccreg_c2cubed", label, "abelian")
+    quo = g.central_quotient()[0]
     if quo.order != 8 or _elementary_abelian_quotient_prime(quo) != 2:
-        return _na("ccreg_c2cubed", ctx, "G/Z not C2 x C2 x C2")
-    lhs = ctx.regular_degree() is not None
-    indices = sorted({ctx.g.order // ctx.part.centralizer_of_class(cid).size
-                      for cid in range(1, len(ctx.part.classes))})
+        return _na("ccreg_c2cubed", label, "G/Z not C2 x C2 x C2")
+    lhs = analysis.is_regular(g) is not None
+    indices = _centralizer_indices(g)
     rhs = indices == [4]
-    return _result("ccreg_c2cubed", ctx, lhs == rhs,
+    return _result("ccreg_c2cubed", label, lhs == rhs,
                    witness=(("regular", lhs), ("indices", tuple(indices))),
                    details={"regular": lhs, "indices": tuple(indices)})
 
 
 def check_ncen(g, label="G") -> CheckResult:
     """In regular groups every centralizer is normal with G/C embedding in Z."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.regular_degree() is None:
-        return _na("ncen", ctx, "not a non-abelian regular group")
-    z_group = ctx.center.as_group()
-    if z_group.order > EMBED_CAP:
-        return _result("ncen", ctx, True,
-                       reason="inconclusive: center above embedding cap")
-    try:
-        z_subs = all_subgroups(z_group)
-    except TooLarge:
-        return _result("ncen", ctx, True, reason="inconclusive: center too large "
-                       "for subgroup enumeration")
-    for cid in range(1, len(ctx.part.classes)):
-        cent = ctx.part.centralizer_of_class(cid)
-        if not ctx.g.is_normal(cent):
-            return _result("ncen", ctx, False,
+    if g.is_abelian or analysis.is_regular(g) is None:
+        return _na("ncen", label, "not a non-abelian regular group")
+    classes = g.beta_classes()
+    z_orders = g.element_orders()[g.beta_class_ids() == 0]
+    for cid in range(1, len(classes)):
+        cent = g.centralizer(classes[cid][0])
+        if not g.is_normal(cent):
+            return _result("ncen", label, False,
                            witness=(("class", cid), ("normal", False)))
-        quo = ctx.g.quotient(cent)
+        quo = g.quotient(cent)
         if not quo.is_abelian:
-            return _result("ncen", ctx, False,
+            return _result("ncen", label, False,
                            witness=(("class", cid), ("quotient_abelian", False)))
-        embeds = any(s.size == quo.order and is_isomorphic(s.as_group(), quo)
-                     for s in z_subs)
-        if not embeds:
-            return _result("ncen", ctx, False,
+        if not _abelian_embeds(quo.element_orders(), z_orders):
+            return _result("ncen", label, False,
                            witness=(("class", cid),
                                     ("quotient_histogram", quo.order_histogram())))
-    return _result("ncen", ctx, True,
-                   details={"classes_checked": len(ctx.part.classes) - 1})
+    return _result("ncen", label, True, details={"classes_checked": len(classes) - 1})
 
 
 def check_preg(g, label="G") -> CheckResult:
     """The degree of a regular graph on a non-abelian group is never a prime
     power."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.regular_degree() is None:
-        return _na("preg", ctx, "not a non-abelian regular group")
-    n = ctx.regular_degree()
+    n = analysis.is_regular(g)
+    if g.is_abelian or n is None:
+        return _na("preg", label, "not a non-abelian regular group")
     pk = is_prime_power(n)
-    return _result("preg", ctx, pk is None, witness=(("degree", n), ("prime_power", pk)),
+    return _result("preg", label, pk is None, witness=(("degree", n), ("prime_power", pk)),
                    details={"degree": n})
 
 
 def check_bound(g, label="G") -> CheckResult:
     """For n-regular non-abelian groups: n even, 8 divides |G|, and
     n+2 <= |G| <= 4n/3."""
-    ctx = _ctx(g, label)
-    n = ctx.regular_degree()
-    if ctx.g.is_abelian or n is None:
-        return _na("bound", ctx, "not a non-abelian regular group")
-    order = ctx.g.order
+    n = analysis.is_regular(g)
+    if g.is_abelian or n is None:
+        return _na("bound", label, "not a non-abelian regular group")
+    order = g.order
     ok = (n % 2 == 0) and (order % 8 == 0) and (n + 2 <= order) and (3 * order <= 4 * n)
-    return _result("bound", ctx, ok, witness=(("degree", n), ("order", order)),
+    return _result("bound", label, ok, witness=(("degree", n), ("order", order)),
                    details={"degree": n, "order": order})
 
 
-def _p_part_decomposition(ctx: _Ctx, p: int):
+def _p_part_decomposition(g: FiniteGroup, p: int):
     """Split G as (p-elements) x (central p'-part); None with a witness when
     the p-elements fail to form a subgroup of the right order."""
-    g = ctx.g
     p_elems = g.p_element_mask(p)
     h = g.generated_subgroup(np.flatnonzero(p_elems))
     if not np.array_equal(h.mask, p_elems):
         return None, ("p_elements_not_closed",)
-    a = g.subgroup(np.flatnonzero(ctx.center.mask & (g.element_orders() % p != 0)))
+    central = g.beta_class_ids() == 0
+    a = g.subgroup(np.flatnonzero(central & (g.element_orders() % p != 0)))
     if h.size * a.size != g.order:
         return None, ("sizes", h.size, a.size)
     if np.count_nonzero(h.mask & a.mask) != 1:
@@ -336,28 +279,27 @@ def _p_part_decomposition(ctx: _Ctx, p: int):
 def check_big(g, label="G") -> CheckResult:
     """Regular groups split as (regular 2-group) x (odd abelian); the rebuilt
     product is itself regular (converse direction)."""
-    ctx = _ctx(g, label)
-    deg = ctx.regular_degree()
-    if ctx.g.is_abelian or deg is None:
-        return _na("big", ctx, "not a non-abelian regular group")
-    split, witness = _p_part_decomposition(ctx, 2)
+    deg = analysis.is_regular(g)
+    if g.is_abelian or deg is None:
+        return _na("big", label, "not a non-abelian regular group")
+    split, witness = _p_part_decomposition(g, 2)
     if split is None:
-        return _result("big", ctx, False, witness=witness)
+        return _result("big", label, False, witness=witness)
     h, a = split
     h_group = h.as_group()
     h_deg = analysis.is_regular(h_group)
     if h_deg is None:
-        return _result("big", ctx, False, witness=(("sylow2_not_regular", h.size),))
+        return _result("big", label, False, witness=(("sylow2_not_regular", h.size),))
     if a.size % 2 == 0:
-        return _result("big", ctx, False, witness=(("abelian_part_even", a.size),))
+        return _result("big", label, False, witness=(("abelian_part_even", a.size),))
     rebuilt = direct_product(h_group, a.as_group())
     ok = analysis.is_regular(rebuilt) == deg
     details = {"sylow2_order": h.size, "abelian_order": a.size,
                "sylow2_degree": h_deg}
-    if ok and ctx.g.order <= ISO_CONFIRM_CAP:
-        ok = is_isomorphic(rebuilt, ctx.g)
+    if ok and g.order <= ISO_CONFIRM_CAP:
+        ok = is_isomorphic(rebuilt, g)
         details["isomorphism_confirmed"] = ok
-    return _result("big", ctx, ok, witness=(("rebuilt_regular", False),),
+    return _result("big", label, ok, witness=(("rebuilt_regular", False),),
                    details=details)
 
 
@@ -365,85 +307,82 @@ def check_big(g, label="G") -> CheckResult:
 
 def check_lg(g, label="G") -> CheckResult:
     """beta(x) union Z(G) is a subgroup whenever C(x) is maximal."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("lg", ctx, "abelian")
-    for cid, _ in ctx.maximal_classes:
+    if g.is_abelian:
+        return _na("lg", label, "abelian")
+    maximal = analysis.maximal_centralizers(g)
+    for cid, _ in maximal:
         try:
-            analysis.h_subgroup(ctx.g, cid, ctx.part)
+            analysis.h_subgroup(g, cid)
         except analysis.NotASubgroup as exc:
-            return _result("lg", ctx, False, witness=(("class", cid), ("error", str(exc))))
-    return _result("lg", ctx, True,
-                   details={"maximal_classes": len(ctx.maximal_classes)})
+            return _result("lg", label, False, witness=(("class", cid), ("error", str(exc))))
+    return _result("lg", label, True, details={"maximal_classes": len(maximal)})
 
 
 def check_lg1(g, label="G") -> CheckResult:
     """Induced regular with C(x) strictly above beta(x) u Z: some y in
     C(x) minus beta(x) has prime coset order."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.induced_degree() is None:
-        return _na("lg1", ctx, "not induced regular")
-    strict = [(cid, cent) for cid, cent in ctx.maximal_classes
-              if not np.array_equal(cent.mask, ctx.beta_union_center(cid))]
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("lg1", label, "not induced regular")
+    ids = g.beta_class_ids()
+    strict = [(cid, cent) for cid, cent in analysis.maximal_centralizers(g)
+              if not np.array_equal(cent.mask, (ids == cid) | (ids == 0))]
     if not strict:
-        return _na("lg1", ctx, "no maximal centralizer exceeds beta u Z")
+        return _na("lg1", label, "no maximal centralizer exceeds beta u Z")
+    coset_orders = _coset_orders(g)
     found = {}
     for cid, cent in strict:
-        ys = [y for y in np.flatnonzero(cent.mask & ~ctx.beta_mask(cid)).tolist()
-              if is_prime(ctx.coset_order(y))]
+        ys = [y for y in np.flatnonzero(cent.mask & (ids != cid)).tolist()
+              if is_prime(int(coset_orders[y]))]
         if not ys:
-            return _result("lg1", ctx, False, witness=(("class", cid),))
+            return _result("lg1", label, False, witness=(("class", cid),))
         found[cid] = ys[0]
-    return _result("lg1", ctx, True, details={"witnesses": found})
+    return _result("lg1", label, True, details={"witnesses": found})
 
 
 def check_lg2(g, label="G") -> CheckResult:
     """Odd-prime coset-order witness in C(x) minus beta(x) forces
     (beta(x) u Z)/Z to be an elementary p-group."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.induced_degree() is None:
-        return _na("lg2", ctx, "not induced regular")
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("lg2", label, "not induced regular")
+    ids = g.beta_class_ids()
+    coset_orders = _coset_orders(g)
     applicable = False
-    for cid, cent in ctx.maximal_classes:
-        primes = set()
-        for y in np.flatnonzero(cent.mask & ~ctx.beta_mask(cid)).tolist():
-            o = ctx.coset_order(y)
-            if o != 2 and is_prime(o):
-                primes.add(o)
+    for cid, cent in analysis.maximal_centralizers(g):
+        primes = {o for o in coset_orders[cent.mask & (ids != cid)].tolist()
+                  if o != 2 and is_prime(o)}
         if not primes:
             continue
         applicable = True
         try:
-            hx_sub = analysis.h_subgroup(ctx.g, cid, ctx.part)
+            hx_sub = analysis.h_subgroup(g, cid)
         except analysis.NotASubgroup as exc:
-            return _result("lg2", ctx, False, witness=(("class", cid), ("error", str(exc))))
-        hq = _quotient_by_center_of(ctx, hx_sub)
+            return _result("lg2", label, False, witness=(("class", cid), ("error", str(exc))))
+        hq = _quotient_by_center_of(g, hx_sub)
         for p in sorted(primes):
             if hq.order == 1 or hq.is_elementary_p() != p:
-                return _result("lg2", ctx, False,
+                return _result("lg2", label, False,
                                witness=(("class", cid), ("p", p),
                                         ("hx_quotient_histogram", hq.order_histogram())))
     if not applicable:
-        return _na("lg2", ctx, "no odd-prime coset-order witness")
-    return _result("lg2", ctx, True)
+        return _na("lg2", label, "no odd-prime coset-order witness")
+    return _result("lg2", label, True)
 
 
-def _quotient_by_center_of(ctx: _Ctx, sub: Subgroup) -> FiniteGroup:
+def _quotient_by_center_of(g: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     """(members of sub)/Z(G) as a group; Z(G) is central in sub."""
     hx_group = sub.as_group()
     # positions in sub.members of the center's elements
-    z_in_h = hx_group.subgroup(np.flatnonzero(ctx.center.mask[sub.mask]))
+    z_in_h = hx_group.subgroup(np.flatnonzero(g.beta_class_ids()[sub.mask] == 0))
     return hx_group.quotient(z_in_h)
 
 
 def check_mg(g, label="G") -> CheckResult:
     """Induced regular groups have prime-power central quotients."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.induced_degree() is None:
-        return _na("mg", ctx, "not a non-abelian induced regular group")
-    quo = ctx.quotient_by_center
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("mg", label, "not a non-abelian induced regular group")
+    quo = g.central_quotient()[0]
     p = quo.is_p_group()
-    return _result("mg", ctx, isinstance(p, int),
+    return _result("mg", label, isinstance(p, int),
                    witness=(("quotient_order", quo.order),),
                    details={"quotient_order": quo.order,
                             "p": p if isinstance(p, int) else None})
@@ -452,19 +391,18 @@ def check_mg(g, label="G") -> CheckResult:
 def check_pq_index(g, label="G") -> CheckResult:
     """[G:Z] = p^q with q prime (induced regular): G/Z is elementary p and
     every class has size (p-1)|Z|."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.induced_degree() is None:
-        return _na("pq_index", ctx, "not induced regular")
-    pk = is_prime_power(ctx.index)
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("pq_index", label, "not induced regular")
+    pk = is_prime_power(_index(g))
     if pk is None or not is_prime(pk[1]):
-        return _na("pq_index", ctx, "[G:Z] not p^q with q prime")
+        return _na("pq_index", label, "[G:Z] not p^q with q prime")
     p, _ = pk
-    quo = ctx.quotient_by_center
-    elem_ok = quo.is_elementary_p() == p
-    zsize = ctx.center.size
-    sizes = set(ctx.part.class_sizes()[1:])
+    elem_ok = g.central_quotient()[0].is_elementary_p() == p
+    classes = g.beta_classes()
+    zsize = len(classes[0])
+    sizes = {len(c) for c in classes[1:]}
     sizes_ok = sizes == {(p - 1) * zsize}
-    return _result("pq_index", ctx, elem_ok and sizes_ok,
+    return _result("pq_index", label, elem_ok and sizes_ok,
                    witness=(("elementary", elem_ok), ("class_sizes", tuple(sorted(sizes)))),
                    details={"p": p, "expected_class_size": (p - 1) * zsize})
 
@@ -472,65 +410,63 @@ def check_pq_index(g, label="G") -> CheckResult:
 def check_cmg(g, label="G") -> CheckResult:
     """Odd-order induced regular groups with every C(x) above beta u Z have
     elementary p-group central quotients."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.induced_degree() is None:
-        return _na("cmg", ctx, "not induced regular")
-    if ctx.g.order % 2 == 0:
-        return _na("cmg", ctx, "even order")
-    for cid in range(1, len(ctx.part.classes)):
-        cent = ctx.part.centralizer_of_class(cid)
-        if np.array_equal(cent.mask, ctx.beta_union_center(cid)):
-            return _na("cmg", ctx, "some centralizer equals beta u Z")
-    quo = ctx.quotient_by_center
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("cmg", label, "not induced regular")
+    if g.order % 2 == 0:
+        return _na("cmg", label, "even order")
+    ids = g.beta_class_ids()
+    comm = g.commuting_matrix()
+    for cid, members in enumerate(g.beta_classes()[1:], start=1):
+        if np.array_equal(comm[members[0]], (ids == cid) | (ids == 0)):
+            return _na("cmg", label, "some centralizer equals beta u Z")
+    quo = g.central_quotient()[0]
     p = quo.is_elementary_p() if quo.order > 1 else None
-    return _result("cmg", ctx, p is not None,
+    return _result("cmg", label, p is not None,
                    witness=(("quotient_histogram", quo.order_histogram()),))
 
 
 def check_pp(g, label="G") -> CheckResult:
     """G/Z isomorphic to Cp x Cp forces induced regularity."""
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian:
-        return _na("pp", ctx, "abelian")
-    quo = ctx.quotient_by_center
+    if g.is_abelian:
+        return _na("pp", label, "abelian")
+    quo = g.central_quotient()[0]
     p = _elementary_abelian_quotient_prime(quo)
     if p is None or quo.order != p * p:
-        return _na("pp", ctx, "G/Z not of shape Cp x Cp")
-    deg = ctx.induced_degree()
-    return _result("pp", ctx, deg is not None,
-                   witness=(("class_sizes", ctx.part.class_sizes()),),
+        return _na("pp", label, "G/Z not of shape Cp x Cp")
+    deg = analysis.is_induced_regular(g)
+    return _result("pp", label, deg is not None,
+                   witness=(("class_sizes", beta_partition(g).class_sizes()),),
                    details={"p": p, "induced_degree": deg})
 
 
 def check_big1(g, label="G") -> CheckResult:
     """Induced regular groups split as (induced regular p-group) x abelian;
     the rebuilt product is itself induced regular (converse direction)."""
-    ctx = _ctx(g, label)
-    deg = ctx.induced_degree()
-    if ctx.g.is_abelian or deg is None:
-        return _na("big1", ctx, "not a non-abelian induced regular group")
-    quo = ctx.quotient_by_center
+    deg = analysis.is_induced_regular(g)
+    if g.is_abelian or deg is None:
+        return _na("big1", label, "not a non-abelian induced regular group")
+    quo = g.central_quotient()[0]
     p = quo.is_p_group()
     if not isinstance(p, int):
-        return _result("big1", ctx, False,
+        return _result("big1", label, False,
                        witness=(("central_quotient_not_p_group", quo.order),))
-    split, witness = _p_part_decomposition(ctx, p)
+    split, witness = _p_part_decomposition(g, p)
     if split is None:
-        return _result("big1", ctx, False, witness=witness)
+        return _result("big1", label, False, witness=witness)
     h, a = split
     h_group = h.as_group()
     if h_group.is_p_group() != p and h_group.order != 1:
-        return _result("big1", ctx, False, witness=(("p_part_order", h.size),))
+        return _result("big1", label, False, witness=(("p_part_order", h.size),))
     if analysis.is_induced_regular(h_group) is None:
-        return _result("big1", ctx, False,
+        return _result("big1", label, False,
                        witness=(("p_part_not_induced_regular", h.size),))
     rebuilt = direct_product(h_group, a.as_group())
     ok = analysis.is_induced_regular(rebuilt) == deg
     details = {"p": p, "p_part_order": h.size, "abelian_order": a.size}
-    if ok and ctx.g.order <= ISO_CONFIRM_CAP:
-        ok = is_isomorphic(rebuilt, ctx.g)
+    if ok and g.order <= ISO_CONFIRM_CAP:
+        ok = is_isomorphic(rebuilt, g)
         details["isomorphism_confirmed"] = ok
-    return _result("big1", ctx, ok, witness=(("rebuilt_induced_regular", False),),
+    return _result("big1", label, ok, witness=(("rebuilt_induced_regular", False),),
                    details=details)
 
 
@@ -538,11 +474,10 @@ def check_big1(g, label="G") -> CheckResult:
 
 def scan_conjecture_tconj(g, label="G") -> CheckResult:
     """Flag any regular group whose degree is prime (none should exist)."""
-    ctx = _ctx(g, label)
-    deg = ctx.regular_degree()
-    if ctx.g.is_abelian or deg is None:
-        return _na("tconj", ctx, "not a non-abelian regular group")
-    return _result("tconj", ctx, not is_prime(deg), witness=(("degree", deg),),
+    deg = analysis.is_regular(g)
+    if g.is_abelian or deg is None:
+        return _na("tconj", label, "not a non-abelian regular group")
+    return _result("tconj", label, not is_prime(deg), witness=(("degree", deg),),
                    details={"degree": deg})
 
 
@@ -552,13 +487,12 @@ def scan_conjecture_lco(g, label="G") -> CheckResult:
     Open conjecture: counterexamples are flagged in the details, never
     asserted as failures.
     """
-    ctx = _ctx(g, label)
-    if ctx.g.is_abelian or ctx.induced_degree() is None:
-        return _na("lco", ctx, "not a non-abelian induced regular group")
-    quo = ctx.quotient_by_center
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("lco", label, "not a non-abelian induced regular group")
+    quo = g.central_quotient()[0]
     p = quo.is_elementary_p() if quo.order > 1 else None
     status = "consistent" if p is not None else "COUNTEREXAMPLE CANDIDATE"
-    return _result("lco", ctx, True,
+    return _result("lco", label, True,
                    details={"elementary_p": p, "status": status,
                             "quotient_histogram": quo.order_histogram()},
                    reason=status)
@@ -613,9 +547,8 @@ def run_suite(groups: Iterable[tuple[str, FiniteGroup]],
     order_of = {label: g.order for label, g in groups}
     results = []
     for label, g in groups:
-        ctx = _Ctx(g, label)
         for cid in ids:
-            results.append(CHECK_IDS[cid](ctx, label))
+            results.append(CHECK_IDS[cid](g, label))
     results.sort(key=lambda r: (order_of[r.group_label], r.group_label, r.check_id))
     return results
 

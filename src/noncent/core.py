@@ -175,9 +175,16 @@ class FiniteGroup:
     the axioms.  The raw constructor trusts its input; it is used only for
     tables that are correct by construction (direct_product,
     Subgroup.as_group, quotient).
+
+    Derived structure is cached on the group (inverses, commuting matrix,
+    beta classes, G/Z(G), element orders, conjugacy classes).  A cache holds
+    only arrays, tuples of ints and groups that do not refer back to this
+    one, so dropping the last reference to a group frees its table at once
+    instead of leaving a reference cycle for the collector.
     """
 
-    __slots__ = ("order", "table", "labels", "_inv", "_comm", "_elt_orders",
+    __slots__ = ("order", "table", "labels", "_inv", "_comm", "_beta_ids",
+                 "_beta_classes", "_central_quotient", "_elt_orders",
                  "_conj_class", "_abelian")
 
     def __init__(self, table: np.ndarray, labels: Sequence[str]):
@@ -189,6 +196,9 @@ class FiniteGroup:
         self.labels = tuple(labels)
         self._inv = None
         self._comm = None
+        self._beta_ids = None
+        self._beta_classes = None
+        self._central_quotient = None
         self._elt_orders = None
         self._conj_class = None
         self._abelian = None
@@ -217,6 +227,32 @@ class FiniteGroup:
             m.setflags(write=False)
             self._comm = m
         return self._comm
+
+    def beta_class_ids(self) -> np.ndarray:
+        """Equal-centralizer (beta) class of every element: elements share a
+        class exactly when their centralizers are equal.  Classes are numbered
+        by smallest member, so class 0 is the center."""
+        if self._beta_ids is None:
+            ids = row_classes(self.commuting_matrix())
+            ids.setflags(write=False)
+            self._beta_ids = ids
+        return self._beta_ids
+
+    def beta_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Members of each beta class, indexed by class id."""
+        if self._beta_classes is None:
+            ids = self.beta_class_ids()
+            members = np.argsort(ids, kind="stable")
+            bounds = np.cumsum(np.bincount(ids))[:-1]
+            self._beta_classes = tuple(tuple(c.tolist()) for c in np.split(members, bounds))
+        return self._beta_classes
+
+    def central_quotient(self) -> tuple["FiniteGroup", np.ndarray]:
+        """G/Z(G), and the center coset of every element numbered as in it."""
+        if self._central_quotient is None:
+            z = self.center()
+            self._central_quotient = (self.quotient(z), z.coset_index())
+        return self._central_quotient
 
     @property
     def is_abelian(self) -> bool:
@@ -259,7 +295,7 @@ class FiniteGroup:
         return Subgroup(self, tuple(np.flatnonzero(self.commuting_matrix()[x]).tolist()))
 
     def center(self) -> Subgroup:
-        return Subgroup(self, tuple(np.flatnonzero(self.commuting_matrix().all(axis=1)).tolist()))
+        return Subgroup(self, self.beta_classes()[0])
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Conjugacy classes ordered by smallest member."""
@@ -301,9 +337,12 @@ class FiniteGroup:
         """Smallest subgroup containing the seed elements: the right closure
         of the identity under the seeds (in a finite group the generated
         monoid is the subgroup)."""
+        gens = np.fromiter(seeds, dtype=np.int64)
+        if gens.size and (gens.min() < 0 or gens.max() >= self.order):
+            raise ValueError(f"generators must lie in 0..{self.order - 1}")
         reached = np.zeros(self.order, dtype=bool)
         reached[0] = True
-        _right_closure(self.table, reached, np.fromiter(seeds, dtype=np.int64))
+        _right_closure(self.table, reached, gens)
         return Subgroup(self, tuple(np.flatnonzero(reached).tolist()))
 
     def p_element_mask(self, p: int) -> np.ndarray:
@@ -619,13 +658,11 @@ def row_classes(m: np.ndarray) -> np.ndarray:
 # --- isomorphism testing ---------------------------------------------------
 
 def _invariant_vector(g: FiniteGroup) -> tuple:
-    comm = g.commuting_matrix()
-    cent_sizes = comm.sum(axis=1)
-    beta_sizes = tuple(sorted(np.bincount(row_classes(comm)).tolist()))
+    cent_sizes = g.commuting_matrix().sum(axis=1)
+    beta_sizes = tuple(sorted(np.bincount(g.beta_class_ids()).tolist()))
     conj_sizes = tuple(sorted(len(c) for c in g.conjugacy_classes()))
     orders = g.element_orders()
-    center_hist = tuple(sorted(int(orders[z])
-                               for z in np.flatnonzero(comm.all(axis=1))))
+    center_hist = tuple(sorted(int(orders[z]) for z in g.beta_classes()[0]))
     return (
         g.order,
         g.is_abelian,
@@ -640,9 +677,8 @@ def _invariant_vector(g: FiniteGroup) -> tuple:
 
 def _element_fingerprints(g: FiniteGroup) -> list[tuple]:
     orders = g.element_orders()
-    comm = g.commuting_matrix()
-    cent = comm.sum(axis=1)
-    beta_ids = row_classes(comm)
+    cent = g.commuting_matrix().sum(axis=1)
+    beta_ids = g.beta_class_ids()
     beta_count = np.bincount(beta_ids)
     class_size = np.empty(g.order, dtype=np.int64)
     for c in g.conjugacy_classes():

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .core import FiniteGroup, TooLarge
-from .analysis import BetaPartition, beta_partition
+from .analysis import beta_partition
 
 __all__ = [
     "UnknownFormat",
@@ -65,13 +65,11 @@ class NonCentralizerGraph:
         return (n * n - sum(len(p) ** 2 for p in self.parts)) // 2
 
 
-def build_graph(g: FiniteGroup, induced: bool = False,
-                part: BetaPartition | None = None) -> NonCentralizerGraph:
+def build_graph(g: FiniteGroup, induced: bool = False) -> NonCentralizerGraph:
     """Materialize the (induced) non-centralizer graph of g."""
-    if part is None:
-        part = beta_partition(g)
-    classes = part.classes[1:] if induced else part.classes
-    return NonCentralizerGraph(labels=g.labels, parts=tuple(classes), induced=induced)
+    classes = beta_partition(g).classes
+    return NonCentralizerGraph(labels=g.labels, parts=classes[1:] if induced else classes,
+                               induced=induced)
 
 
 def degree_sequence(graph: NonCentralizerGraph) -> list[int]:

@@ -145,19 +145,19 @@ class TestHSubgroup:
         g = families.dihedral(4)
         part = beta_partition(g)
         cid = part.class_of[1]  # class of r
-        assert h_subgroup(g, cid, part).members == (0, 1, 2, 3)
+        assert h_subgroup(g, cid).members == (0, 1, 2, 3)
 
     def test_q8(self):
         g = families.generalized_quaternion(8)
         part = beta_partition(g)
         cid = part.class_of[1]
-        assert h_subgroup(g, cid, part).members == (0, 1, 2, 3)
+        assert h_subgroup(g, cid).members == (0, 1, 2, 3)
 
     def test_s3_three_cycle(self):
         g = families.dihedral(3)
         part = beta_partition(g)
         cid = part.class_of[1]  # rotation of order 3
-        assert h_subgroup(g, cid, part).size == 3
+        assert h_subgroup(g, cid).size == 3
 
     def test_not_maximal(self):
         g = families.dihedral(4)
@@ -169,8 +169,8 @@ class TestHSubgroup:
             if g.is_abelian:
                 continue
             part = beta_partition(g)
-            for cid, _ in maximal_centralizers(g, part):
-                sub = h_subgroup(g, cid, part)
+            for cid, _ in maximal_centralizers(g):
+                sub = h_subgroup(g, cid)
                 zsize = g.center().size
                 assert sub.size == len(part.classes[cid]) + zsize, label
 

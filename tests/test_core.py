@@ -170,6 +170,13 @@ class TestGeneratedSubgroup:
         g = families.dihedral(3)
         assert g.generated_subgroup(range(6)).members == tuple(range(6))
 
+    def test_seeds_out_of_range(self):
+        # -1 must not wrap around to the last element
+        g = families.dihedral(4)
+        for seeds in ([-1], [8], [1, 100], [-8, 2]):
+            with pytest.raises(ValueError):
+                g.generated_subgroup(seeds)
+
 
 class TestNormalityQuotient:
     def test_center_normal(self, small_corpus):

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from noncent import analysis, core, families, presentation
+from noncent import analysis, checks, core, families, presentation
 from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import enumerate_presentation, parse
 
@@ -225,6 +225,47 @@ def slow_commutators(g):
     inv = g.inverses()
     return {int(g.table[int(inv[int(g.table[b, a])]), int(g.table[a, b])])
             for a in range(g.order) for b in range(g.order)}
+
+
+def slow_embeds(a, b_subgroups):
+    """Whether abelian group a is isomorphic to one of the given subgroups."""
+    return any(s.size == a.order and core.is_isomorphic(s.as_group(), a)
+               for s in b_subgroups)
+
+
+def slow_ncen(g):
+    """check_ncen's verdict through subgroup enumeration of the center: every
+    non-central centralizer C is normal, G/C is abelian and isomorphic to a
+    subgroup of Z(G)."""
+    z_subs = core.all_subgroups(g.center().as_group())
+    part = analysis.beta_partition(g)
+    for cid in range(1, part.cent_count):
+        cent = part.centralizer_of_class(cid)
+        if not slow_is_normal(g, cent):
+            return False
+        quo = g.quotient(cent)
+        if not quo.is_abelian or not slow_embeds(quo, z_subs):
+            return False
+    return True
+
+
+def abelian_groups(max_order):
+    """One abelian group per isomorphism type up to max_order, as direct
+    products of cyclic groups of prime-power order; keyed by the sorted tuple
+    of those cyclic orders."""
+    out = {(): families.cyclic(1)}
+    changed = True
+    while changed:
+        changed = False
+        for key, g in list(out.items()):
+            for q in range(2, max_order // g.order + 1):
+                if core.is_prime_power(q) is None:
+                    continue
+                new = tuple(sorted(key + (q,)))
+                if new not in out:
+                    out[new] = core.direct_product(g, families.cyclic(q))
+                    changed = True
+    return out
 
 
 def random_latin_square(n, rng):
@@ -528,4 +569,46 @@ class TestMaskSubgroups:
             cents = [(cid, part.centralizer_of_class(cid)) for cid in range(1, part.cent_count)]
             expected = [cid for cid, c in cents
                         if not any(c.member_set() < d.member_set() for _, d in cents)]
-            assert [cid for cid, _ in analysis.maximal_centralizers(g, part)] == expected, label
+            assert [cid for cid, _ in analysis.maximal_centralizers(g)] == expected, label
+
+
+# --- centralizer structure in the checks -------------------------------------------
+
+class TestCentralizerChecks:
+    def test_abelian_embedding_matches_subgroup_enumeration(self):
+        groups = abelian_groups(36)
+        verdicts = []
+        for b_key, b in groups.items():
+            b_subs = core.all_subgroups(b)
+            for a_key, a in groups.items():
+                if a.order == 1 or b.order % a.order:
+                    continue
+                fast = checks._abelian_embeds(a.element_orders(), b.element_orders())
+                assert fast == slow_embeds(a, b_subs), (a_key, b_key)
+                verdicts.append(fast)
+        assert set(verdicts) == {True, False}
+        assert len(verdicts) > 300
+
+    def test_omega_counts_alone_do_not_decide(self):
+        c4 = families.cyclic(4)
+        k4 = families.elementary_abelian(2, 2)
+        assert not checks._abelian_embeds(c4.element_orders(), k4.element_orders())
+        assert not checks._abelian_embeds(k4.element_orders(), c4.element_orders())
+        c2 = families.cyclic(2)
+        assert checks._abelian_embeds(c2.element_orders(), k4.element_orders())
+
+    def test_ncen_matches_center_subgroup_enumeration(self, subgroup_corpus):
+        checked = 0
+        for label, g in subgroup_corpus:
+            if g.is_abelian or analysis.is_regular(g) is None:
+                continue
+            assert checks.check_ncen(g, label).passed == slow_ncen(g), label
+            checked += 1
+        assert checked > 20
+
+    def test_centralizer_indices_match_subgroup_sizes(self, subgroup_corpus):
+        for label, g in subgroup_corpus:
+            part = analysis.beta_partition(g)
+            expected = sorted({g.order // part.centralizer_of_class(cid).size
+                               for cid in range(1, part.cent_count)})
+            assert checks._centralizer_indices(g) == expected, label
