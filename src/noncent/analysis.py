@@ -7,6 +7,7 @@ class 0 is always the center, and every class is a union of center cosets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -364,16 +365,8 @@ def _opt(v) -> str:
 
 
 def _compress_multiset(values: tuple[int, ...]) -> str:
-    out = []
-    i = 0
-    vals = sorted(values)
-    while i < len(vals):
-        j = i
-        while j < len(vals) and vals[j] == vals[i]:
-            j += 1
-        out.append(f"{vals[i]}" if j - i == 1 else f"{vals[i]}x{j - i}")
-        i = j
-    return "[" + ", ".join(out) + "]"
+    runs = sorted(Counter(values).items())
+    return "[" + ", ".join(f"{v}" if c == 1 else f"{v}x{c}" for v, c in runs) + "]"
 
 
 def build_report(g: FiniteGroup, label: str) -> RegularityReport:

@@ -149,9 +149,11 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     entries = _load_catalogs(args.catalog)
-    ids = None
-    if args.checks:
-        ids = [c for part in args.checks for c in part.split(",") if c]
+    if not entries:
+        raise SourceError("no catalog entries to verify")
+    ids = args.checks and [c for part in args.checks for c in part.split(",") if c]
+    if ids == []:
+        raise SourceError("no check ids given")
     pairs = [(e.label, e.group()) for e in entries]
     results = checks.run_suite(pairs, ids)
     print(checks.results_to_kv(results) if args.kv else checks.format_results(results))

@@ -266,14 +266,13 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if self._elt_orders is None:
-            n = self.order
-            orders = np.empty(n, dtype=np.int32)
-            for x in range(n):
-                k, acc = 1, x
-                while acc != 0:
-                    acc = int(self.table[acc, x])
-                    k += 1
-                orders[x] = k
+            orders = np.ones(self.order, dtype=np.int32)
+            live = acc = np.arange(1, self.order)  # acc = live ** orders[live]
+            while live.size:
+                acc = self.table[acc, live]
+                orders[live] += 1
+                keep = acc != 0
+                live, acc = live[keep], acc[keep]
             orders.setflags(write=False)
             self._elt_orders = orders
         return self._elt_orders

@@ -68,6 +68,12 @@ class TestSpecificResults:
         assert r.details["abelian_order"] == 3
         assert r.details["isomorphism_confirmed"]
 
+    def test_big_confirms_split_above_order_128(self):
+        g = direct_product(families.dihedral(4), families.cyclic(17))
+        r = run_check("big", g)
+        assert g.order == 136 and r.passed
+        assert r.details["isomorphism_confirmed"] is True
+
     def test_big1_odd_product(self):
         g = direct_product(families.heisenberg(3), families.cyclic(5))
         r = run_check("big1", g)

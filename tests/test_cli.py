@@ -1,6 +1,9 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import noncent
 from noncent import catalog
 from noncent.cli import main
 
@@ -115,6 +118,17 @@ class TestVerify:
                                "--checks", "nonsense")
         assert code == 2
 
+    def test_empty_check_selection(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--checks", ",", "--catalog",
+                                 catalog.shipped_path("order8.cat"))
+        assert code == 2 and err.startswith("error: ") and out == ""
+
+    def test_catalog_without_entries(self, capsys, tmp_path):
+        empty = tmp_path / "empty.cat"
+        empty.write_text("# comments only\n")
+        code, out, err = run_cli(capsys, "verify", "--catalog", str(empty))
+        assert code == 2 and err.startswith("error: ") and out == ""
+
 
 class TestGraph:
     def test_parts_json(self, capsys):
@@ -150,7 +164,12 @@ class TestEnvCap:
 
 
 def test_console_script_end_to_end():
+    # the child imports the same noncent as this process, also when pytest
+    # put src/ on sys.path itself (pythonpath in pyproject.toml)
+    src = str(Path(noncent.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "noncent.cli", "analyze",
-                           "--kv", "dihedral:4"], capture_output=True, text=True)
+                           "--kv", "dihedral:4"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "regular_degree=6" in proc.stdout

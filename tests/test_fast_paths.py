@@ -249,6 +249,32 @@ def slow_ncen(g):
     return True
 
 
+def slow_element_orders(g):
+    """Order of every element by walking its powers one product at a time."""
+    orders = np.empty(g.order, dtype=np.int32)
+    for x in range(g.order):
+        k, acc = 1, x
+        while acc != 0:
+            acc = int(g.table[acc, x])
+            k += 1
+        orders[x] = k
+    return orders
+
+
+def slow_compress_multiset(values):
+    """Report text of a multiset by scanning runs of equal sorted values."""
+    out = []
+    i = 0
+    vals = sorted(values)
+    while i < len(vals):
+        j = i
+        while j < len(vals) and vals[j] == vals[i]:
+            j += 1
+        out.append(f"{vals[i]}" if j - i == 1 else f"{vals[i]}x{j - i}")
+        i = j
+    return "[" + ", ".join(out) + "]"
+
+
 def abelian_groups(max_order):
     """One abelian group per isomorphism type up to max_order, as direct
     products of cyclic groups of prime-power order; keyed by the sorted tuple
@@ -612,3 +638,79 @@ class TestCentralizerChecks:
             expected = sorted({g.order // part.centralizer_of_class(cid).size
                                for cid in range(1, part.cent_count)})
             assert checks._centralizer_indices(g) == expected, label
+
+
+# --- element orders, report text and the big/big1 split confirmation ---------------
+
+class TestElementOrders:
+    def test_gathers_match_power_walk(self, subgroup_corpus):
+        corpus = subgroup_corpus + [("C1024", families.cyclic(1024))]
+        for label, g in corpus:
+            orders = g.element_orders()
+            assert orders.dtype == np.int32 and not orders.flags.writeable, label
+            assert np.array_equal(orders, slow_element_orders(g)), label
+
+
+class TestReportText:
+    def test_multiset_runs_match_scan(self, subgroup_corpus):
+        rng = np.random.default_rng(5)
+        samples = [(), (3,), (2, 2), tuple(rng.integers(0, 6, size=40).tolist())]
+        for label, g in subgroup_corpus:
+            report = analysis.build_report(g, label)
+            samples += [report.degree_sequence, report.class_sizes]
+        for values in samples:
+            assert analysis._compress_multiset(values) == slow_compress_multiset(values)
+
+
+@pytest.fixture(scope="module")
+def split_corpus(small_corpus, order16_entries, order32_entries, order64_entries):
+    entries = list(order16_entries) + list(order32_entries) + list(order64_entries)
+    return list(small_corpus) + [(e.label, e.group()) for e in entries]
+
+
+def product_subgroups(g, h_seeds, a_seeds):
+    """H = <h_seeds> and A = <a_seeds> in g with direct_product(H, A)."""
+    h, a = g.generated_subgroup(h_seeds), g.generated_subgroup(a_seeds)
+    return h, a, core.direct_product(h.as_group(), a.as_group())
+
+
+class TestProductMapConfirmation:
+    def test_matches_isomorphism_search_where_big_and_big1_confirm(
+            self, split_corpus, monkeypatch):
+        fast = checks._product_map_is_isomorphism
+        seen = []
+
+        def compare(g, h, a, rebuilt):
+            verdict = fast(g, h, a, rebuilt)
+            assert verdict == core.is_isomorphic(rebuilt, g)
+            seen.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(checks, "_product_map_is_isomorphism", compare)
+        reached = {}
+        for label, g in split_corpus:
+            for cid in ("big", "big1"):
+                before = len(seen)
+                r = checks.run_check(cid, g, label)
+                if len(seen) > before:
+                    assert r.details["isomorphism_confirmed"] is seen[-1], (cid, label)
+                    reached[cid] = reached.get(cid, 0) + 1
+        assert all(seen)
+        assert reached["big"] > 60 and reached["big1"] > 60
+
+    def test_bijective_but_not_multiplicative(self):
+        s3 = families.dihedral(3)
+        rotation = next(x for x in range(6) if s3.element_order(x) == 3)
+        reflection = next(x for x in range(6) if s3.element_order(x) == 2)
+        h, a, rebuilt = product_subgroups(s3, [reflection], [rotation])
+        phi = s3.table[np.ix_(h.members, a.members)].ravel()
+        assert sorted(phi.tolist()) == list(range(6))
+        assert not checks._product_map_is_isomorphism(s3, h, a, rebuilt)
+        assert not core.is_isomorphic(rebuilt, s3)
+
+    def test_not_bijective(self):
+        c4 = families.cyclic(4)
+        h, a, rebuilt = product_subgroups(c4, [2], [2])
+        assert rebuilt.order == c4.order
+        assert not checks._product_map_is_isomorphism(c4, h, a, rebuilt)
+        assert not core.is_isomorphic(rebuilt, c4)
