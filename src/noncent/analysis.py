@@ -166,91 +166,47 @@ def h_subgroup(g: FiniteGroup, class_id: int) -> Subgroup:
             f"beta-class {class_id} union center is not a subgroup: {exc}") from exc
 
 
-def _cyclic_homs(gab: FiniteGroup, m: int):
-    """Yield every homomorphism from abelian group gab to Z/m as an array."""
-    orders = gab.element_orders()
-    gens = greedy_generators(gab.table)
+def _pure_cyclic(ab: FiniteGroup, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """For each x[i] of the abelian 2-group ab: True iff x[i] has order
+    m[i] > 1 and <x[i]> is a pure subgroup of ab.
 
-    def extend(fmap: dict[int, int], gen: int, val: int) -> Optional[dict[int, int]]:
-        fmap = dict(fmap)
-        fmap[gen] = val
-        frontier = [gen]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in list(fmap):
-                    p = int(gab.table[x, y])
-                    q = (fmap[x] + fmap[y]) % m
-                    if p in fmap:
-                        if fmap[p] != q:
-                            return None
-                    else:
-                        fmap[p] = q
-                        nxt.append(p)
-            frontier = nxt
-        return fmap
-
-    def rec(i: int, fmap: dict[int, int]):
-        if i == len(gens):
-            yield fmap
-            return
-        gen = gens[i]
-        if gen in fmap:
-            yield from rec(i + 1, fmap)
-            return
-        o = int(orders[gen])
-        step = m // np.gcd(m, o)
-        for val in range(0, m, int(step)):
-            ext = extend(fmap, gen, val)
-            if ext is not None:
-                yield from rec(i + 1, ext)
-
-    yield from rec(0, {0: 0})
-
-
-def _central_cyclic_splits(g: FiniteGroup, z: int,
-                           gab: FiniteGroup, coset_index: np.ndarray) -> bool:
-    """True iff <z> (z central) is a direct factor of g.
-
-    <z> of order m splits off exactly when some homomorphism g -> Z/m sends z
-    to a generator; the kernel is then a complement.  Homomorphisms factor
-    through the abelianization gab.
+    <x> of order 2^k is pure exactly when 2^(k-1)x has height k - 1, that is,
+    lies outside 2^k ab.  Each pass doubles every element (2^j ab is the image
+    of j squaring gathers of arange) and every x together, and tests the x
+    whose doubling first reaches the identity; 0 lies in every 2^j ab, so
+    the identity and already-finished x never pass.
     """
-    m = g.element_order(z)
-    zbar = int(coset_index[z])
-    if gab.element_order(zbar) != m:
-        return False
-    for fmap in _cyclic_homs(gab, m):
-        if np.gcd(fmap[zbar], m) == 1:
-            return True
-    return False
-
-
-def _abelianization(g: FiniteGroup) -> tuple[FiniteGroup, np.ndarray]:
-    """G/[G,G] plus the element-to-coset projection map."""
-    comm_sub = g.commutator_subgroup()
-    # quotient() numbers its elements by comm_sub.coset_index()
-    return g.quotient(comm_sub), comm_sub.coset_index()
+    t = ab.table
+    pure = np.zeros(len(x), dtype=bool)
+    mult, x_pow = np.arange(ab.order), np.asarray(x)
+    for _ in range(ab.order.bit_length()):  # 2^k <= |ab| bounds every k
+        mult, doubled = t[mult, mult], t[x_pow, x_pow]
+        pure |= (doubled == 0) & ~np.isin(x_pow, mult)
+        x_pow = doubled
+    return pure & (ab.element_orders()[x] == m)
 
 
 def is_reduced_regular(g: FiniteGroup) -> bool:
     """True iff a regular non-abelian 2-group admits no decomposition
     H x A with A a non-trivial abelian group.
 
-    Any such decomposition yields a central cyclic direct factor, so the test
-    looks for a central z whose cyclic subgroup splits off (equivalently, a
-    homomorphism onto Z/o(z) sending z to a generator).  Cross-validated
-    against brute_force_abelian_factor in the test suite.
+    Any such decomposition yields a central cyclic direct factor, and a
+    central <z> of order m splits off G exactly when its image in
+    A = G/G' is a direct summand of order m: a projection A -> <zbar> pulls
+    back to G -> <z> with a complement as kernel, and G = K x <z> gives
+    A = K/K' x <z>.  A bounded pure subgroup of an abelian group is a direct
+    summand (Fuchs, Infinite Abelian Groups I, 1970, sections 26-27), so G is
+    reduced iff no central z != 1 of order m = 2^k has both: zbar of order m
+    in A, and 2^(k-1)zbar outside 2^k A.  Cross-validated in the test suite
+    against brute_force_abelian_factor and a homomorphism search.
     """
     if g.is_abelian or g.is_p_group() != 2 or is_regular(g) is None:
         raise NotRegular2Group("reduced-regularity needs a regular non-abelian 2-group")
-    gab, coset_index = _abelianization(g)
-    for z in g.center().members:
-        if z == 0:
-            continue
-        if _central_cyclic_splits(g, z, gab, coset_index):
-            return False
-    return True
+    comm_sub = g.commutator_subgroup()
+    ab = g.quotient(comm_sub)  # numbered by comm_sub.coset_index()
+    z = np.asarray(g.center().members[1:])
+    zbar = comm_sub.coset_index()[z]
+    return not _pure_cyclic(ab, zbar, g.element_orders()[z]).any()
 
 
 def brute_force_abelian_factor(

@@ -106,7 +106,10 @@ def _load_catalogs(paths: list[str]) -> list[catalog.CatalogEntry]:
         expanded.extend(s for s in p.split(",") if s)
     if not expanded:
         raise SourceError("no catalog files given")
-    return catalog.load_many(expanded)
+    entries = catalog.load_many(expanded)
+    if not entries:
+        raise SourceError(f"no catalog entries in {', '.join(expanded)}")
+    return entries
 
 
 def cmd_analyze(args) -> int:
@@ -118,39 +121,26 @@ def cmd_analyze(args) -> int:
 
 def cmd_search(args) -> int:
     entries = _load_catalogs(args.catalog)
-    if args.table1:
-        for n, labels in catalog.table1_search(entries):
-            print(f"n={n}: {', '.join(labels)}  ({len(labels)} groups)")
-        return 0
-    matches = []
-    for e in entries:
-        g = e.group()
-        if args.reduced:
-            if g.is_abelian or g.is_p_group() != 2:
-                continue
-            deg = analysis.is_regular(g)
-            if deg is None or not analysis.is_reduced_regular(g):
-                continue
-        elif args.induced_regular:
-            deg = analysis.is_induced_regular(g)
-            if deg is None:
-                continue
-        else:
-            deg = analysis.is_regular(g)
-            if deg is None:
-                continue
-        if args.degree is not None and deg != args.degree:
-            continue
-        matches.append((e.label, deg))
-    for label, deg in sorted(matches, key=lambda t: (catalog.label_sort_key(t[0]))):
+    if args.table1 or args.reduced:
+        rows = catalog.table1_search(entries)
+        if args.table1:
+            for n, labels in rows:
+                print(f"n={n}: {', '.join(labels)}  ({len(labels)} groups)")
+            return 0
+        matches = [(label, n) for n, labels in rows for label in labels]
+    else:
+        degree_of = analysis.is_induced_regular if args.induced_regular else analysis.is_regular
+        matches = [(e.label, deg) for e in entries
+                   if (deg := degree_of(e.group())) is not None]
+    if args.degree is not None:
+        matches = [(label, deg) for label, deg in matches if deg == args.degree]
+    for label, deg in sorted(matches, key=lambda t: catalog.label_sort_key(t[0])):
         print(f"{label}  degree={deg}")
     return 0
 
 
 def cmd_verify(args) -> int:
     entries = _load_catalogs(args.catalog)
-    if not entries:
-        raise SourceError("no catalog entries to verify")
     ids = args.checks and [c for part in args.checks for c in part.split(",") if c]
     if ids == []:
         raise SourceError("no check ids given")

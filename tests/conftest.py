@@ -1,6 +1,7 @@
 import pytest
 
 from noncent import catalog, core, families
+from noncent.presentation import enumerate_presentation, parse
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +43,11 @@ def small_corpus():
         ("D8xC2", core.direct_product(families.dihedral(4), families.cyclic(2))),
         ("D8xC4", core.direct_product(families.dihedral(4), families.cyclic(4))),
     ]
+
+
+@pytest.fixture(scope="session")
+def d8_central_product_c8():
+    """D8 o C8 (order 32): regular and reduced, though its center is cyclic of
+    order 8 and the image of that center in G/G' is a direct summand of order 4."""
+    return enumerate_presentation(parse(
+        "< a,b,c | a^4, b^2, b*a*b = a^-1, c^8, c^4 = a^2, a*c = c*a, b*c = c*b >"))

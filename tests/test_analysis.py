@@ -7,11 +7,6 @@ from noncent.analysis import (AbelianGroup, NotMaximal, NotRegular2Group,
                               is_induced_regular, is_reduced_regular,
                               is_regular, maximal_centralizers)
 from noncent.core import TooLarge, direct_product
-from noncent.presentation import enumerate_presentation, parse
-
-D8_CENTRAL_PRODUCT_C8 = ("< a,b,c | a^4, b^2, b*a*b = a^-1, c^8, c^4 = a^2, "
-                         "a*c = c*a, b*c = c*b >")
-
 
 class TestBetaPartition:
     def test_abelian_single_class(self):
@@ -189,8 +184,8 @@ class TestReducedRegular:
         g = direct_product(families.dihedral(4), families.cyclic(4))
         assert not is_reduced_regular(g)
 
-    def test_central_product_d8_c8_reduced(self):
-        g = enumerate_presentation(parse(D8_CENTRAL_PRODUCT_C8))
+    def test_central_product_d8_c8_reduced(self, d8_central_product_c8):
+        g = d8_central_product_c8
         assert is_regular(g) == 24
         assert is_reduced_regular(g)
 

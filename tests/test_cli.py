@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import noncent
 from noncent import catalog
 from noncent.cli import main
@@ -89,6 +91,13 @@ class TestSearch:
     def test_missing_catalog(self, capsys):
         code, _, err = run_cli(capsys, "search", "--catalog", "nope.cat", "--regular")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["--table1", "--regular"])
+    def test_catalog_without_entries(self, capsys, tmp_path, mode):
+        empty = tmp_path / "empty.cat"
+        empty.write_text("# comments only\n")
+        code, out, err = run_cli(capsys, "search", "--catalog", str(empty), mode)
+        assert code == 2 and err.startswith("error: ") and out == ""
 
 
 class TestVerify:

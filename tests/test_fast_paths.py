@@ -207,6 +207,61 @@ def slow_as_group(h):
     return from_table(rows, [g.labels[m] for m in h.members])
 
 
+def slow_cyclic_homs(ab, m):
+    """Yield every homomorphism from the abelian group ab to Z/m as a dict,
+    by extending a partial map along products of already-mapped elements."""
+    orders = ab.element_orders()
+    gens = core.greedy_generators(ab.table)
+
+    def extend(fmap, gen, val):
+        fmap = dict(fmap)
+        fmap[gen] = val
+        frontier = [gen]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in list(fmap):
+                    p = int(ab.table[x, y])
+                    q = (fmap[x] + fmap[y]) % m
+                    if p in fmap:
+                        if fmap[p] != q:
+                            return None
+                    else:
+                        fmap[p] = q
+                        nxt.append(p)
+            frontier = nxt
+        return fmap
+
+    def rec(i, fmap):
+        if i == len(gens):
+            yield fmap
+            return
+        gen = gens[i]
+        if gen in fmap:
+            yield from rec(i + 1, fmap)
+            return
+        step = m // np.gcd(m, int(orders[gen]))
+        for val in range(0, m, int(step)):
+            ext = extend(fmap, gen, val)
+            if ext is not None:
+                yield from rec(i + 1, ext)
+
+    yield from rec(0, {0: 0})
+
+
+def slow_central_cyclic_splits(g, z):
+    """True iff <z> (z central) is a direct factor of g: some homomorphism
+    g -> Z/o(z) sends z to a generator, and its kernel is then a complement.
+    Homomorphisms factor through the abelianization."""
+    comm_sub = g.commutator_subgroup()
+    ab = g.quotient(comm_sub)
+    zbar = int(comm_sub.coset_index()[z])
+    m = g.element_order(z)
+    if ab.element_order(zbar) != m:
+        return False
+    return any(np.gcd(fmap[zbar], m) == 1 for fmap in slow_cyclic_homs(ab, m))
+
+
 def is_power_of(n, p):
     while n % p == 0:
         n //= p
@@ -714,3 +769,62 @@ class TestProductMapConfirmation:
         assert rebuilt.order == c4.order
         assert not checks._product_map_is_isomorphism(c4, h, a, rebuilt)
         assert not core.is_isomorphic(rebuilt, c4)
+
+
+# --- reduced regularity by purity in G/G' -------------------------------------
+
+@pytest.fixture(scope="module")
+def regular_2groups(order8_entries, order16_entries, order32_entries, order64_entries,
+                    d8_central_product_c8):
+    entries = (list(order8_entries) + list(order16_entries) + list(order32_entries)
+               + list(order64_entries))
+    corpus = [(e.label, e.group()) for e in entries]
+    corpus = [(label, g) for label, g in corpus if not g.is_abelian
+              and g.is_p_group() == 2 and analysis.is_regular(g) is not None]
+    d8 = families.dihedral(4)
+    corpus += [(f"D8xC{n}", core.direct_product(d8, families.cyclic(n)))
+               for n in (2, 4, 8, 16)]
+    return corpus + [("D8oC8", d8_central_product_c8)]
+
+
+def pure_cyclic(a, xs):
+    """_pure_cyclic on elements of the abelian group a, each at its own order."""
+    x = np.array(xs)
+    return analysis._pure_cyclic(a, x, a.element_orders()[x]).tolist()
+
+
+class TestPurity:
+    def test_central_splits_match_homomorphism_search(self, regular_2groups):
+        order_only = 0
+        for label, g in regular_2groups:
+            comm_sub = g.commutator_subgroup()
+            ab = g.quotient(comm_sub)
+            z = np.asarray(g.center().members[1:])
+            zbar, m = comm_sub.coset_index()[z], g.element_orders()[z]
+            fast = analysis._pure_cyclic(ab, zbar, m).tolist()
+            slow = [slow_central_cyclic_splits(g, int(x)) for x in z]
+            assert fast == slow, label
+            assert analysis.is_reduced_regular(g) == (not any(slow)), label
+            order_only += int(((ab.element_orders()[zbar] == m) & ~np.array(slow)).sum())
+        assert len(regular_2groups) == 75
+        assert order_only > 100  # the height test decides these
+
+    def test_z8_x_z2(self):
+        a = core.direct_product(families.cyclic(8), families.cyclic(2))
+
+        def elt(i, j):  # (i, j) in Z/8 x Z/2
+            return 2 * i + j
+
+        assert a.table[elt(2, 1), elt(2, 1)] == elt(4, 0)
+        # (2,1) has order 4 and height 0, but 2*(2,1) = (4,0) = 4*(1,0)
+        assert pure_cyclic(a, [elt(2, 1), elt(1, 0), elt(0, 1), elt(2, 0)]) == \
+            [False, True, True, False]
+        x = np.full(4, elt(1, 0))
+        assert analysis._pure_cyclic(a, x, np.array([1, 4, 8, 16])).tolist() == \
+            [False, False, True, False]
+        assert pure_cyclic(a, [0]) == [False]
+
+    def test_elementary_abelian_all_pure(self):
+        for rank in (1, 2, 3, 4):
+            e = families.elementary_abelian(2, rank)
+            assert all(pure_cyclic(e, range(1, e.order)))
