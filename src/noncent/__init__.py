@@ -3,8 +3,8 @@ regularity verification toolkit."""
 
 from .core import (FiniteGroup, Subgroup, Coset, NotAGroup, ClosureExceeded,
                    NotNormal, TooLarge, TrivialGroup, TRIVIAL, from_table,
-                   from_permutations, direct_product, is_isomorphic,
-                   all_subgroups)
+                   from_permutations, direct_product, fingerprint,
+                   is_isomorphic, all_subgroups)
 from .families import (cyclic, elementary_abelian, dihedral,
                        generalized_quaternion, modular_M, heisenberg)
 from .presentation import (Presentation, ParseError, UndeclaredGenerator,
@@ -18,8 +18,7 @@ from .analysis import (BetaPartition, RegularityReport, AbelianGroup,
 from .graph import (NonCentralizerGraph, UnknownFormat, build_graph,
                     degree_sequence, oracle_graph, export)
 from .checks import CheckResult, CHECK_IDS, run_check, run_suite
-from .catalog import (CatalogEntry, Fingerprint, FormatError, DuplicateLabel,
-                      OrderMismatch, load, load_many, fingerprint, dedup,
-                      table1_search)
+from .catalog import (CatalogEntry, FormatError, DuplicateLabel, OrderMismatch,
+                      load, load_many, dedup, table1_search)
 
 __version__ = "0.1.0"

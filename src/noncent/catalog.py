@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .core import FiniteGroup, TooLarge, from_table, from_permutations, is_isomorphic
-from .analysis import beta_partition, is_regular, is_reduced_regular
+from .core import (ISO_ORDER_CAP, FiniteGroup, TooLarge, fingerprint, from_table,
+                   from_permutations, is_isomorphic)
+from .analysis import is_regular, is_reduced_regular
 from .presentation import enumerate_presentation, parse
 
 __all__ = [
@@ -22,18 +23,14 @@ __all__ = [
     "DuplicateLabel",
     "OrderMismatch",
     "CatalogEntry",
-    "Fingerprint",
     "SHIPPED",
     "shipped_path",
     "load",
     "load_many",
-    "fingerprint",
     "dedup",
     "table1_search",
     "label_sort_key",
 ]
-
-DEDUP_ORDER_CAP = 512
 
 SHIPPED = ("order8.cat", "order16.cat", "order32.cat", "order64.cat")
 
@@ -96,16 +93,14 @@ def load(path: str) -> list[CatalogEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     entries: list[CatalogEntry] = []
-    labels: set[str] = set()
+    seen: dict[str, CatalogEntry] = {}
     block: list[tuple[int, str]] = []
 
     def flush():
         if not block:
             return
         entry = _parse_block(block, path)
-        if entry.label in labels:
-            raise DuplicateLabel(f"{path}:{entry.line}: duplicate label {entry.label!r}")
-        labels.add(entry.label)
+        _claim_label(seen, entry)
         entries.append(entry)
         block.clear()
 
@@ -122,10 +117,22 @@ def load(path: str) -> list[CatalogEntry]:
 
 
 def load_many(paths: Sequence[str]) -> list[CatalogEntry]:
+    """Parse several catalog files; a label may appear only once in all of them."""
     out = []
+    seen: dict[str, CatalogEntry] = {}
     for p in paths:
-        out.extend(load(p))
+        for entry in load(p):
+            _claim_label(seen, entry)
+            out.append(entry)
     return out
+
+
+def _claim_label(seen: dict[str, CatalogEntry], entry: CatalogEntry) -> None:
+    """Record entry under its label, or raise DuplicateLabel naming both places."""
+    first = seen.setdefault(entry.label, entry)
+    if first is not entry:
+        raise DuplicateLabel(f"{entry.source}:{entry.line}: duplicate label {entry.label!r}"
+                             f" (first at {first.source}:{first.line})")
 
 
 _HEADER_RE = re.compile(r"(name|kind|order|degree|pres|gen)\s*:\s*(.*)")
@@ -191,33 +198,6 @@ def _parse_block(block: list[tuple[int, str]], path: str) -> CatalogEntry:
                         source=path, line=first_line)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Cheap isomorphism invariants; equal fingerprints are necessary but not
-    sufficient for isomorphism."""
-
-    order: int
-    abelian: bool
-    order_histogram: tuple[tuple[int, int], ...]
-    center_size: int
-    cent_count: int
-    beta_sizes: tuple[int, ...]
-    conjugacy_sizes: tuple[int, ...]
-
-
-def fingerprint(g: FiniteGroup) -> Fingerprint:
-    part = beta_partition(g)
-    return Fingerprint(
-        order=g.order,
-        abelian=g.is_abelian,
-        order_histogram=g.order_histogram(),
-        center_size=len(part.classes[0]),
-        cent_count=len(part.classes),
-        beta_sizes=tuple(sorted(part.class_sizes())),
-        conjugacy_sizes=tuple(sorted(len(c) for c in g.conjugacy_classes())),
-    )
-
-
 def dedup(entries: Sequence[CatalogEntry]) -> list[tuple[CatalogEntry, Optional[str]]]:
     """Flag entries isomorphic to an earlier entry with the canonical label.
 
@@ -225,9 +205,9 @@ def dedup(entries: Sequence[CatalogEntry]) -> list[tuple[CatalogEntry, Optional[
     duplicates.  Fingerprints bucket first; exact isomorphism decides.
     """
     for e in entries:
-        if e.order > DEDUP_ORDER_CAP:
-            raise TooLarge(f"{e.label}: dedup capped at order {DEDUP_ORDER_CAP}")
-    buckets: dict[Fingerprint, list[CatalogEntry]] = {}
+        if e.order > ISO_ORDER_CAP:
+            raise TooLarge(f"{e.label}: dedup capped at order {ISO_ORDER_CAP}")
+    buckets: dict[tuple, list[CatalogEntry]] = {}
     out: list[tuple[CatalogEntry, Optional[str]]] = []
     for e in entries:
         fp = fingerprint(e.group())

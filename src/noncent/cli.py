@@ -122,7 +122,8 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     entries = _load_catalogs(args.catalog)
     if args.table1 or args.reduced:
-        rows = catalog.table1_search(entries)
+        rows = [(n, labels) for n, labels in catalog.table1_search(entries)
+                if args.degree in (None, n)]
         if args.table1:
             for n, labels in rows:
                 print(f"n={n}: {', '.join(labels)}  ({len(labels)} groups)")
@@ -131,9 +132,7 @@ def cmd_search(args) -> int:
     else:
         degree_of = analysis.is_induced_regular if args.induced_regular else analysis.is_regular
         matches = [(e.label, deg) for e in entries
-                   if (deg := degree_of(e.group())) is not None]
-    if args.degree is not None:
-        matches = [(label, deg) for label, deg in matches if deg == args.degree]
+                   if (deg := degree_of(e.group())) is not None and args.degree in (None, deg)]
     for label, deg in sorted(matches, key=lambda t: catalog.label_sort_key(t[0])):
         print(f"{label}  degree={deg}")
     return 0

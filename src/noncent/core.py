@@ -32,6 +32,7 @@ __all__ = [
     "greedy_generators",
     "row_classes",
     "table_from_action",
+    "fingerprint",
     "is_isomorphic",
     "all_subgroups",
 ]
@@ -177,15 +178,16 @@ class FiniteGroup:
     Subgroup.as_group, quotient).
 
     Derived structure is cached on the group (inverses, commuting matrix,
-    beta classes, G/Z(G), element orders, conjugacy classes).  A cache holds
-    only arrays, tuples of ints and groups that do not refer back to this
-    one, so dropping the last reference to a group frees its table at once
-    instead of leaving a reference cycle for the collector.
+    beta classes, G/Z(G), element orders, conjugacy classes, element keys,
+    fingerprint).  A cache holds only arrays, tuples of ints and groups that
+    do not refer back to this one, so dropping the last reference to a group
+    frees its table at once instead of leaving a reference cycle for the
+    collector.
     """
 
     __slots__ = ("order", "table", "labels", "_inv", "_comm", "_beta_ids",
                  "_beta_classes", "_central_quotient", "_elt_orders",
-                 "_conj_class", "_abelian")
+                 "_conj_class", "_abelian", "_elt_keys", "_fingerprint")
 
     def __init__(self, table: np.ndarray, labels: Sequence[str]):
         n = table.shape[0]
@@ -202,6 +204,8 @@ class FiniteGroup:
         self._elt_orders = None
         self._conj_class = None
         self._abelian = None
+        self._elt_keys = None
+        self._fingerprint = None
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -312,6 +316,27 @@ class FiniteGroup:
                 classes.append(tuple(int(i) for i in orbit))
             self._conj_class = classes
         return self._conj_class
+
+    def element_keys(self) -> np.ndarray:
+        """Isomorphism-invariant key of every element, one row each: order,
+        order of x^2, |C(x)|, conjugacy class size, |beta(x)|, number of
+        square roots.  An isomorphism maps each element to one with the same
+        row."""
+        if self._elt_keys is None:
+            orders = self.element_orders()
+            squares = np.diagonal(self.table)
+            classes = self.conjugacy_classes()
+            lens = np.array([len(c) for c in classes])
+            class_size = np.empty(self.order, dtype=np.int64)
+            class_size[np.concatenate(classes)] = np.repeat(lens, lens)
+            ids = self.beta_class_ids()
+            keys = np.column_stack([
+                orders, orders[squares], self.commuting_matrix().sum(axis=1),
+                class_size, np.bincount(ids)[ids],
+                np.bincount(squares, minlength=self.order)]).astype(np.int64)
+            keys.setflags(write=False)
+            self._elt_keys = keys
+        return self._elt_keys
 
     def subgroup(self, members: Iterable[int]) -> Subgroup:
         """Validate a member set as a subgroup and return it.
@@ -510,19 +535,22 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
     return FiniteGroup(table, labels)
 
 
-def greedy_generators(table: np.ndarray) -> list[int]:
-    """Generating sequence: each generator is the smallest index not yet
-    reached from the identity (index 0) by right multiplication with the
-    generators before it.
+def greedy_generators(table: np.ndarray, rank: Optional[np.ndarray] = None) -> list[int]:
+    """Generating sequence: each generator is the element of least rank
+    (default: least index) not yet reached from the identity (index 0) by
+    right multiplication with the generators before it.
 
     In a finite group the right closure is the generated subgroup, so this is
     the "first element outside <gens>" sequence.
     """
-    reached = np.zeros(table.shape[0], dtype=bool)
+    n = table.shape[0]
+    rank = np.arange(n) if rank is None else rank
+    reached = np.zeros(n, dtype=bool)
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
-        gens.append(int(np.argmin(reached)))
+        left = np.flatnonzero(~reached)
+        gens.append(int(left[np.argmin(rank[left])]))
         _right_closure(table, reached, gens)
     return gens
 
@@ -656,49 +684,28 @@ def row_classes(m: np.ndarray) -> np.ndarray:
 
 # --- isomorphism testing ---------------------------------------------------
 
-def _invariant_vector(g: FiniteGroup) -> tuple:
-    cent_sizes = g.commuting_matrix().sum(axis=1)
-    beta_sizes = tuple(sorted(np.bincount(g.beta_class_ids()).tolist()))
-    conj_sizes = tuple(sorted(len(c) for c in g.conjugacy_classes()))
-    orders = g.element_orders()
-    center_hist = tuple(sorted(int(orders[z]) for z in g.beta_classes()[0]))
-    return (
-        g.order,
-        g.is_abelian,
-        g.order_histogram(),
-        center_hist,
-        len(beta_sizes),
-        beta_sizes,
-        conj_sizes,
-        tuple(sorted(cent_sizes.tolist())),
-    )
-
-
-def _element_fingerprints(g: FiniteGroup) -> list[tuple]:
-    orders = g.element_orders()
-    cent = g.commuting_matrix().sum(axis=1)
-    beta_ids = g.beta_class_ids()
-    beta_count = np.bincount(beta_ids)
-    class_size = np.empty(g.order, dtype=np.int64)
-    for c in g.conjugacy_classes():
-        for x in c:
-            class_size[x] = len(c)
-    squares = g.table[np.arange(g.order), np.arange(g.order)]
-    sqrt_count = np.bincount(squares, minlength=g.order)
-    return [(int(orders[x]), int(cent[x]), int(class_size[x]),
-             int(orders[int(squares[x])]), int(beta_count[beta_ids[x]]),
-             int(sqrt_count[x]))
-            for x in range(g.order)]
-
-
-def _generating_sequence(g: FiniteGroup, rarity: dict) -> list[int]:
-    gens: list[int] = []
-    current = np.arange(g.order) == 0
-    fps = _element_fingerprints(g)
-    while not current.all():
-        gens.append(min(np.flatnonzero(~current).tolist(), key=lambda x: (rarity[fps[x]], x)))
-        current = g.generated_subgroup(gens).mask
-    return gens
+def fingerprint(g: FiniteGroup) -> tuple:
+    """Isomorphism invariant of g, cached on it: order, abelian flag, order
+    histogram, center element orders, beta class sizes, conjugacy class size
+    per element, sorted element-key profiles, and per beta class its size,
+    centralizer size, element and square orders and whether the squares of
+    its members are central.  Isomorphic groups have equal fingerprints."""
+    if g._fingerprint is None:
+        keys = g.element_keys()
+        orders, sq_orders = keys[:, 0], keys[:, 1]
+        classes = [np.asarray(c) for c in g.beta_classes()]
+        sq_central = g.beta_class_ids()[np.diagonal(g.table)] == 0
+        g._fingerprint = (
+            g.order, g.is_abelian, g.order_histogram(),
+            tuple(np.sort(orders[classes[0]]).tolist()),
+            tuple(sorted(c.size for c in classes)),
+            tuple(np.sort(keys[:, 3]).tolist()),
+            tuple(sorted(map(tuple, keys[:, :4].tolist()))),
+            tuple(sorted((c.size, int(keys[c[0], 2]), tuple(np.sort(orders[c]).tolist()),
+                          tuple(np.sort(sq_orders[c]).tolist())) for c in classes)),
+            tuple(sorted(tuple(np.unique(sq_central[c]).tolist()) for c in classes)),
+        )
+    return g._fingerprint
 
 
 def _extend_map(a: FiniteGroup, b: FiniteGroup, fmap: dict, used: set,
@@ -740,7 +747,7 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         return False
     if a.order > ISO_ORDER_CAP:
         raise TooLarge(f"isomorphism testing capped at order {ISO_ORDER_CAP}")
-    if _invariant_vector(a) != _invariant_vector(b):
+    if fingerprint(a) != fingerprint(b):
         return False
     if a.order == 1:
         return True
@@ -748,17 +755,15 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         # equal order histograms classify finite abelian groups
         return True
 
-    fps_a = _element_fingerprints(a)
-    fps_b = _element_fingerprints(b)
-    rarity: dict[tuple, int] = {}
-    for f in fps_b:
-        rarity[f] = rarity.get(f, 0) + 1
-    if sorted(fps_a) != sorted(fps_b):
+    rows_a, kind_a, count_a = np.unique(a.element_keys(), axis=0,
+                                        return_inverse=True, return_counts=True)
+    rows_b, kind_b, count_b = np.unique(b.element_keys(), axis=0,
+                                        return_inverse=True, return_counts=True)
+    if not (np.array_equal(rows_a, rows_b) and np.array_equal(count_a, count_b)):
         return False
-    gens = _generating_sequence(a, rarity)
-    buckets: dict[tuple, list[int]] = {}
-    for x, f in enumerate(fps_b):
-        buckets.setdefault(f, []).append(x)
+    kind_a, kind_b = kind_a.ravel(), kind_b.ravel()
+    # rarest key first, ties by index
+    gens = greedy_generators(a.table, count_a[kind_a] * a.order + np.arange(a.order))
 
     def search(i: int, fmap: dict, used: set) -> bool:
         if i == len(gens):
@@ -766,7 +771,7 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         gen = gens[i]
         if gen in fmap:
             return search(i + 1, fmap, used)
-        for cand in buckets.get(fps_a[gen], ()):
+        for cand in np.flatnonzero(kind_b == kind_a[gen]).tolist():
             ext = _extend_map(a, b, fmap, used, gen, cand)
             if ext is not None:
                 if search(i + 1, ext[0], ext[1]):

@@ -4,8 +4,8 @@ import pytest
 
 from noncent import catalog, core, families
 from noncent.catalog import (DuplicateLabel, FormatError, OrderMismatch,
-                             dedup, fingerprint, label_sort_key, load,
-                             table1_search)
+                             dedup, label_sort_key, load, table1_search)
+from noncent.core import fingerprint
 
 
 def write(tmp_path, text, name="test.cat"):
@@ -76,6 +76,18 @@ class TestLoad:
         """)
         with pytest.raises(DuplicateLabel):
             load(path)
+
+    def test_duplicate_label_across_files(self, tmp_path):
+        entry = """\
+            name: X
+            kind: table
+            order: 1
+            0
+        """
+        first, second = write(tmp_path, entry, "a.cat"), write(tmp_path, "\n" + entry, "b.cat")
+        with pytest.raises(DuplicateLabel) as exc:
+            catalog.load_many([first, second])
+        assert f"{second}:2" in str(exc.value) and f"{first}:1" in str(exc.value)
 
     def test_order_mismatch_table(self, tmp_path):
         path = write(tmp_path, """\
@@ -174,6 +186,13 @@ class TestDedup:
         flagged = dedup(load(path))
         assert flagged[0][1] is None
         assert flagged[1][1] == "D8-a"
+
+    def test_order_cap_checked_before_materializing(self):
+        big = catalog.CatalogEntry(label="C1024", kind="presentation", order=1024,
+                                   payload="< a | a^1024 >", source="memory", line=0)
+        with pytest.raises(core.TooLarge):
+            dedup([big])
+        assert big._group is None
 
     def test_order16_no_duplicates(self, order16_entries):
         assert all(dup is None for _, dup in dedup(order16_entries))

@@ -88,9 +88,21 @@ class TestSearch:
         assert code == 0
         assert out.strip() == "n=6: [8,3], [8,4]  (2 groups)"
 
+    def test_table1_degree_filters_rows(self, capsys):
+        cats = ",".join(catalog.shipped_path(n) for n in ("order8.cat", "order16.cat"))
+        code, out, _ = run_cli(capsys, "search", "--catalog", cats, "--table1", "--degree", "6")
+        assert code == 0
+        assert out.strip() == "n=6: [8,3], [8,4]  (2 groups)"
+
     def test_missing_catalog(self, capsys):
         code, _, err = run_cli(capsys, "search", "--catalog", "nope.cat", "--regular")
         assert code == 2
+
+    def test_label_repeated_across_files(self, capsys):
+        path = catalog.shipped_path("order8.cat")
+        code, out, err = run_cli(capsys, "search", "--reduced", "--catalog", f"{path},{path}")
+        assert code == 2 and out == ""
+        assert err.count(f"{path}:") == 2 and "duplicate label" in err
 
     @pytest.mark.parametrize("mode", ["--table1", "--regular"])
     def test_catalog_without_entries(self, capsys, tmp_path, mode):
@@ -114,6 +126,12 @@ class TestVerify:
                                "--checks", "bound")
         assert code == 0
         assert "check=bound group=[8,3] applicable=true passed=true" in out
+
+    def test_label_repeated_across_files(self, capsys):
+        path = catalog.shipped_path("order8.cat")
+        code, out, err = run_cli(capsys, "verify", "--catalog", path, "--catalog", path,
+                                 "--checks", "creg")
+        assert code == 2 and out == "" and "duplicate label" in err
 
     def test_corrupt_catalog(self, capsys, tmp_path):
         bad = tmp_path / "bad.cat"

@@ -2,6 +2,7 @@
 they replaced, which are kept here as test-only oracles."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -328,6 +329,105 @@ def slow_compress_multiset(values):
         out.append(f"{vals[i]}" if j - i == 1 else f"{vals[i]}x{j - i}")
         i = j
     return "[" + ", ".join(out) + "]"
+
+
+def slow_strong_fp(g):
+    """Isomorphism invariant that orders catalog labels, by per-element loops."""
+    part = analysis.beta_partition(g)
+    orders = g.element_orders()
+    cent = g.commuting_matrix().sum(axis=1)
+    csize = np.empty(g.order, dtype=np.int64)
+    for c in g.conjugacy_classes():
+        for x in c:
+            csize[x] = len(c)
+    profile = tuple(sorted(
+        (int(orders[x]), int(orders[int(g.table[x, x])]), int(cent[x]), int(csize[x]))
+        for x in range(g.order)))
+    class_prof = tuple(sorted(
+        (len(members), int(cent[members[0]]),
+         tuple(sorted(int(orders[x]) for x in members)),
+         tuple(sorted(int(orders[int(g.table[x, x])]) for x in members)))
+        for members in part.classes))
+    sq_of_class = tuple(sorted(
+        tuple(sorted({int(part.class_of[int(g.table[x, x])]) == 0 for x in members}))
+        for members in part.classes))
+    center_hist = tuple(sorted(int(orders[z]) for z in part.classes[0]))
+    return (
+        g.order, g.is_abelian, g.order_histogram(), center_hist,
+        tuple(sorted(part.class_sizes())), tuple(sorted(int(x) for x in csize)),
+        profile, class_prof, sq_of_class,
+    )
+
+
+def slow_element_fingerprints(g):
+    """Per element: (order, |C(x)|, class size, order of x^2, |beta(x)|, square roots)."""
+    orders = g.element_orders()
+    cent = g.commuting_matrix().sum(axis=1)
+    beta_ids = g.beta_class_ids()
+    beta_count = np.bincount(beta_ids)
+    class_size = np.empty(g.order, dtype=np.int64)
+    for c in g.conjugacy_classes():
+        for x in c:
+            class_size[x] = len(c)
+    squares = g.table[np.arange(g.order), np.arange(g.order)]
+    sqrt_count = np.bincount(squares, minlength=g.order)
+    return [(int(orders[x]), int(cent[x]), int(class_size[x]),
+             int(orders[int(squares[x])]), int(beta_count[beta_ids[x]]),
+             int(sqrt_count[x]))
+            for x in range(g.order)]
+
+
+def slow_generating_sequence(g, rarity):
+    """Rarest fingerprint outside <gens> first, ties by index; closure rebuilt each step."""
+    gens = []
+    current = np.arange(g.order) == 0
+    fps = slow_element_fingerprints(g)
+    while not current.all():
+        gens.append(min(np.flatnonzero(~current).tolist(), key=lambda x: (rarity[fps[x]], x)))
+        current = g.generated_subgroup(gens).mask
+    return gens
+
+
+def slow_invariant_vector(g):
+    """The invariant tuple slow_is_isomorphic compares before any search."""
+    orders = g.element_orders()
+    beta_sizes = tuple(sorted(np.bincount(g.beta_class_ids()).tolist()))
+    return (
+        g.order, g.is_abelian, g.order_histogram(),
+        tuple(sorted(int(orders[z]) for z in g.beta_classes()[0])),
+        len(beta_sizes), beta_sizes,
+        tuple(sorted(len(c) for c in g.conjugacy_classes())),
+        tuple(sorted(g.commuting_matrix().sum(axis=1).tolist())),
+    )
+
+
+def slow_is_isomorphic(a, b):
+    """Isomorphism by an invariant vector, element fingerprints and backtracking
+    over slow_generating_sequence."""
+    if a.order != b.order or slow_invariant_vector(a) != slow_invariant_vector(b):
+        return False
+    if a.order == 1 or a.is_abelian:
+        return True
+    fps_a, fps_b = slow_element_fingerprints(a), slow_element_fingerprints(b)
+    if sorted(fps_a) != sorted(fps_b):
+        return False
+    gens = slow_generating_sequence(a, Counter(fps_b))
+    buckets = {}
+    for x, f in enumerate(fps_b):
+        buckets.setdefault(f, []).append(x)
+
+    def search(i, fmap, used):
+        if i == len(gens):
+            return len(fmap) == a.order
+        if gens[i] in fmap:
+            return search(i + 1, fmap, used)
+        for cand in buckets.get(fps_a[gens[i]], ()):
+            ext = core._extend_map(a, b, fmap, used, gens[i], cand)
+            if ext is not None and search(i + 1, *ext):
+                return True
+        return False
+
+    return search(0, {0: 0}, {0})
 
 
 def abelian_groups(max_order):
@@ -828,3 +928,71 @@ class TestPurity:
         for rank in (1, 2, 3, 4):
             e = families.elementary_abelian(2, rank)
             assert all(pure_cyclic(e, range(1, e.order)))
+
+
+# --- one fingerprint and one element key per group ---------------------------
+
+@pytest.fixture(scope="module")
+def shipped_groups(order8_entries, order16_entries, order32_entries, order64_entries):
+    """(label, group) for every shipped catalog entry."""
+    entries = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+    return [(e.label, e.group()) for e in entries]
+
+
+@pytest.fixture(scope="module")
+def iso_corpus(shipped_groups, small_corpus):
+    """(label, group, relabeled copy) for shipped_groups and small_corpus;
+    each group is built once."""
+    rng = np.random.default_rng(17)
+    return [(label, g, from_table(relabeled(g, rng)))
+            for label, g in [*shipped_groups, *small_corpus]]
+
+
+class TestFingerprints:
+    def test_fingerprint_matches_strong_fp(self, iso_corpus):
+        for label, g, h in iso_corpus:
+            assert core.fingerprint(g) == slow_strong_fp(g), label
+            assert core.fingerprint(h) == slow_strong_fp(h) == core.fingerprint(g), label
+
+    def test_element_keys_are_permuted_fingerprints(self, iso_corpus):
+        for label, g, h in iso_corpus:
+            for x in (g, h):
+                keys = x.element_keys()
+                assert keys.shape == (x.order, 6) and not keys.flags.writeable
+                assert keys[:, [0, 2, 3, 1, 4, 5]].tolist() == \
+                    [list(f) for f in slow_element_fingerprints(x)], label
+
+    def test_isomorphism_uses_the_rarity_generating_sequence(self, iso_corpus, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        fast = core.greedy_generators
+        used = []
+
+        def record(table, rank=None):
+            used.append(fast(table, rank))
+            raise Stop  # the sequence is all this test needs, not the search
+
+        monkeypatch.setattr(core, "greedy_generators", record)
+        checked = 0
+        for label, g, h in iso_corpus:
+            if g.is_abelian:
+                continue
+            used.clear()
+            with pytest.raises(Stop):
+                core.is_isomorphic(g, h)
+            assert used == [slow_generating_sequence(g, Counter(slow_element_fingerprints(h)))], label
+            checked += 1
+        assert checked == 111
+
+    def test_verdicts_match_parent_engine(self, shipped_groups, iso_corpus):
+        # relabeled copies up to order 32: at order 64 the search that confirms
+        # a copy takes about 50 ms per engine
+        copies = [(g, h) for _, g, h in iso_corpus if g.order <= 32]
+        distinct = [(a, b) for i, (_, a) in enumerate(shipped_groups)
+                    for _, b in shipped_groups[i + 1:] if a.order == b.order]
+        pairs = copies + distinct
+        verdicts = [core.is_isomorphic(a, b) for a, b in pairs]
+        assert verdicts == [slow_is_isomorphic(a, b) for a, b in pairs]
+        assert verdicts == [True] * len(copies) + [False] * len(distinct)
+        assert len(distinct) == 2366

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 
-from noncent import analysis, catalog, checks, core, families, graph
+from noncent import analysis, checks, core, families, graph
 from noncent.core import from_table
 
 
@@ -29,7 +29,7 @@ def test_beta_classes_keyed_once_per_group(monkeypatch):
     analysis.is_regular(g)
     analysis.is_induced_regular(g)
     analysis.build_report(g, "D16")
-    catalog.fingerprint(g)
+    core.fingerprint(g)
     analysis.maximal_centralizers(g)
     assert core.is_isomorphic(g, h)
     assert len(keyed) == 2
@@ -46,6 +46,7 @@ def test_cached_structure_holds_no_reference_cycle():
         checks.run_suite([("D12", g)])
         graph.build_graph(g)
         analysis.maximal_centralizers(g)
+        core.fingerprint(g)
         assert g.central_quotient()[0].order == 6
         del g
         assert table() is None

@@ -12,8 +12,8 @@ Regenerates the shipped .cat files from first principles:
 Labels follow the standard small-group numbering.  Structurally forced
 identifications (abelian types, maximal-class families, extraspecial groups,
 named products) are pinned by explicit reference constructions; remaining
-labels within a structure block are assigned by a deterministic invariant
-sort, which the shipped annotations document.
+labels within a structure block are assigned in the order of the isomorphism
+invariant `noncent.core.fingerprint`, which the shipped annotations document.
 
 Usage: python tools/gen_catalogs.py
 """
@@ -30,7 +30,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from noncent import analysis, core, families
-from noncent.core import FiniteGroup, from_table, direct_product, is_isomorphic
+from noncent.core import FiniteGroup, fingerprint, from_table, direct_product, is_isomorphic
 from noncent.presentation import enumerate_presentation, parse
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "noncent" / "data"
@@ -146,38 +146,7 @@ def build_extension(tq: np.ndarray, f: int) -> np.ndarray:
     return 2 * tq2 + (u ^ f2)
 
 
-# --- strong fingerprints and the class store ---------------------------------
-
-def strong_fp(g: FiniteGroup):
-    part = analysis.beta_partition(g)
-    orders = g.element_orders()
-    comm = g.commuting_matrix()
-    cent = comm.sum(axis=1)
-    csize = np.empty(g.order, dtype=np.int64)
-    for c in g.conjugacy_classes():
-        for x in c:
-            csize[x] = len(c)
-    profile = tuple(sorted(
-        (int(orders[x]), int(orders[int(g.table[x, x])]), int(cent[x]), int(csize[x]))
-        for x in range(g.order)))
-    # per-beta-class profile: (size, centralizer size, element orders,
-    # orders of squares); elementwise square/commutator data cuts deep into
-    # the homogeneous class-2 families
-    class_prof = tuple(sorted(
-        (len(members), int(cent[members[0]]),
-         tuple(sorted(int(orders[x]) for x in members)),
-         tuple(sorted(int(orders[int(g.table[x, x])]) for x in members)))
-        for members in part.classes))
-    sq_of_class = tuple(sorted(
-        tuple(sorted({int(part.class_of[int(g.table[x, x])]) == 0 for x in members}))
-        for members in part.classes))
-    center_hist = tuple(sorted(int(orders[z]) for z in part.classes[0]))
-    return (
-        g.order, g.is_abelian, g.order_histogram(), center_hist,
-        tuple(sorted(part.class_sizes())), tuple(sorted(int(x) for x in csize)),
-        profile, class_prof, sq_of_class,
-    )
-
+# --- the class store: one group per isomorphism class --------------------------
 
 class Store:
     def __init__(self):
@@ -186,7 +155,7 @@ class Store:
         self.iso_calls = 0
 
     def add(self, g: FiniteGroup) -> bool:
-        fp = strong_fp(g)
+        fp = fingerprint(g)
         for other in self.buckets.get(fp, ()):
             self.iso_calls += 1
             if is_isomorphic(g, other):
@@ -534,10 +503,6 @@ def min_generators(g: FiniteGroup) -> int:
     return d
 
 
-def sort_key(g: FiniteGroup):
-    return strong_fp(g)
-
-
 def match_label(classes: list[FiniteGroup], ref: FiniteGroup) -> int:
     hits = [i for i, g in enumerate(classes)
             if g.order == ref.order and is_isomorphic(g, ref)]
@@ -645,7 +610,7 @@ def assign_labels(classes: list[FiniteGroup], order: int,
 
         def take(ids: list[int], pick):
             chosen = sorted((i for i in remaining if pick(classes[i])),
-                            key=lambda i: sort_key(classes[i]))
+                            key=lambda i: fingerprint(classes[i]))
             if len(chosen) != len(ids):
                 raise RuntimeError(f"block {ids}: {len(chosen)} classes")
             for gid, i in zip(ids, chosen):
@@ -734,7 +699,7 @@ def assign_labels64(rows) -> dict[str, tuple]:
                 out["[64,51]"] = pinned
                 ids.remove(51)
             for gid, e in zip(ids, sorted(by_rank.get(rank, []),
-                                          key=lambda e: sort_key(e[0]))):
+                                          key=lambda e: fingerprint(e[0]))):
                 out[f"[64,{gid}]"] = e
     return out
 
