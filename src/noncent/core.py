@@ -32,6 +32,7 @@ __all__ = [
     "greedy_generators",
     "row_classes",
     "table_from_action",
+    "check_table_budget",
     "fingerprint",
     "is_isomorphic",
     "all_subgroups",
@@ -39,6 +40,9 @@ __all__ = [
 
 ISO_ORDER_CAP = 512
 DEFAULT_CLOSURE_CAP = 10_000
+TABLE_BYTE_BUDGET = 256 << 20
+"""Largest int64 Cayley table built, in bytes: order 5792.  cyclic(2048)
+needs 32 MiB, elementary_abelian(2, 13) would need 512 MiB."""
 
 TRIVIAL = "trivial"
 """Marker returned by is_p_group for the order-1 group (a p-group for every p)."""
@@ -66,6 +70,14 @@ class TooLarge(ValueError):
 
 class TrivialGroup(ValueError):
     """Operation undefined on the order-1 group."""
+
+
+def check_table_budget(n: int) -> None:
+    """Raise TooLarge when an n x n int64 table would exceed TABLE_BYTE_BUDGET;
+    called before the table, or anything else of size n x n, is allocated."""
+    if 8 * n * n > TABLE_BYTE_BUDGET:
+        raise TooLarge(f"order {n} needs a {8 * n * n >> 20} MiB table, over the "
+                       f"{TABLE_BYTE_BUDGET >> 20} MiB budget")
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -498,8 +510,11 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
     The identity is relocated to index 0 by relabeling if needed.  Raises
     NotAGroup when the Latin-square, identity, inverse, or associativity
     checks fail.  Associativity is checked exactly at every order, by Light's
-    test on a generating set.
+    test on a generating set.  A sized input over the table budget raises
+    TooLarge before it is converted.
     """
+    if hasattr(rows, "__len__"):
+        check_table_budget(len(rows))
     table = np.asarray(rows, dtype=np.int64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("table is not square")
@@ -588,6 +603,7 @@ def table_from_action(act: Sequence[Sequence[int]], parent: Sequence[int],
     i * j = (i * parent[j]) * letter[j] fills the table column by column.
     """
     n = len(parent)
+    check_table_budget(n)
     act = np.asarray(act, dtype=np.int64)
     cols = np.empty((n, n), dtype=np.int64)  # cols[j] is column j
     cols[0] = np.arange(n)
@@ -640,6 +656,7 @@ def from_permutations(degree: int, generators: Sequence[Sequence[int]],
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, ordered a-major: index = i_a * |B| + i_b."""
     na, nb = a.order, b.order
+    check_table_budget(na * nb)
     ta = np.asarray(a.table, dtype=np.int64)
     tb = np.asarray(b.table, dtype=np.int64)
     table = (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(na * nb, na * nb)

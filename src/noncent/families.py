@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteGroup, from_table, direct_product, is_prime
+from .core import FiniteGroup, check_table_budget, from_table, direct_product, is_prime
 
 __all__ = [
     "cyclic",
@@ -19,13 +19,12 @@ __all__ = [
     "heisenberg",
 ]
 
-FAMILY_ORDER_CAP = 10_000
-
 
 def cyclic(n: int) -> FiniteGroup:
     """C_n as addition mod n."""
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
+    check_table_budget(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
@@ -38,8 +37,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("need k >= 1")
-    if p ** k > FAMILY_ORDER_CAP:
-        raise ValueError(f"order {p}^{k} exceeds cap {FAMILY_ORDER_CAP}")
+    check_table_budget(p ** k)
     g = cyclic(p)
     for _ in range(k - 1):
         g = direct_product(g, cyclic(p))
@@ -60,6 +58,7 @@ def dihedral(m: int) -> FiniteGroup:
     """
     if m < 2:
         raise ValueError("dihedral needs m >= 2")
+    check_table_budget(2 * m)
     fa, ia, fb, ib = _split_grid(2 * m, m)
     # (s^fa r^ia)(s^fb r^ib): pushing r^ia past s flips its sign
     table = (fa ^ fb) * m + np.where(fb == 1, ib - ia, ia + ib) % m
@@ -76,6 +75,7 @@ def generalized_quaternion(order: int) -> FiniteGroup:
     k = order.bit_length() - 1
     if order != 1 << k or k < 3:
         raise ValueError("generalized quaternion is defined for orders 2^k, k >= 3")
+    check_table_budget(order)
     m = order // 2
     half = m // 2  # b^2 = a^half
     fa, ia, fb, ib = _split_grid(order, m)
@@ -93,6 +93,7 @@ def modular_M(order: int) -> FiniteGroup:
     k = order.bit_length() - 1
     if order != 1 << k or k < 3:
         raise ValueError("modular_M is defined for orders 2^k, k >= 3")
+    check_table_budget(order)
     m = order // 2
     t = m // 2 + 1  # b a b = a^t
     fa, ia, fb, ib = _split_grid(order, m)
@@ -113,8 +114,7 @@ def heisenberg(p: int) -> FiniteGroup:
     if not is_prime(p) or p == 2:
         raise ValueError("heisenberg needs an odd prime")
     n = p ** 3
-    if n > FAMILY_ORDER_CAP:
-        raise ValueError(f"order {p}^3 exceeds cap {FAMILY_ORDER_CAP}")
+    check_table_budget(n)
     a, r = np.divmod(np.arange(n), p * p)
     b, c = np.divmod(r, p)
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]

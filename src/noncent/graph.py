@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import FiniteGroup, TooLarge
 from .analysis import beta_partition
 
@@ -52,7 +54,7 @@ class NonCentralizerGraph:
         return {v: i for i, p in enumerate(self.parts) for v in p}
 
     def edges(self):
-        """Yield edges (u, v) with u < v, ascending; quadratic, export-scale."""
+        """Yield edges (u, v), u < v ascending, pair by pair: the reference oracle for export."""
         part_of = self.part_of()
         verts = self.vertices()
         for i, u in enumerate(verts):
@@ -104,11 +106,30 @@ def export(graph: NonCentralizerGraph, fmt: str) -> str:
     if fmt == "dot":
         return _export_dot(graph)
     if fmt == "edge-list":
-        return "".join(f"{u} {v}\n" for u, v in graph.edges())
+        return _edge_text(graph, "", " ", "\n")
     if fmt == "parts-json":
         payload = {"parts": [list(p) for p in graph.parts], "induced": graph.induced}
         return json.dumps(payload, separators=(", ", ": ")) + "\n"
     raise UnknownFormat(f"unknown export format: {fmt!r}")
+
+
+def _edge_text(graph: NonCentralizerGraph, pre: str, mid: str, end: str) -> str:
+    """Every edge (u, v), u < v ascending, written as pre + u + mid + v + end.
+
+    Row by row: u's later neighbours are the later vertices in other parts,
+    picked by one mask, and the row is one str.join.
+    """
+    part_of = graph.part_of()
+    verts = graph.vertices()
+    part = np.array([part_of[v] for v in verts], dtype=np.int64)
+    names = np.array([str(v) for v in verts], dtype=object)
+    rows = []
+    for i in range(names.size - 1):
+        vs = names[i + 1:][part[i + 1:] != part[i]]
+        if vs.size:
+            head = f"{pre}{names[i]}{mid}"
+            rows.append(head + (end + head).join(vs.tolist()) + end)
+    return "".join(rows)
 
 
 def _export_dot(graph: NonCentralizerGraph) -> str:
@@ -119,7 +140,4 @@ def _export_dot(graph: NonCentralizerGraph) -> str:
         for v in p:
             lines.append(f'    n{v} [label="{graph.labels[v]}"];')
         lines.append("  }")
-    for u, v in graph.edges():
-        lines.append(f"  n{u} -- n{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _edge_text(graph, "  n", " -- n", ";\n") + "}\n"

@@ -22,7 +22,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .core import FiniteGroup, from_table, table_from_action
+from .core import FiniteGroup, check_table_budget, from_table, table_from_action
 
 __all__ = [
     "ParseError",
@@ -400,6 +400,7 @@ def _lookahead(ct: _CosetTable, rel_letters: list[list[int]]):
 
 
 def _table_to_group(ct: _CosetTable, pres: Presentation) -> FiniteGroup:
+    check_table_budget(ct.live_count())
     # renumber live cosets in BFS discovery order from coset 0
     # and record the action of each letter on the renumbered cosets
     start = ct.rep(0)

@@ -53,6 +53,12 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "no-such-family:4")
         assert code == 2 and "error" in err
 
+    def test_over_table_budget(self, capsys):
+        # elem:2:13 passes the family order cap but needs a 512 MiB table
+        code, out, err = run_cli(capsys, "analyze", "elem:2:13")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+
     def test_multi_entry_file_needs_label(self, capsys):
         code, _, err = run_cli(capsys, "analyze", catalog.shipped_path("order8.cat"))
         assert code == 2 and "#LABEL" in err

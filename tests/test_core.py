@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from noncent import core, families
+from noncent import core, families, presentation
 from noncent.core import (TRIVIAL, ClosureExceeded, NotAGroup, NotNormal,
                           TooLarge, TrivialGroup, all_subgroups,
                           direct_product, from_permutations, from_table,
@@ -240,6 +241,53 @@ class TestDirectProduct:
                 continue
             prod = direct_product(a, b)
             assert prod.center().size == a.center().size * b.center().size, label
+
+
+class TestTableBudget:
+    N = 1024  # an 8 MiB table; the budget below admits order 362 at most
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "TABLE_BYTE_BUDGET", 1 << 20)
+
+    def test_boundary(self, small_budget):
+        core.check_table_budget(362)
+        with pytest.raises(TooLarge, match="budget"):
+            core.check_table_budget(363)
+
+    def test_default_admits_the_largest_input_in_use(self):
+        core.check_table_budget(2048)
+        with pytest.raises(TooLarge):
+            core.check_table_budget(2 ** 13)
+
+    def test_raises_before_any_table_is_allocated(self, small_budget):
+        n = self.N
+        c32 = families.cyclic(32)
+        act = [[(i + 1) % n for i in range(n)]]
+        parent, letter = [0] + list(range(n - 1)), [0] * n
+        narrow = np.zeros((n, n), dtype=np.int32)  # from_table would widen it to int64
+        pres = presentation.parse(f"< a | a^{n} >")
+        sites = {
+            "table_from_action": lambda: core.table_from_action(act, parent, letter),
+            "cyclic": lambda: families.cyclic(n),
+            "elementary_abelian": lambda: families.elementary_abelian(2, 10),
+            "dihedral": lambda: families.dihedral(n // 2),
+            "generalized_quaternion": lambda: families.generalized_quaternion(n),
+            "modular_M": lambda: families.modular_M(n),
+            "heisenberg": lambda: families.heisenberg(11),
+            "direct_product": lambda: direct_product(c32, c32),
+            "from_table": lambda: from_table(narrow),
+            "presentation": lambda: presentation.enumerate_presentation(pres),
+        }
+        for name, build in sites.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(TooLarge):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8 // 16, (name, peak)
 
 
 class TestIsomorphism:

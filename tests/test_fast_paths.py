@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from noncent import analysis, checks, core, families, presentation
+from noncent import analysis, checks, core, families, graph, presentation
 from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import enumerate_presentation, parse
 
@@ -428,6 +428,23 @@ def slow_is_isomorphic(a, b):
         return False
 
     return search(0, {0: 0}, {0})
+
+
+def slow_export(graph, fmt):
+    """edge-list and dot written one pair at a time from graph.edges()."""
+    if fmt == "edge-list":
+        return "".join(f"{u} {v}\n" for u, v in graph.edges())
+    lines = ["graph noncentralizer {"]
+    for i, p in enumerate(graph.parts):
+        lines.append(f"  subgraph cluster_{i} {{")
+        lines.append(f'    label="part {i}";')
+        for v in p:
+            lines.append(f'    n{v} [label="{graph.labels[v]}"];')
+        lines.append("  }")
+    for u, v in graph.edges():
+        lines.append(f"  n{u} -- n{v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def abelian_groups(max_order):
@@ -996,3 +1013,41 @@ class TestFingerprints:
         assert verdicts == [slow_is_isomorphic(a, b) for a, b in pairs]
         assert verdicts == [True] * len(copies) + [False] * len(distinct)
         assert len(distinct) == 2366
+
+
+# --- row-joined graph export -----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def export_corpus(shipped_groups, small_corpus):
+    """Shipped and hand-built groups, a relabeled copy of each (so parts
+    interleave indices), S6 and the D512 presentation."""
+    rng = np.random.default_rng(29)
+    corpus = [*shipped_groups, *small_corpus]
+    corpus += [(f"{label} relabeled", from_table(relabeled(g, rng))) for label, g in corpus]
+    corpus.append(("S6", from_permutations(6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]])))
+    corpus.append(("D512", enumerate_presentation(parse("< r, s | r^256, s^2, s*r*s*r >"))))
+    return corpus
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "dot"])
+class TestRowExport:
+    @pytest.mark.parametrize("induced", [False, True])
+    def test_matches_pair_loop(self, export_corpus, fmt, induced):
+        for label, g in export_corpus:
+            built = graph.build_graph(g, induced)
+            assert graph.export(built, fmt) == slow_export(built, fmt), label
+
+    def test_edge_cases(self, fmt):
+        trivial, abelian = families.cyclic(1), families.cyclic(6)
+        cases = {
+            "trivial": graph.build_graph(trivial),
+            "trivial induced": graph.build_graph(trivial, True),
+            "abelian induced, no vertices": graph.build_graph(abelian, True),
+            "abelian, one part": graph.build_graph(abelian),
+        }
+        assert cases["abelian induced, no vertices"].vertex_count == 0
+        assert len(cases["abelian, one part"].parts) == 1
+        for name, built in cases.items():
+            out = graph.export(built, fmt)
+            assert out == slow_export(built, fmt), name
+            assert fmt == "dot" or out == "", name

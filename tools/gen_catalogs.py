@@ -13,7 +13,10 @@ Labels follow the standard small-group numbering.  Structurally forced
 identifications (abelian types, maximal-class families, extraspecial groups,
 named products) are pinned by explicit reference constructions; remaining
 labels within a structure block are assigned in the order of the isomorphism
-invariant `noncent.core.fingerprint`, which the shipped annotations document.
+invariant `noncent.core.fingerprint`.  The sort is stable and the invariant
+does not separate every block: groups with equal fingerprints, such as
+[32,27]/[32,28], [32,8]/[32,9]/[32,10], [64,73]-[64,80] and [64,232]/[64,233],
+keep the order in which the extension enumeration found them.
 
 Usage: python tools/gen_catalogs.py
 """
@@ -668,7 +671,8 @@ def assign_labels64(rows) -> dict[str, tuple]:
     """Names for the Table-1 order-64 rows.
 
     The modular group M(64) is pinned; remaining ids fill their generator-rank
-    blocks in deterministic invariant order (documented in the catalog)."""
+    blocks in fingerprint order, ties in enumeration order (see the module
+    docstring)."""
     id_blocks = {
         48: {2: [3, 17, 27, 29, 44, 51], 3: [57, 86, 112, 185]},
         56: {3: [73, 74, 75, 76, 77, 78, 79, 80, 81, 82]},
