@@ -507,15 +507,18 @@ def _find_identity(table: np.ndarray) -> int:
 def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> FiniteGroup:
     """Build a validated FiniteGroup from a multiplication table.
 
-    The identity is relocated to index 0 by relabeling if needed.  Raises
-    NotAGroup when the Latin-square, identity, inverse, or associativity
-    checks fail.  Associativity is checked exactly at every order, by Light's
-    test on a generating set.  A sized input over the table budget raises
-    TooLarge before it is converted.
+    Checks, in order: square, non-empty, entries in range, a two-sided
+    identity (relocated to index 0 by relabeling), the label count, exact
+    associativity by Light's test on a generating set, two-sided inverses;
+    NotAGroup names the first that fails.  A table passing them all is a group
+    and so a Latin square: the Latin-square check runs only on a rejected
+    table, whose first row, then column, that is not a permutation is named
+    instead.  A sized input over the table budget raises TooLarge before it
+    is converted.
     """
     if hasattr(rows, "__len__"):
         check_table_budget(len(rows))
-    table = np.asarray(rows, dtype=np.int64)
+    table = np.ascontiguousarray(rows, dtype=np.int64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("table is not square")
     n = table.shape[0]
@@ -524,30 +527,27 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
     if table.min() < 0 or table.max() >= n:
         raise NotAGroup("table entries out of range")
 
-    idx = np.arange(n)
-    if not (np.sort(table, axis=1) == idx).all():
-        bad = int(np.flatnonzero(~(np.sort(table, axis=1) == idx).all(axis=1))[0])
-        raise NotAGroup(f"row {bad} is not a permutation of 0..{n - 1}")
-    if not (np.sort(table, axis=0) == idx[:, None]).all():
-        bad = int(np.flatnonzero(~(np.sort(table, axis=0) == idx[:, None]).all(axis=0))[0])
-        raise NotAGroup(f"column {bad} is not a permutation of 0..{n - 1}")
-
-    e = _find_identity(table)
-    if labels is None:
-        labels = [f"g{i}" for i in range(n)]
-    labels = list(labels)
-    if len(labels) != n:
-        raise NotAGroup("label count does not match order")
-    if e != 0:
-        # swap indices 0 and e; the swap is its own inverse
-        perm = idx.copy()
-        perm[e], perm[0] = 0, e
-        table = perm[table[np.ix_(perm, perm)]]
-        labels[0], labels[e] = labels[e], labels[0]
-
-    _check_associativity(table)
-    _check_inverses(table)
-    return FiniteGroup(table, labels)
+    try:
+        e = _find_identity(table)
+        labels = [f"g{i}" for i in range(n)] if labels is None else list(labels)
+        if len(labels) != n:
+            raise NotAGroup("label count does not match order")
+        group = table
+        if e != 0:
+            # swap indices 0 and e; the swap is its own inverse
+            perm = np.arange(n)
+            perm[e], perm[0] = 0, e
+            group = perm[table[np.ix_(perm, perm)]]
+            labels[0], labels[e] = labels[e], labels[0]
+        _check_associativity(group)
+        _check_inverses(group)
+    except NotAGroup:
+        for name, t in (("row", table), ("column", table.T)):
+            ok = (np.sort(t, axis=1) == np.arange(n)).all(axis=1)
+            if not ok.all():
+                raise NotAGroup(f"{name} {int(np.argmin(ok))} is not a permutation of 0..{n - 1}")
+        raise
+    return FiniteGroup(group, labels)
 
 
 def greedy_generators(table: np.ndarray, rank: Optional[np.ndarray] = None) -> list[int]:
@@ -585,13 +585,17 @@ def _check_associativity(table: np.ndarray) -> None:
 
     Exact: the g that pass are closed under products, and every element is a
     left-nested product of generators (table has its identity at index 0).
+    Rows x go 64 at a time, so each side of a block is a gather into a
+    small array that stays in cache, not an n x n temporary.
     """
     for g in greedy_generators(table):
-        left = table[table, g]          # (x*y)*g
-        right = table[:, table[:, g]]   # x*(y*g)
-        if not (left == right).all():
-            x, y = np.argwhere(left != right)[0]
-            raise NotAGroup(f"associativity fails at ({int(x)},{int(y)},{g})")
+        col = table[:, g].copy()        # y*g for every y
+        for s in range(0, len(table), 64):
+            rows = table[s:s + 64]
+            bad = col.take(rows) != rows.take(col, axis=1)  # (x*y)*g != x*(y*g)
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                raise NotAGroup(f"associativity fails at ({s + int(x)},{int(y)},{g})")
 
 
 def table_from_action(act: Sequence[Sequence[int]], parent: Sequence[int],

@@ -26,7 +26,8 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValueError("cyclic order must be >= 1")
     check_table_budget(n)
     idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    table = idx[:, None] + idx
+    table[table >= n] -= n
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
     return from_table(table, labels[:n])
 

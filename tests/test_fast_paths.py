@@ -26,6 +26,56 @@ def slow_associativity_failure(table):
     return None
 
 
+def slow_from_table_error(rows, labels=None):
+    """(message, table) of the validation that sorted every row and column
+    before anything else and ran Light's test on whole n x n gathers: the
+    NotAGroup message, or None if the table is accepted, and the table its
+    associativity triple indexes (identity relocated to 0)."""
+    table = np.asarray(rows, dtype=np.int64)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        return "table is not square", table
+    n = table.shape[0]
+    if n == 0:
+        return "empty table", table
+    if table.min() < 0 or table.max() >= n:
+        return "table entries out of range", table
+
+    idx = np.arange(n)
+    if not (np.sort(table, axis=1) == idx).all():
+        bad = int(np.flatnonzero(~(np.sort(table, axis=1) == idx).all(axis=1))[0])
+        return f"row {bad} is not a permutation of 0..{n - 1}", table
+    if not (np.sort(table, axis=0) == idx[:, None]).all():
+        bad = int(np.flatnonzero(~(np.sort(table, axis=0) == idx[:, None]).all(axis=0))[0])
+        return f"column {bad} is not a permutation of 0..{n - 1}", table
+
+    for e in range(n):
+        if (table[e] == idx).all() and (table[:, e] == idx).all():
+            break
+    else:
+        return "no two-sided identity element", table
+    if labels is None:
+        labels = [f"g{i}" for i in range(n)]
+    labels = list(labels)
+    if len(labels) != n:
+        return "label count does not match order", table
+    if e != 0:
+        perm = idx.copy()
+        perm[e], perm[0] = 0, e
+        table = perm[table[np.ix_(perm, perm)]]
+
+    for g in core.greedy_generators(table):
+        left = table[table, g]
+        right = table[:, table[:, g]]
+        if not (left == right).all():
+            x, y = np.argwhere(left != right)[0]
+            return f"associativity fails at ({int(x)},{int(y)},{g})", table
+
+    right = np.argmin(table != 0, axis=1)
+    if not (table[idx, right] == 0).all() or not (table[right, idx] == 0).all():
+        return "an element lacks a two-sided inverse", table
+    return None, table
+
+
 def slow_from_permutations(degree, gens):
     """Table and labels by BFS closure plus a double loop over element pairs."""
     gens = [tuple(g) for g in gens]
@@ -574,6 +624,156 @@ class TestLightAssociativity:
     def test_greedy_generators_match_subgroup_closure(self, small_corpus):
         for label, g in small_corpus:
             assert core.greedy_generators(g.table) == slow_greedy_generators(g), label
+
+
+def assert_same_verdict(rows, labels=None):
+    """from_table accepts exactly what the oracle accepts, with the same
+    message; an associativity triple only has to be a true failure."""
+    expected, table = slow_from_table_error(rows, labels)
+    try:
+        g = from_table(rows, labels)
+    except NotAGroup as exc:
+        assert expected is not None, str(exc)
+        if expected.startswith("associativity"):
+            assert str(exc).startswith("associativity fails at ")
+            assert_triple_fails(table, named_triple(exc))
+        else:
+            assert str(exc) == expected
+        return False
+    assert expected is None, expected
+    assert (g.table == table).all()
+    return True
+
+
+def cyclic_square(m):
+    """C_m x C_m with (a, b) at index m*a + b."""
+    a, b = np.divmod(np.arange(m * m), m)
+    return m * ((a[:, None] + a) % m) + (b[:, None] + b) % m
+
+
+def identity_moved(table, rng):
+    """table under a random relabeling that moves index 0 elsewhere (n > 1)."""
+    n = table.shape[0]
+    perm = rng.permutation(n)
+    if perm[0] == 0:
+        perm[[0, 1]] = perm[[1, 0]]
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def corrupted(table, rng):
+    """Copies of a table with identity row and column 0 that are not Latin
+    squares: one entry changed, one row repeated, and two entries of a row
+    swapped (every row still a permutation, two columns not)."""
+    n = table.shape[0]
+    i, k = 1 + rng.choice(n - 1, size=2, replace=False)
+    a, b = 1 + rng.choice(n - 1, size=2, replace=False)
+    entry = table.copy()
+    entry[i, a] = (entry[i, a] + 1 + rng.integers(n - 1)) % n
+    row = table.copy()
+    row[k, 1:] = row[i, 1:]
+    swap = table.copy()
+    swap[k, [a, b]] = swap[k, [b, a]]
+    return entry, row, swap
+
+
+class TestReorderedValidation:
+    def test_random_latin_squares(self):
+        rng = np.random.default_rng(9)
+        verdicts = set()
+        for n in range(1, 10):
+            for _ in range(6):
+                table = random_latin_square(n, rng)
+                verdicts.add(assert_same_verdict(table))
+                if n > 1:
+                    verdicts.add(assert_same_verdict(identity_moved(table, rng)))
+        assert verdicts == {True, False}
+
+    def test_corrupted_tables(self, small_corpus):
+        rng = np.random.default_rng(11)
+        messages = set()
+        for label, g in small_corpus[1:]:
+            for bad in corrupted(np.array(g.table, dtype=np.int64), rng):
+                assert not assert_same_verdict(bad), label
+                assert not assert_same_verdict(bad.T), label
+                assert not assert_same_verdict(identity_moved(bad, rng)), label
+                messages.add(slow_from_table_error(bad)[0].split()[0])
+        assert messages == {"row", "column"}
+
+    @pytest.mark.parametrize("n", [2, 5, 100])
+    def test_associative_tables_without_inverses(self, n):
+        # monoids with identity 0 pass Light's test and fail only on inverses:
+        # max(x, y), and x*y = n-1 for x, y > 0
+        rng = np.random.default_rng(29)
+        idx = np.arange(n)
+        null = np.full((n, n), n - 1)
+        null[0], null[:, 0] = idx, idx
+        for table in (np.maximum.outer(idx, idx), null):
+            assert core.greedy_generators(table) and slow_associativity_failure(table) is None
+            assert not assert_same_verdict(table)
+            assert not assert_same_verdict(identity_moved(table, rng))
+
+    def test_relabeled_groups_with_the_identity_moved(self, small_corpus):
+        rng = np.random.default_rng(13)
+        for label, g in small_corpus:
+            table = np.array(g.table, dtype=np.int64)
+            moved = identity_moved(table, rng) if g.order > 1 else table
+            labels = [f"x{i}" for i in range(g.order)]
+            assert assert_same_verdict(moved, labels), label
+            e = int(np.flatnonzero((moved == np.arange(g.order)).all(axis=1))[0])
+            swapped = labels.copy()
+            swapped[0], swapped[e] = labels[e], labels[0]
+            assert from_table(moved, labels).labels == tuple(swapped), label
+
+    def test_wrong_label_counts(self, small_corpus):
+        rng = np.random.default_rng(17)
+        for label, g in small_corpus[1:]:
+            table = np.array(g.table, dtype=np.int64)
+            for rows in (table, identity_moved(table, rng), *corrupted(table, rng)):
+                for count in (g.order - 1, g.order + 1):
+                    assert not assert_same_verdict(rows, ["x"] * count), label
+
+    def test_transposed_inputs(self, small_corpus):
+        rng = np.random.default_rng(19)
+        verdicts = set()
+        for label, g in small_corpus:
+            table = np.array(g.table, dtype=np.int64)
+            for rows in (table.T, np.asfortranarray(table), random_latin_square(g.order, rng).T):
+                assert not rows.flags.c_contiguous or g.order == 1
+                verdicts.add(assert_same_verdict(rows))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("make", [
+        lambda: cyclic_square(10),
+        lambda: families.cyclic(100).table,
+        lambda: families.cyclic(125).table,
+        lambda: families.heisenberg(5).table,
+    ], ids=["C10xC10", "C100", "C125", "H125"])
+    def test_orders_with_a_partial_last_block(self, make):
+        rng = np.random.default_rng(23)
+        table = np.array(make(), dtype=np.int64)
+        n = table.shape[0]
+        assert n > 64 and n % 64
+        assert assert_same_verdict(table)
+        assert assert_same_verdict(identity_moved(table, rng))
+        assert not assert_same_verdict(random_latin_square(n, rng))
+        for bad in corrupted(table, rng):
+            assert not assert_same_verdict(bad)
+
+    def test_intercalate_in_the_partial_last_block(self):
+        # C10 x C10 has the intercalate rows {70, 75} x columns {2, 7}; the
+        # greedy generators 1 and 10 miss those columns, so only rows 70 and
+        # 75, in the last block of 36 rows, see the swap
+        table = cyclic_square(10)
+        r, c = np.ix_([70, 75], [2, 7])
+        assert (table[r, c] == [[72, 77], [77, 72]]).all()
+        table[r, c] = table[r, c][:, ::-1]
+        assert core.greedy_generators(table) == [1, 10]
+        assert not assert_same_verdict(table)
+        with pytest.raises(NotAGroup, match="associativity") as info:
+            from_table(table)
+        assert named_triple(info.value)[0] in (70, 75)
 
 
 # --- table builders -------------------------------------------------------------
