@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -513,8 +513,9 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
     NotAGroup names the first that fails.  A table passing them all is a group
     and so a Latin square: the Latin-square check runs only on a rejected
     table, whose first row, then column, that is not a permutation is named
-    instead.  A sized input over the table budget raises TooLarge before it
-    is converted.
+    instead.  Rejecting costs O(n^2 log n): Light's test stops past log2(n)
+    generators, which no group needs.  A sized input over the table budget
+    raises TooLarge before it is converted.
     """
     if hasattr(rows, "__len__"):
         check_table_budget(len(rows))
@@ -558,6 +559,12 @@ def greedy_generators(table: np.ndarray, rank: Optional[np.ndarray] = None) -> l
     In a finite group the right closure is the generated subgroup, so this is
     the "first element outside <gens>" sequence.
     """
+    return list(_greedy_sequence(table, rank))
+
+
+def _greedy_sequence(table: np.ndarray, rank: Optional[np.ndarray] = None) -> Iterator[int]:
+    """greedy_generators one at a time: each closure runs only when the next
+    generator is asked for."""
     n = table.shape[0]
     rank = np.arange(n) if rank is None else rank
     reached = np.zeros(n, dtype=bool)
@@ -566,8 +573,8 @@ def greedy_generators(table: np.ndarray, rank: Optional[np.ndarray] = None) -> l
     while not reached.all():
         left = np.flatnonzero(~reached)
         gens.append(int(left[np.argmin(rank[left])]))
+        yield gens[-1]
         _right_closure(table, reached, gens)
-    return gens
 
 
 def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
@@ -585,12 +592,19 @@ def _check_associativity(table: np.ndarray) -> None:
 
     Exact: the g that pass are closed under products, and every element is a
     left-nested product of generators (table has its identity at index 0).
-    Rows x go 64 at a time, so each side of a block is a gather into a
-    small array that stays in cache, not an n x n temporary.
+    Each generator is tested before the next is searched for, and the search
+    stops past log2(n) generators: in a Latin square the k that passed would
+    generate a proper subgroup of at least 2^k > n/2 elements, a subsquare no
+    Latin square has, so from_table then names a row or column.  Rows x go
+    64 at a time, so each side of a block is a gather into a small array
+    that stays in cache, not an n x n temporary.
     """
-    for g in greedy_generators(table):
+    n = len(table)
+    for k, g in enumerate(_greedy_sequence(table)):
+        if k == n.bit_length() - 1:
+            raise NotAGroup(f"more than {k} greedy generators")
         col = table[:, g].copy()        # y*g for every y
-        for s in range(0, len(table), 64):
+        for s in range(0, n, 64):
             rows = table[s:s + 64]
             bad = col.take(rows) != rows.take(col, axis=1)  # (x*y)*g != x*(y*g)
             if bad.any():

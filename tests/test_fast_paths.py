@@ -714,6 +714,34 @@ class TestReorderedValidation:
             assert not assert_same_verdict(table)
             assert not assert_same_verdict(identity_moved(table, rng))
 
+    @pytest.mark.parametrize("kind", ["max", "null", "null moved"])
+    def test_non_latin_monoid_stops_past_log2_generators(self, kind, monkeypatch):
+        # these monoids of order 1024 pass Light's test for every generator
+        # and need about n greedy generators, where a group needs at most
+        # log2(n) = 10; the search must stop there, not after n closures
+        n = 1024
+        idx = np.arange(n)
+        table = np.full((n, n), n - 1)
+        table[0], table[:, 0] = idx, idx
+        if kind == "max":
+            table = np.maximum.outer(idx, idx)
+        elif kind == "null moved":
+            table = identity_moved(table, np.random.default_rng(31))
+        expected = slow_from_table_error(table)[0]
+        assert expected.split()[0] in ("row", "column")
+        closure = core._right_closure
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 10, "generator search ran past log2(n) generators"
+            closure(*args)
+
+        monkeypatch.setattr(core, "_right_closure", counted)
+        with pytest.raises(NotAGroup) as info:
+            from_table(table)
+        assert str(info.value) == expected
+
     def test_relabeled_groups_with_the_identity_moved(self, small_corpus):
         rng = np.random.default_rng(13)
         for label, g in small_corpus:
