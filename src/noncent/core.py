@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -569,12 +570,19 @@ def _greedy_sequence(table: np.ndarray, rank: Optional[np.ndarray] = None) -> It
     rank = np.arange(n) if rank is None else rank
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    gens: list[int] = []
+    steps: list[int] = []  # the generators so far and their powers g^(2^i)
     while not reached.all():
         left = np.flatnonzero(~reached)
-        gens.append(int(left[np.argmin(rank[left])]))
-        yield gens[-1]
-        _right_closure(table, reached, gens)
+        g = int(left[np.argmin(rank[left])])
+        yield g
+        # the powers lie in <g> but cut the closure of a cyclic subgroup of
+        # order m from m rounds to about log2(m)
+        for _ in range(n.bit_length()):
+            steps.append(g)
+            g = int(table[g, g])
+            if g == 0 or g in steps:
+                break
+        _right_closure(table, reached, steps)
 
 
 def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
@@ -590,8 +598,12 @@ def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
 def _check_associativity(table: np.ndarray) -> None:
     """Light's test: (x*y)*g = x*(y*g) for all x, y and each generator g.
 
-    Exact: the g that pass are closed under products, and every element is a
+    Exact: the g that pass are closed under products ((xy)(ab) = ((xy)a)b =
+    (x(ya))b = x((ya)b) = x(y(ab)) when a and b pass), and every element is a
     left-nested product of generators (table has its identity at index 0).
+    A generator's closure runs only after it passed, so the powers
+    _greedy_sequence feeds it pass too, and x*g^(2^(i+1)) = (x*g^(2^i))*g^(2^i)
+    reaches nothing that g alone would not.
     Each generator is tested before the next is searched for, and the search
     stops past log2(n) generators: in a Latin square the k that passed would
     generate a proper subgroup of at least 2^k > n/2 elements, a subsquare no
@@ -650,25 +662,29 @@ def from_permutations(degree: int, generators: Sequence[Sequence[int]],
         if sorted(t) != list(range(degree)):
             raise ValueError(f"generator {g!r} is not a permutation of 0..{degree - 1}")
         gens.append(t)
+    # step(cur) is cur applied after g; below degree 2 every g is the
+    # identity, and itemgetter would return a scalar or refuse no indices
+    steps = [itemgetter(*g) if degree > 1 else tuple for g in gens]
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
     act: list[list[int]] = [[] for _ in gens]
     parent, letter = [0], [0]
     for i, cur in enumerate(elems):  # elems grows while walked: a BFS queue
-        for x, g in enumerate(gens):
-            nxt = tuple(cur[k] for k in g)  # cur applied after g
-            if nxt not in index:
+        for x, step in enumerate(steps):
+            nxt = step(cur)
+            k = index.get(nxt)
+            if k is None:
                 if len(elems) >= cap:
                     raise ClosureExceeded(cap)
-                index[nxt] = len(elems)
+                k = index[nxt] = len(elems)
                 elems.append(nxt)
                 parent.append(i)
                 letter.append(x)
-            act[x].append(index[nxt])
-    table = table_from_action(act, parent, letter)
-    labels = ["".join(str(x) if degree <= 10 else f"{x}," for x in el) for el in elems]
-    return from_table(table, labels)
+            act[x].append(k)
+    sep = "" if degree <= 10 else ","
+    labels = [sep.join(map(str, el)) + sep for el in elems]
+    return from_table(table_from_action(act, parent, letter), labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

@@ -11,9 +11,13 @@ Grammar (whitespace insensitive):
     factor       := atom ('^' integer)?         (integer may be negative)
     atom         := ident | '(' word ')' | '1'  ('1' is the empty word)
 
-Enumeration is plain HLT with a single lookahead pass at the coset cap and
-path-compressed coincidence merging; the final table is renumbered to BFS
-discovery order so identical input text always yields an identical group.
+Enumeration is plain HLT with a single lookahead pass at the coset cap.
+Coincidences merge through a union-find that only the coincidence routine
+and the final compaction consult: it leaves no live row pointing at a dead
+coset (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+section 5.1), so relator scans follow row entries directly.  The final table
+is renumbered to BFS discovery order so identical input text always yields an
+identical group.
 """
 
 from __future__ import annotations
@@ -237,11 +241,12 @@ def _letters(word: Word) -> list[int]:
     return out
 
 
-def _inv_letter(x: int) -> int:
-    return x ^ 1
-
-
 class _CosetTable:
+    """Coset table plus union-find over coset numbers; the smaller number
+    survives a merge, so coset 0 stays live.  Each entry is set with its
+    inverse, and coincidence() clears the inverse of every entry of a dead
+    row, so between calls no live row points at a dead coset."""
+
     def __init__(self, ngens: int, max_cosets: int):
         self.width = 2 * ngens
         self.max_cosets = max_cosets
@@ -249,15 +254,11 @@ class _CosetTable:
         self.p = [0]
         self.queue: list[int] = []
 
-    # union-find over coset numbers; smaller representative wins
     def rep(self, k: int) -> int:
         while self.p[k] != k:
             self.p[k] = self.p[self.p[k]]
             k = self.p[k]
         return k
-
-    def is_live(self, k: int) -> bool:
-        return self.p[k] == k
 
     def live_count(self) -> int:
         return sum(1 for i in range(len(self.p)) if self.p[i] == i)
@@ -269,7 +270,7 @@ class _CosetTable:
         self.rows.append([None] * self.width)
         self.p.append(beta)
         self.rows[alpha][x] = beta
-        self.rows[beta][_inv_letter(x)] = alpha
+        self.rows[beta][x ^ 1] = alpha
         return beta
 
     def _merge(self, a: int, b: int):
@@ -281,54 +282,51 @@ class _CosetTable:
         self.queue.append(hi)
 
     def coincidence(self, alpha: int, beta: int):
+        rows = self.rows
         self._merge(alpha, beta)
-        i = 0
-        while i < len(self.queue):
-            y = self.queue[i]
-            i += 1
-            for x in range(self.width):
-                delta = self.rows[y][x]
+        for y in self.queue:  # grows while walked
+            for x, delta in enumerate(rows[y]):
                 if delta is None:
                     continue
-                self.rows[delta][_inv_letter(x)] = None
+                rows[delta][x ^ 1] = None
                 mu, nu = self.rep(y), self.rep(delta)
-                if self.rows[mu][x] is not None:
-                    self._merge(nu, self.rows[mu][x])
-                elif self.rows[nu][_inv_letter(x)] is not None:
-                    self._merge(mu, self.rows[nu][_inv_letter(x)])
+                if rows[mu][x] is not None:
+                    self._merge(nu, rows[mu][x])
+                elif rows[nu][x ^ 1] is not None:
+                    self._merge(mu, rows[nu][x ^ 1])
                 else:
-                    self.rows[mu][x] = nu
-                    self.rows[nu][_inv_letter(x)] = mu
+                    rows[mu][x] = nu
+                    rows[nu][x ^ 1] = mu
         self.queue.clear()
 
-    def scan_and_fill(self, alpha: int, letters: list[int], fill: bool = True):
-        # rows of live cosets may hold stale pointers to dead cosets, so every
-        # traversal step re-resolves through the union-find
-        if not letters:
-            return
-        f, i = alpha, 0
-        b, j = alpha, len(letters) - 1
-        while True:
-            while i <= j and self.rows[f][letters[i]] is not None:
-                f = self.rep(self.rows[f][letters[i]])
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and self.rows[b][_inv_letter(letters[j])] is not None:
-                b = self.rep(self.rows[b][_inv_letter(letters[j])])
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                self.rows[f][letters[i]] = b
-                self.rows[b][_inv_letter(letters[i])] = f
-                return
-            if not fill:
-                return
-            self.define(f, letters[i])
+    def scan_relators(self, alpha: int, rel_letters: list[list[int]], fill: bool = True) -> bool:
+        """Scan every relator at the live coset alpha, defining cosets to
+        complete each scan when fill is set; False once alpha has died."""
+        rows, p = self.rows, self.p
+        for letters in rel_letters:
+            f, i = alpha, 0
+            b, j = alpha, len(letters) - 1
+            while True:
+                while i <= j and (nxt := rows[f][letters[i]]) is not None:
+                    f = nxt
+                    i += 1
+                while j >= i and (nxt := rows[b][letters[j] ^ 1]) is not None:
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    if f != b:
+                        self.coincidence(f, b)
+                    break
+                if j == i:
+                    rows[f][letters[i]] = b
+                    rows[b][letters[i] ^ 1] = f
+                    break
+                if not fill:
+                    break
+                self.define(f, letters[i])
+            if p[alpha] != alpha:
+                return False
+        return True
 
     def compact(self):
         """Drop dead cosets and renumber the survivors contiguously."""
@@ -360,17 +358,14 @@ def enumerate_presentation(pres: Presentation, max_cosets: int | None = None) ->
 
     alpha = 0
     while alpha < len(ct.rows):
-        if not ct.is_live(alpha):
+        if ct.p[alpha] != alpha:
             alpha += 1
             continue
         try:
-            for letters in rel_letters:
-                ct.scan_and_fill(alpha, letters)
-                if not ct.is_live(alpha):
-                    break
-            if ct.is_live(alpha):
+            if ct.scan_relators(alpha, rel_letters):
+                row = ct.rows[alpha]
                 for x in range(ct.width):
-                    if ct.rows[alpha][x] is None:
+                    if row[x] is None:
                         ct.define(alpha, x)
         except CosetLimitExceeded:
             if tried_lookahead:
@@ -391,44 +386,30 @@ def _lookahead(ct: _CosetTable, rel_letters: list[list[int]]):
     """Scan every live coset against every relator without defining, to flush
     coincidences before giving up."""
     for alpha in range(len(ct.rows)):
-        if not ct.is_live(alpha):
-            continue
-        for letters in rel_letters:
-            ct.scan_and_fill(alpha, letters, fill=False)
-            if not ct.is_live(alpha):
-                break
+        if ct.p[alpha] == alpha:
+            ct.scan_relators(alpha, rel_letters, fill=False)
 
 
 def _table_to_group(ct: _CosetTable, pres: Presentation) -> FiniteGroup:
     check_table_budget(ct.live_count())
-    # renumber live cosets in BFS discovery order from coset 0
+    # renumber live cosets in BFS discovery order from coset 0 (always live)
     # and record the action of each letter on the renumbered cosets
-    start = ct.rep(0)
-    order: list[int] = [start]
-    number = {start: 0}
-    words: list[list[int]] = [[]]
+    names = [g + inv for g in pres.generators for inv in ("", "^-1")]
+    order: list[int] = [0]
+    number = {0: 0}
+    labels = ["e"]
     act: list[list[int]] = [[] for _ in range(ct.width)]
     parent, letter = [0], [0]
     for i, cur in enumerate(order):  # order grows while walked: a BFS queue
-        for x in range(ct.width):
-            nxt = ct.rows[cur][x]
-            if nxt is None:
-                raise CosetLimitExceeded(ct.max_cosets)  # incomplete table: not closed
-            nxt = ct.rep(nxt)
-            if nxt not in number:
-                number[nxt] = len(order)
+        for x, nxt in enumerate(ct.rows[cur]):
+            k = number.get(nxt)
+            if k is None:
+                if nxt is None:
+                    raise CosetLimitExceeded(ct.max_cosets)  # incomplete table: not closed
+                k = number[nxt] = len(order)
                 order.append(nxt)
-                words.append(words[i] + [x])
+                labels.append(f"{labels[i]}*{names[x]}" if i else names[x])
                 parent.append(i)
                 letter.append(x)
-            act[x].append(number[nxt])
-    table = table_from_action(act, parent, letter)
-
-    labels = []
-    for w in words:
-        if not w:
-            labels.append("e")
-        else:
-            labels.append("*".join(pres.generators[x // 2] + ("" if x % 2 == 0 else "^-1")
-                                   for x in w))
-    return from_table(table, labels)
+            act[x].append(k)
+    return from_table(table_from_action(act, parent, letter), labels)

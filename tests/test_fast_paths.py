@@ -7,9 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from noncent import analysis, checks, core, families, graph, presentation
+from noncent import analysis, checks, cli, core, families, graph, presentation
 from noncent.core import NotAGroup, from_permutations, from_table
-from noncent.presentation import enumerate_presentation, parse
+from noncent.presentation import CosetLimitExceeded, enumerate_presentation, parse
+from test_presentation import FAMILY_PRESENTATIONS
 
 
 # --- oracles -----------------------------------------------------------------
@@ -806,6 +807,19 @@ class TestReorderedValidation:
 
 # --- table builders -------------------------------------------------------------
 
+# presentations that hit max_cosets and finish only through the lookahead pass
+LOOKAHEAD_CASES = [
+    ("< a,b | a^2, b^3, (a*b)^5 >", 65),
+    ("< x,y | x^2, y^3, (x*y)^7, (x^-1*y^-1*x*y)^4 >", 241),
+]
+
+
+@pytest.fixture(scope="module")
+def shipped_presentations(order8_entries, order16_entries, order32_entries, order64_entries):
+    entries = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+    return [e.payload for e in entries if e.kind == "presentation"]
+
+
 class TestTableBuilders:
     @pytest.mark.parametrize("degree, gens", [
         (3, []),
@@ -813,6 +827,10 @@ class TestTableBuilders:
         (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
         (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
         (7, [(1, 2, 3, 4, 5, 6, 0)]),
+        (12, [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0), (0, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)]),
+        (0, [()]),
+        (1, [(0,)]),
+        (1, [(0,), (0,)]),
     ])
     def test_from_permutations_matches_double_loop(self, degree, gens):
         g = from_permutations(degree, gens)
@@ -851,6 +869,53 @@ class TestTableBuilders:
         table, labels = seen["slow"]
         assert (g.table == table).all()
         assert g.labels == tuple(labels)
+
+    @pytest.mark.parametrize("text, cap", LOOKAHEAD_CASES)
+    def test_lookahead_recovery_matches_uncapped_run(self, text, cap, monkeypatch):
+        # the cap is hit once; the lookahead scan and compact() then free
+        # enough cosets for the enumeration to finish under the same cap
+        seen, caps = [], []
+        fast, lookahead = presentation._table_to_group, presentation._lookahead
+
+        def spy(ct, pres):
+            seen.append(slow_coset_table(ct, pres))
+            return fast(ct, pres)
+
+        def counted(ct, rel_letters):
+            caps.append(len(ct.rows))
+            lookahead(ct, rel_letters)
+
+        monkeypatch.setattr(presentation, "_table_to_group", spy)
+        monkeypatch.setattr(presentation, "_lookahead", counted)
+        capped = enumerate_presentation(parse(text), max_cosets=cap)
+        uncapped = enumerate_presentation(parse(text))
+        assert caps == [cap]
+        for g, (table, labels) in zip((capped, uncapped), seen, strict=True):
+            assert (g.table == table).all()
+            assert g.labels == tuple(labels)
+        assert (capped.table == uncapped.table).all() and capped.labels == uncapped.labels
+        with pytest.raises(CosetLimitExceeded):
+            enumerate_presentation(parse(text), max_cosets=cap - 1)
+
+    def test_live_rows_point_at_live_cosets(self, shipped_presentations, monkeypatch):
+        # scan_relators follows row entries without rep(); that is sound only
+        # if no coincidence leaves a live row pointing at a dead coset
+        fast = presentation._CosetTable.coincidence
+        calls = []
+
+        def checked(ct, alpha, beta):
+            fast(ct, alpha, beta)
+            calls.append(alpha)
+            for k, row in enumerate(ct.rows):
+                if ct.p[k] == k:
+                    assert all(v is None or ct.p[v] == v for v in row), (k, row)
+
+        monkeypatch.setattr(presentation._CosetTable, "coincidence", checked)
+        cases = [(text, None) for text in shipped_presentations]
+        cases += [(text, None) for text, _, _ in FAMILY_PRESENTATIONS] + LOOKAHEAD_CASES
+        for text, cap in cases:
+            enumerate_presentation(parse(text), max_cosets=cap)
+        assert len(calls) > 2000
 
     @pytest.mark.parametrize("ctor, oracle, args", [
         (families.dihedral, slow_dihedral, (2, 3, 5, 8, 13)),
@@ -1241,6 +1306,43 @@ class TestFingerprints:
         assert verdicts == [slow_is_isomorphic(a, b) for a, b in pairs]
         assert verdicts == [True] * len(copies) + [False] * len(distinct)
         assert len(distinct) == 2366
+
+
+def closure_per_generator_sequence(table, rank=None):
+    """_greedy_sequence before it fed the closure each generator's powers:
+    the right closure over the generators alone."""
+    n = table.shape[0]
+    rank = np.arange(n) if rank is None else rank
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens = []
+    while not reached.all():
+        left = np.flatnonzero(~reached)
+        gens.append(int(left[np.argmin(rank[left])]))
+        yield gens[-1]
+        core._right_closure(table, reached, gens)
+
+
+def rarity_rank(g):
+    """The rank is_isomorphic passes to greedy_generators: rarest element key
+    first, ties by index."""
+    _, kind, count = np.unique(g.element_keys(), axis=0, return_inverse=True, return_counts=True)
+    return count[kind.ravel()] * g.order + np.arange(g.order)
+
+
+class TestGreedySequence:
+    def test_powers_change_no_generator(self, iso_corpus):
+        rng = np.random.default_rng(41)
+        large = [cli.resolve_source(spec)[1] for spec in (
+            "cyclic:1024", "heisenberg:7", "M:512", "elem:2:9", "dihedral:64 x cyclic:5")]
+        large.append(from_permutations(6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]))
+        large.append(enumerate_presentation(parse("< r, s | r^256, s^2, s*r*s*r >")))
+        cases = [(label, x, rank) for label, g, h in iso_corpus for x in (g, h)
+                 for rank in (None, rarity_rank(x))]
+        cases += [(g.order, g, rank) for g in large for rank in (None, rng.permutation(g.order))]
+        for label, g, rank in cases:
+            expected = list(closure_per_generator_sequence(g.table, rank))
+            assert list(core._greedy_sequence(g.table, rank)) == expected, label
 
 
 # --- row-joined graph export -----------------------------------------------------
