@@ -20,7 +20,6 @@ __all__ = [
     "NotMaximal",
     "NotASubgroup",
     "NotRegular2Group",
-    "BetaPartition",
     "RegularityReport",
     "beta_partition",
     "cent_count",
@@ -56,45 +55,19 @@ class NotRegular2Group(ValueError):
     """Reduced-regularity is defined only for regular non-abelian 2-groups."""
 
 
-@dataclass(frozen=True)
-class BetaPartition:
-    """Partition of G into classes of elements with identical centralizers.
-
-    Class 0 is exactly the center; the remaining classes are ordered by their
-    smallest member.
-    """
-
-    parent: FiniteGroup
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-
-    @property
-    def cent_count(self) -> int:
-        return len(self.classes)
-
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    def centralizer_of_class(self, cid: int) -> Subgroup:
-        return self.parent.centralizer(self.classes[cid][0])
-
-    def center(self) -> Subgroup:
-        return self.parent.center()
-
-
-def beta_partition(g: FiniteGroup) -> BetaPartition:
-    """Group the elements of g by identical centralizer member-sets.
+def beta_partition(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The members of each class of elements with identical centralizers:
+    g.beta_classes(), computed once per group and cached on it.
 
     Classes are numbered by smallest member, so the center (the class of the
-    identity) comes first.  The classes are computed once per group and
-    cached on it (FiniteGroup.beta_classes).
+    identity) comes first; g.beta_class_ids() gives each element's class.
     """
-    return BetaPartition(g, g.beta_classes(), tuple(g.beta_class_ids().tolist()))
+    return g.beta_classes()
 
 
 def cent_count(g: FiniteGroup) -> int:
     """Number of distinct centralizers (= number of beta classes)."""
-    return beta_partition(g).cent_count
+    return len(g.beta_classes())
 
 
 def is_regular(g: FiniteGroup) -> Optional[int]:
@@ -106,9 +79,9 @@ def is_regular(g: FiniteGroup) -> Optional[int]:
     """
     if g.is_abelian:
         return 0
-    part = beta_partition(g)
-    z = len(part.classes[0])
-    if all(len(c) == z for c in part.classes):
+    classes = g.beta_classes()
+    z = len(classes[0])
+    if all(len(c) == z for c in classes):
         return g.order - z
     return None
 
@@ -122,32 +95,21 @@ def is_induced_regular(g: FiniteGroup) -> Optional[int]:
     """
     if g.is_abelian:
         return 0
-    part = beta_partition(g)
-    sizes = {len(c) for c in part.classes[1:]}
+    classes = g.beta_classes()
+    sizes = {len(c) for c in classes[1:]}
     if len(sizes) != 1:
         return None
     s = sizes.pop()
-    return (g.order - len(part.classes[0])) - s
-
-
-def _maximal_class_ids(g: FiniteGroup) -> list[int]:
-    """Non-central classes whose centralizer is maximal under inclusion,
-    decided from the commuting-matrix rows of one member per class."""
-    if g.is_abelian:
-        raise AbelianGroup("no proper centralizers in an abelian group")
-    reps = [c[0] for c in g.beta_classes()[1:]]
-    rows = g.commuting_matrix()[reps].astype(np.int64)
-    common = rows @ rows.T  # |C_i & C_j|
-    size = np.diag(common)
-    inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
-    return [cid for cid, inside in enumerate(inside_larger.any(axis=1), start=1)
-            if not inside]
+    return (g.order - len(classes[0])) - s
 
 
 def maximal_centralizers(g: FiniteGroup) -> list[tuple[int, Subgroup]]:
-    """Proper centralizers maximal under inclusion, as (class id, subgroup)."""
+    """Proper centralizers maximal under inclusion, as (class id, subgroup),
+    for the class ids cached by g.maximal_class_ids()."""
+    if g.is_abelian:
+        raise AbelianGroup("no proper centralizers in an abelian group")
     classes = g.beta_classes()
-    return [(cid, g.centralizer(classes[cid][0])) for cid in _maximal_class_ids(g)]
+    return [(cid, g.centralizer(classes[cid][0])) for cid in g.maximal_class_ids()]
 
 
 def h_subgroup(g: FiniteGroup, class_id: int) -> Subgroup:
@@ -156,7 +118,9 @@ def h_subgroup(g: FiniteGroup, class_id: int) -> Subgroup:
 
     NotASubgroup here would be a falsification witness, not a user error.
     """
-    if class_id not in _maximal_class_ids(g):
+    if g.is_abelian:
+        raise AbelianGroup("no proper centralizers in an abelian group")
+    if class_id not in g.maximal_class_ids():
         raise NotMaximal(f"class {class_id} does not have a maximal centralizer")
     classes = g.beta_classes()
     try:
@@ -327,11 +291,9 @@ def _compress_multiset(values: tuple[int, ...]) -> str:
 
 def build_report(g: FiniteGroup, label: str) -> RegularityReport:
     """Compute the full regularity report for one group."""
-    part = beta_partition(g)
-    z = len(part.classes[0])
-    sizes = part.class_sizes()
-    degseq = tuple(sorted(g.order - len(part.classes[int(part.class_of[x])])
-                          for x in range(g.order)))
+    ids = g.beta_class_ids()
+    sizes = np.bincount(ids)
+    z = int(sizes[0])
     reg = is_regular(g)
     ind = is_induced_regular(g)
     reduced: Optional[bool] = None
@@ -341,13 +303,13 @@ def build_report(g: FiniteGroup, label: str) -> RegularityReport:
         label=label,
         order=g.order,
         center_size=z,
-        cent_count=len(part.classes),
+        cent_count=len(sizes),
         index=g.order // z,
-        degree_sequence=degseq,
+        degree_sequence=tuple(np.sort(g.order - sizes[ids]).tolist()),
         is_regular=reg is not None,
         regular_degree=reg,
         is_induced_regular=ind is not None,
         induced_degree=ind,
         is_reduced=reduced,
-        class_sizes=sizes,
+        class_sizes=tuple(sizes.tolist()),
     )

@@ -182,7 +182,10 @@ def _parse_block(block: list[tuple[int, str]], path: str) -> CatalogEntry:
     elif kind == "perm":
         if "degree" not in headers:
             raise FormatError(first_line, "perm entry needs a degree header")
-        degree = int(headers["degree"])
+        try:
+            degree = int(headers["degree"])
+        except ValueError:
+            raise FormatError(first_line, f"bad degree: {headers['degree']!r}")
         if not gens:
             raise FormatError(first_line, "perm entry needs at least one gen line")
         if any(len(g) != degree for g in gens):

@@ -15,10 +15,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import (FiniteGroup, Subgroup, _prime_factors, direct_product,
-                   is_prime, is_prime_power)
+from .core import FiniteGroup, _prime_factors, direct_product, is_prime, is_prime_power
 from . import analysis
-from .analysis import beta_partition
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
            "scan_conjecture_tconj", "scan_conjecture_lco",
@@ -59,17 +57,28 @@ def _index(g: FiniteGroup) -> int:
     return g.order // len(g.beta_classes()[0])
 
 
+def _centralizer_rows(g: FiniteGroup) -> np.ndarray:
+    """The mask of C(x) for one member x of each beta class, indexed by class
+    id: a commuting-matrix row."""
+    return g.commuting_matrix()[[c[0] for c in g.beta_classes()]]
+
+
 def _centralizer_indices(g: FiniteGroup) -> list[int]:
-    """Distinct indices [G:C(x)] over the non-central beta classes, ascending;
-    |C(x)| is the commuting-matrix row sum of one member x per class."""
-    reps = [c[0] for c in g.beta_classes()[1:]]
-    return sorted(set((g.order // g.commuting_matrix()[reps].sum(axis=1)).tolist()))
+    """Distinct indices [G:C(x)] over the non-central beta classes, ascending."""
+    return sorted(set((g.order // _centralizer_rows(g)[1:].sum(axis=1)).tolist()))
 
 
 def _coset_orders(g: FiniteGroup) -> np.ndarray:
     """Order of the image in G/Z(G) of every element."""
     gz, coset_index = g.central_quotient()
     return gz.element_orders()[coset_index]
+
+
+def _quotient_histogram(orders: np.ndarray, size: int) -> tuple[tuple[int, int], ...]:
+    """order_histogram of G/N, or of a subset of it, from the per-element
+    orders modulo N with |N| = size: each coset's order appears size times."""
+    vals, counts = np.unique(orders, return_counts=True)
+    return tuple((int(v), int(c) // size) for v, c in zip(vals, counts))
 
 
 def _elementary_abelian_quotient_prime(q: FiniteGroup) -> Optional[int]:
@@ -194,7 +203,7 @@ def check_ccreg_c2c2(g, label="G") -> CheckResult:
         return _na("ccreg_c2c2", label, "G/Z not C2 x C2")
     deg = analysis.is_regular(g)
     return _result("ccreg_c2c2", label, deg is not None,
-                   witness=(("class_sizes", beta_partition(g).class_sizes()),),
+                   witness=(("class_sizes", tuple(map(len, g.beta_classes()))),),
                    details={"degree": deg})
 
 
@@ -214,25 +223,31 @@ def check_ccreg_c2cubed(g, label="G") -> CheckResult:
 
 
 def check_ncen(g, label="G") -> CheckResult:
-    """In regular groups every centralizer is normal with G/C embedding in Z."""
+    """In regular groups every centralizer is normal with G/C embedding in Z.
+
+    C = C(x) is normal with G/C abelian exactly when C contains G' (every
+    subgroup above G' is; an abelian G/C kills every commutator), so one mask
+    test decides both, and C is built only on a failure, to name which one
+    failed.  Orders in G/C are read per element (orders_modulo); each appears
+    |C| times, which scales both sides of every comparison in _abelian_embeds
+    alike.
+    """
     if g.is_abelian or analysis.is_regular(g) is None:
         return _na("ncen", label, "not a non-abelian regular group")
-    classes = g.beta_classes()
+    cents = _centralizer_rows(g)
+    derived = g.commutator_subgroup().mask
     z_orders = g.element_orders()[g.beta_class_ids() == 0]
-    for cid in range(1, len(classes)):
-        cent = g.centralizer(classes[cid][0])
-        if not g.is_normal(cent):
+    for cid, inside in enumerate(cents[1:], start=1):
+        if not inside[derived].all():
+            normal = g.is_normal(g.centralizer(g.beta_classes()[cid][0]))
+            return _result("ncen", label, False, witness=(
+                ("class", cid), ("quotient_abelian" if normal else "normal", False)))
+        orders = g.orders_modulo(inside)
+        if not _abelian_embeds(orders, z_orders):
+            hist = _quotient_histogram(orders, np.count_nonzero(inside))
             return _result("ncen", label, False,
-                           witness=(("class", cid), ("normal", False)))
-        quo = g.quotient(cent)
-        if not quo.is_abelian:
-            return _result("ncen", label, False,
-                           witness=(("class", cid), ("quotient_abelian", False)))
-        if not _abelian_embeds(quo.element_orders(), z_orders):
-            return _result("ncen", label, False,
-                           witness=(("class", cid),
-                                    ("quotient_histogram", quo.order_histogram())))
-    return _result("ncen", label, True, details={"classes_checked": len(classes) - 1})
+                           witness=(("class", cid), ("quotient_histogram", hist)))
+    return _result("ncen", label, True, details={"classes_checked": len(cents) - 1})
 
 
 def check_preg(g, label="G") -> CheckResult:
@@ -315,8 +330,8 @@ def check_lg(g, label="G") -> CheckResult:
     """beta(x) union Z(G) is a subgroup whenever C(x) is maximal."""
     if g.is_abelian:
         return _na("lg", label, "abelian")
-    maximal = analysis.maximal_centralizers(g)
-    for cid, _ in maximal:
+    maximal = g.maximal_class_ids()
+    for cid in maximal:
         try:
             analysis.h_subgroup(g, cid)
         except analysis.NotASubgroup as exc:
@@ -330,14 +345,15 @@ def check_lg1(g, label="G") -> CheckResult:
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("lg1", label, "not induced regular")
     ids = g.beta_class_ids()
-    strict = [(cid, cent) for cid, cent in analysis.maximal_centralizers(g)
-              if not np.array_equal(cent.mask, (ids == cid) | (ids == 0))]
+    cents = _centralizer_rows(g)
+    strict = [cid for cid in g.maximal_class_ids()
+              if not np.array_equal(cents[cid], (ids == cid) | (ids == 0))]
     if not strict:
         return _na("lg1", label, "no maximal centralizer exceeds beta u Z")
     coset_orders = _coset_orders(g)
     found = {}
-    for cid, cent in strict:
-        ys = [y for y in np.flatnonzero(cent.mask & (ids != cid)).tolist()
+    for cid in strict:
+        ys = [y for y in np.flatnonzero(cents[cid] & (ids != cid)).tolist()
               if is_prime(int(coset_orders[y]))]
         if not ys:
             return _result("lg1", label, False, witness=(("class", cid),))
@@ -347,39 +363,33 @@ def check_lg1(g, label="G") -> CheckResult:
 
 def check_lg2(g, label="G") -> CheckResult:
     """Odd-prime coset-order witness in C(x) minus beta(x) forces
-    (beta(x) u Z)/Z to be an elementary p-group."""
+    (beta(x) u Z)/Z to be an elementary p-group: in G/Z its non-identity
+    elements are the cosets of beta(x), so each member of beta(x) must have
+    coset order p."""
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("lg2", label, "not induced regular")
     ids = g.beta_class_ids()
+    cents = _centralizer_rows(g)
     coset_orders = _coset_orders(g)
     applicable = False
-    for cid, cent in analysis.maximal_centralizers(g):
-        primes = {o for o in coset_orders[cent.mask & (ids != cid)].tolist()
+    for cid in g.maximal_class_ids():
+        primes = {o for o in coset_orders[cents[cid] & (ids != cid)].tolist()
                   if o != 2 and is_prime(o)}
         if not primes:
             continue
         applicable = True
         try:
-            hx_sub = analysis.h_subgroup(g, cid)
+            hx = analysis.h_subgroup(g, cid).mask
         except analysis.NotASubgroup as exc:
             return _result("lg2", label, False, witness=(("class", cid), ("error", str(exc))))
-        hq = _quotient_by_center_of(g, hx_sub)
         for p in sorted(primes):
-            if hq.order == 1 or hq.is_elementary_p() != p:
-                return _result("lg2", label, False,
-                               witness=(("class", cid), ("p", p),
-                                        ("hx_quotient_histogram", hq.order_histogram())))
+            if (coset_orders[ids == cid] != p).any():
+                hist = _quotient_histogram(coset_orders[hx], len(g.beta_classes()[0]))
+                return _result("lg2", label, False, witness=(
+                    ("class", cid), ("p", p), ("hx_quotient_histogram", hist)))
     if not applicable:
         return _na("lg2", label, "no odd-prime coset-order witness")
     return _result("lg2", label, True)
-
-
-def _quotient_by_center_of(g: FiniteGroup, sub: Subgroup) -> FiniteGroup:
-    """(members of sub)/Z(G) as a group; Z(G) is central in sub."""
-    hx_group = sub.as_group()
-    # positions in sub.members of the center's elements
-    z_in_h = hx_group.subgroup(np.flatnonzero(g.beta_class_ids()[sub.mask] == 0))
-    return hx_group.quotient(z_in_h)
 
 
 def check_mg(g, label="G") -> CheckResult:
@@ -441,7 +451,7 @@ def check_pp(g, label="G") -> CheckResult:
         return _na("pp", label, "G/Z not of shape Cp x Cp")
     deg = analysis.is_induced_regular(g)
     return _result("pp", label, deg is not None,
-                   witness=(("class_sizes", beta_partition(g).class_sizes()),),
+                   witness=(("class_sizes", tuple(map(len, g.beta_classes()))),),
                    details={"p": p, "induced_degree": deg})
 
 

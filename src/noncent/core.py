@@ -191,15 +191,15 @@ class FiniteGroup:
     Subgroup.as_group, quotient).
 
     Derived structure is cached on the group (inverses, commuting matrix,
-    beta classes, G/Z(G), element orders, conjugacy classes, element keys,
-    fingerprint).  A cache holds only arrays, tuples of ints and groups that
-    do not refer back to this one, so dropping the last reference to a group
-    frees its table at once instead of leaving a reference cycle for the
-    collector.
+    beta classes and the maximal ones, G/Z(G), element orders, conjugacy
+    classes, element keys, fingerprint).  A cache holds only arrays, tuples
+    of ints and groups that do not refer back to this one, so dropping the
+    last reference to a group frees its table at once instead of leaving a
+    reference cycle for the collector.
     """
 
     __slots__ = ("order", "table", "labels", "_inv", "_comm", "_beta_ids",
-                 "_beta_classes", "_central_quotient", "_elt_orders",
+                 "_beta_classes", "_max_ids", "_central_quotient", "_elt_orders",
                  "_conj_class", "_abelian", "_elt_keys", "_fingerprint")
 
     def __init__(self, table: np.ndarray, labels: Sequence[str]):
@@ -213,6 +213,7 @@ class FiniteGroup:
         self._comm = None
         self._beta_ids = None
         self._beta_classes = None
+        self._max_ids = None
         self._central_quotient = None
         self._elt_orders = None
         self._conj_class = None
@@ -264,6 +265,20 @@ class FiniteGroup:
             self._beta_classes = tuple(tuple(c.tolist()) for c in np.split(members, bounds))
         return self._beta_classes
 
+    def maximal_class_ids(self) -> tuple[int, ...]:
+        """Non-central beta classes whose centralizer is maximal under
+        inclusion among proper centralizers, ascending; empty when abelian.
+        Decided from the commuting-matrix rows of one member per class."""
+        if self._max_ids is None:
+            reps = [c[0] for c in self.beta_classes()[1:]]
+            rows = self.commuting_matrix()[reps].astype(np.int64)
+            common = rows @ rows.T  # |C_i & C_j|
+            size = np.diag(common)
+            inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
+            maximal = np.flatnonzero(~inside_larger.any(axis=1)) + 1  # class ids
+            self._max_ids = tuple(maximal.tolist())
+        return self._max_ids
+
     def central_quotient(self) -> tuple["FiniteGroup", np.ndarray]:
         """G/Z(G), and the center coset of every element numbered as in it."""
         if self._central_quotient is None:
@@ -283,16 +298,25 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if self._elt_orders is None:
-            orders = np.ones(self.order, dtype=np.int32)
-            live = acc = np.arange(1, self.order)  # acc = live ** orders[live]
-            while live.size:
-                acc = self.table[acc, live]
-                orders[live] += 1
-                keep = acc != 0
-                live, acc = live[keep], acc[keep]
+            orders = self.orders_modulo(np.arange(self.order) == 0)
             orders.setflags(write=False)
             self._elt_orders = orders
         return self._elt_orders
+
+    def orders_modulo(self, inside_mask: np.ndarray) -> np.ndarray:
+        """Least k >= 1 with x^k inside the mask, for every element x.
+
+        For the mask of a normal subgroup N this is the order of xN in G/N,
+        read without building the quotient; element_orders is the case N = 1.
+        """
+        orders = np.ones(self.order, dtype=np.int32)
+        live = acc = np.flatnonzero(~inside_mask)  # acc = live ** orders[live]
+        while live.size:
+            acc = self.table[acc, live]
+            orders[live] += 1
+            keep = ~inside_mask[acc]
+            live, acc = live[keep], acc[keep]
+        return orders
 
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         vals, counts = np.unique(self.element_orders(), return_counts=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteGroup, TooLarge
-from .analysis import beta_partition
 
 __all__ = [
     "UnknownFormat",
@@ -69,7 +68,7 @@ class NonCentralizerGraph:
 
 def build_graph(g: FiniteGroup, induced: bool = False) -> NonCentralizerGraph:
     """Materialize the (induced) non-centralizer graph of g."""
-    classes = beta_partition(g).classes
+    classes = g.beta_classes()
     return NonCentralizerGraph(labels=g.labels, parts=classes[1:] if induced else classes,
                                induced=induced)
 

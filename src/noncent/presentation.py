@@ -114,7 +114,7 @@ class _Tokens:
             for m in _TOKEN_RE.finditer(line):
                 self.items.append((m.group(0), lineno, m.start() + 1))
         self.pos = 0
-        self.last = (text.count("\n") + 1, len(text.splitlines()[-1]) + 1 if text.splitlines() else 1)
+        self.last = (text.count("\n") + 1, len(text) - text.rfind("\n"))  # just past the end
 
     def peek(self):
         return self.items[self.pos][0] if self.pos < len(self.items) else None

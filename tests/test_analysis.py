@@ -10,37 +10,37 @@ from noncent.core import TooLarge, direct_product
 
 class TestBetaPartition:
     def test_abelian_single_class(self):
-        part = beta_partition(families.cyclic(6))
-        assert part.classes == (tuple(range(6)),)
+        classes = beta_partition(families.cyclic(6))
+        assert classes == (tuple(range(6)),)
 
     def test_d8_classes(self):
-        part = beta_partition(families.dihedral(4))
-        assert part.classes == ((0, 2), (1, 3), (4, 6), (5, 7))
+        classes = beta_partition(families.dihedral(4))
+        assert classes == ((0, 2), (1, 3), (4, 6), (5, 7))
 
     def test_s3_sizes(self):
-        part = beta_partition(families.dihedral(3))
-        assert sorted(part.class_sizes()) == [1, 1, 1, 1, 2]
+        classes = beta_partition(families.dihedral(3))
+        assert sorted(map(len, classes)) == [1, 1, 1, 1, 2]
 
     def test_partition_invariants(self, small_corpus):
         for label, g in small_corpus:
-            part = beta_partition(g)
-            seen = [x for c in part.classes for x in c]
+            classes = beta_partition(g)
+            seen = [x for c in classes for x in c]
             assert sorted(seen) == list(range(g.order)), label
             # class 0 is the center
-            assert part.classes[0] == g.center().members, label
+            assert classes[0] == g.center().members, label
             # membership matches centralizer equality
-            for cid, members in enumerate(part.classes):
+            for cid, members in enumerate(classes):
                 c0 = set(g.centralizer(members[0]).members)
                 for x in members:
                     assert set(g.centralizer(x).members) == c0, label
-            assert [part.class_of[x] for c in part.classes for x in c] == \
-                [cid for cid, c in enumerate(part.classes) for _ in c], label
+            assert [g.beta_class_ids()[x] for c in classes for x in c] == \
+                [cid for cid, c in enumerate(classes) for _ in c], label
 
     def test_classes_are_unions_of_center_cosets(self, small_corpus):
         for label, g in small_corpus:
             z = g.center()
             cosets = {c.members for c in z.cosets()}
-            for members in beta_partition(g).classes:
+            for members in beta_partition(g):
                 mset = set(members)
                 covering = [c for c in cosets if set(c) <= mset]
                 assert sum(len(c) for c in covering) == len(members), label
@@ -48,7 +48,7 @@ class TestBetaPartition:
     def test_center_size_divides_class_sizes(self, small_corpus):
         for label, g in small_corpus:
             z = g.center().size
-            for s in beta_partition(g).class_sizes():
+            for s in map(len, beta_partition(g)):
                 assert s % z == 0, label
 
 
@@ -138,20 +138,17 @@ class TestMaximalCentralizers:
 class TestHSubgroup:
     def test_d8_rotation_class(self):
         g = families.dihedral(4)
-        part = beta_partition(g)
-        cid = part.class_of[1]  # class of r
+        cid = g.beta_class_ids()[1]  # class of r
         assert h_subgroup(g, cid).members == (0, 1, 2, 3)
 
     def test_q8(self):
         g = families.generalized_quaternion(8)
-        part = beta_partition(g)
-        cid = part.class_of[1]
+        cid = g.beta_class_ids()[1]
         assert h_subgroup(g, cid).members == (0, 1, 2, 3)
 
     def test_s3_three_cycle(self):
         g = families.dihedral(3)
-        part = beta_partition(g)
-        cid = part.class_of[1]  # rotation of order 3
+        cid = g.beta_class_ids()[1]  # rotation of order 3
         assert h_subgroup(g, cid).size == 3
 
     def test_not_maximal(self):
@@ -163,11 +160,11 @@ class TestHSubgroup:
         for label, g in small_corpus:
             if g.is_abelian:
                 continue
-            part = beta_partition(g)
+            classes = beta_partition(g)
             for cid, _ in maximal_centralizers(g):
                 sub = h_subgroup(g, cid)
                 zsize = g.center().size
-                assert sub.size == len(part.classes[cid]) + zsize, label
+                assert sub.size == len(classes[cid]) + zsize, label
 
 
 class TestReducedRegular:
@@ -261,8 +258,8 @@ class TestReport:
     def test_invariants(self, small_corpus):
         for label, g in small_corpus:
             rep = build_report(g, label)
-            part = beta_partition(g)
-            assert rep.cent_count == len(part.classes), label
-            degs = [g.order - len(part.classes[part.class_of[x]])
+            classes = beta_partition(g)
+            assert rep.cent_count == len(classes), label
+            degs = [g.order - len(classes[g.beta_class_ids()[x]])
                     for x in range(g.order)]
             assert rep.degree_sequence == tuple(sorted(degs)), label

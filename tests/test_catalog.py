@@ -153,6 +153,21 @@ class TestLoad:
             load(path)
 
 
+    def test_non_integer_degree(self, tmp_path):
+        path = write(tmp_path, """\
+            # perm entry with a bad degree
+            name: X
+            kind: perm
+            order: 2
+            degree: two
+            gen: 1 0
+        """)
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: bad degree: 'two'"
+
+
 class TestFingerprint:
     def test_d8_vs_q8(self):
         assert fingerprint(families.dihedral(4)) != \

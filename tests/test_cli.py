@@ -145,6 +145,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--catalog", str(bad))
         assert code == 2
 
+    def test_non_integer_degree(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cat"
+        bad.write_text("\nname: x\nkind: perm\norder: 2\ndegree: two\ngen: 1 0\n")
+        code, out, err = run_cli(capsys, "verify", "--catalog", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: line 2: bad degree: 'two'\n"
+
     def test_unknown_check_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--catalog",
                                catalog.shipped_path("order8.cat"),

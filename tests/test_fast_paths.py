@@ -345,15 +345,65 @@ def slow_ncen(g):
     non-central centralizer C is normal, G/C is abelian and isomorphic to a
     subgroup of Z(G)."""
     z_subs = core.all_subgroups(g.center().as_group())
-    part = analysis.beta_partition(g)
-    for cid in range(1, part.cent_count):
-        cent = part.centralizer_of_class(cid)
+    classes = analysis.beta_partition(g)
+    for cid in range(1, len(classes)):
+        cent = g.centralizer(classes[cid][0])
         if not slow_is_normal(g, cent):
             return False
         quo = g.quotient(cent)
         if not quo.is_abelian or not slow_embeds(quo, z_subs):
             return False
     return True
+
+
+def parent_ncen(g, label):
+    """check_ncen as it was before the G' containment test: it builds C(x)
+    and G/C(x) for every class and reads their structure."""
+    if g.is_abelian or analysis.is_regular(g) is None:
+        return checks._na("ncen", label, "not a non-abelian regular group")
+    classes = g.beta_classes()
+    z_orders = g.element_orders()[g.beta_class_ids() == 0]
+    for cid in range(1, len(classes)):
+        cent = g.centralizer(classes[cid][0])
+        if not g.is_normal(cent):
+            return checks._result("ncen", label, False,
+                                  witness=(("class", cid), ("normal", False)))
+        quo = g.quotient(cent)
+        if not quo.is_abelian:
+            return checks._result("ncen", label, False,
+                                  witness=(("class", cid), ("quotient_abelian", False)))
+        if not checks._abelian_embeds(quo.element_orders(), z_orders):
+            return checks._result("ncen", label, False,
+                                  witness=(("class", cid),
+                                           ("quotient_histogram", quo.order_histogram())))
+    return checks._result("ncen", label, True, details={"classes_checked": len(classes) - 1})
+
+
+def parent_lg2(g, label):
+    """check_lg2 as it was before it read coset orders: it builds
+    (beta(x) u Z)/Z as a group for every applicable maximal class."""
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return checks._na("lg2", label, "not induced regular")
+    ids = g.beta_class_ids()
+    coset_orders = checks._coset_orders(g)
+    applicable = False
+    for cid, cent in analysis.maximal_centralizers(g):
+        primes = {o for o in coset_orders[cent.mask & (ids != cid)].tolist()
+                  if o != 2 and core.is_prime(o)}
+        if not primes:
+            continue
+        applicable = True
+        hx = analysis.h_subgroup(g, cid)
+        hx_group = hx.as_group()
+        hq = hx_group.quotient(hx_group.subgroup(np.flatnonzero(ids[hx.mask] == 0)))
+        for p in sorted(primes):
+            if hq.order == 1 or hq.is_elementary_p() != p:
+                return checks._result("lg2", label, False,
+                                      witness=(("class", cid), ("p", p),
+                                               ("hx_quotient_histogram", hq.order_histogram())))
+    if not applicable:
+        return checks._na("lg2", label, "no odd-prime coset-order witness")
+    return checks._result("lg2", label, True)
 
 
 def slow_element_orders(g):
@@ -384,7 +434,7 @@ def slow_compress_multiset(values):
 
 def slow_strong_fp(g):
     """Isomorphism invariant that orders catalog labels, by per-element loops."""
-    part = analysis.beta_partition(g)
+    classes = analysis.beta_partition(g)
     orders = g.element_orders()
     cent = g.commuting_matrix().sum(axis=1)
     csize = np.empty(g.order, dtype=np.int64)
@@ -398,14 +448,14 @@ def slow_strong_fp(g):
         (len(members), int(cent[members[0]]),
          tuple(sorted(int(orders[x]) for x in members)),
          tuple(sorted(int(orders[int(g.table[x, x])]) for x in members)))
-        for members in part.classes))
+        for members in classes))
     sq_of_class = tuple(sorted(
-        tuple(sorted({int(part.class_of[int(g.table[x, x])]) == 0 for x in members}))
-        for members in part.classes))
-    center_hist = tuple(sorted(int(orders[z]) for z in part.classes[0]))
+        tuple(sorted({int(g.beta_class_ids()[int(g.table[x, x])]) == 0 for x in members}))
+        for members in classes))
+    center_hist = tuple(sorted(int(orders[z]) for z in classes[0]))
     return (
         g.order, g.is_abelian, g.order_histogram(), center_hist,
-        tuple(sorted(part.class_sizes())), tuple(sorted(int(x) for x in csize)),
+        tuple(sorted(map(len, classes))), tuple(sorted(int(x) for x in csize)),
         profile, class_prof, sq_of_class,
     )
 
@@ -955,10 +1005,10 @@ class TestRowKeys:
     def test_beta_partition_matches_frozenset_grouping(self, make):
         g = make()
         assert g.order >= 512
-        part = analysis.beta_partition(g)
-        assert part.classes == slow_beta_classes(g)
-        assert all(part.class_of[x] == cid
-                   for cid, c in enumerate(part.classes) for x in c)
+        classes = analysis.beta_partition(g)
+        assert classes == slow_beta_classes(g)
+        assert all(g.beta_class_ids()[x] == cid
+                   for cid, c in enumerate(classes) for x in c)
 
     def test_row_classes_match_unique_rows(self, small_corpus):
         for label, g in small_corpus:
@@ -1056,8 +1106,8 @@ class TestMaskSubgroups:
         for label, g in subgroup_corpus:
             if g.is_abelian:
                 continue
-            part = analysis.beta_partition(g)
-            cents = [(cid, part.centralizer_of_class(cid)) for cid in range(1, part.cent_count)]
+            classes = analysis.beta_partition(g)
+            cents = [(cid, g.centralizer(classes[cid][0])) for cid in range(1, len(classes))]
             expected = [cid for cid, c in cents
                         if not any(c.member_set() < d.member_set() for _, d in cents)]
             assert [cid for cid, _ in analysis.maximal_centralizers(g)] == expected, label
@@ -1097,11 +1147,45 @@ class TestCentralizerChecks:
             checked += 1
         assert checked > 20
 
+    @pytest.fixture(scope="class")
+    def non_regular_corpus(self, subgroup_corpus):
+        """subgroup_corpus, a relabeled copy of each of its groups, and S4, A4,
+        S3 x S3, H27 x S3 and H27 x H27: groups that are not 2-groups, where
+        the lg2 hypothesis can hold."""
+        rng = np.random.default_rng(17)
+        out = list(subgroup_corpus)
+        out += [(label + "~r", from_table(relabeled(g, rng))) for label, g in subgroup_corpus]
+        out += [("S4", from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)])),
+                ("A4", from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)])),
+                ("S3xS3", core.direct_product(families.dihedral(3), families.dihedral(3))),
+                ("H27xS3", core.direct_product(families.heisenberg(3), families.dihedral(3))),
+                ("H27xH27", core.direct_product(families.heisenberg(3), families.heisenberg(3)))]
+        return out
+
+    def test_ncen_matches_quotient_oracle(self, non_regular_corpus, monkeypatch):
+        # every non-abelian group passes the hypothesis, so classes fail too
+        monkeypatch.setattr(analysis, "is_regular", lambda g: g.order)
+        witnesses = Counter()
+        for label, g in non_regular_corpus:
+            result = checks.check_ncen(g, label)
+            assert result == parent_ncen(g, label), label
+            witnesses.update(kind for kind, _ in result.witness[1:])
+        assert witnesses["normal"] > 0 and witnesses["quotient_histogram"] > 0, witnesses
+
+    def test_lg2_matches_quotient_oracle(self, non_regular_corpus, monkeypatch):
+        monkeypatch.setattr(analysis, "is_induced_regular", lambda g: g.order)
+        verdicts = Counter()
+        for label, g in non_regular_corpus:
+            result = checks.check_lg2(g, label)
+            assert result == parent_lg2(g, label), label
+            verdicts[result.applicable, result.passed] += 1
+        assert verdicts[True, False] > 0 and verdicts[True, True] > 0, verdicts
+
     def test_centralizer_indices_match_subgroup_sizes(self, subgroup_corpus):
         for label, g in subgroup_corpus:
-            part = analysis.beta_partition(g)
-            expected = sorted({g.order // part.centralizer_of_class(cid).size
-                               for cid in range(1, part.cent_count)})
+            classes = analysis.beta_partition(g)
+            expected = sorted({g.order // g.centralizer(classes[cid][0]).size
+                               for cid in range(1, len(classes))})
             assert checks._centralizer_indices(g) == expected, label
 
 
@@ -1114,6 +1198,13 @@ class TestElementOrders:
             orders = g.element_orders()
             assert orders.dtype == np.int32 and not orders.flags.writeable, label
             assert np.array_equal(orders, slow_element_orders(g)), label
+
+    def test_orders_modulo_match_quotient_orders(self, small_corpus):
+        for label, g in small_corpus:
+            for n in core.all_subgroups(g):
+                if g.is_normal(n):
+                    expected = g.quotient(n).element_orders()[n.coset_index()]
+                    assert np.array_equal(g.orders_modulo(n.mask), expected), (label, n.members)
 
 
 class TestReportText:

@@ -31,6 +31,10 @@ def test_beta_classes_keyed_once_per_group(monkeypatch):
     analysis.build_report(g, "D16")
     core.fingerprint(g)
     analysis.maximal_centralizers(g)
+    maximal = g.maximal_class_ids()
+    for check in (checks.check_lg, checks.check_lg1, checks.check_lg2):
+        check(g, "D16")
+    assert g.maximal_class_ids() is maximal
     assert core.is_isomorphic(g, h)
     assert len(keyed) == 2
     assert {id(m) for m in keyed} == {id(g.commuting_matrix()), id(h.commuting_matrix())}
@@ -46,6 +50,7 @@ def test_cached_structure_holds_no_reference_cycle():
         checks.run_suite([("D12", g)])
         graph.build_graph(g)
         analysis.maximal_centralizers(g)
+        g.maximal_class_ids()
         core.fingerprint(g)
         assert g.central_quotient()[0].order == 6
         del g

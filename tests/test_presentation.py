@@ -46,6 +46,21 @@ class TestParse:
         assert exc.value.line == 1
         assert exc.value.column == 9
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("< a | a^2", 1, 10),
+        ("< a | a^2\n", 2, 1),
+        ("< a | a^2\n\n", 3, 1),
+        ("< a |\n a^2 ,\n", 3, 1),
+        ("< a |\n a^2", 2, 5),
+        ("", 1, 1),
+    ])
+    def test_end_of_input_position(self, text, line, column):
+        # the position just past the last character, which starts a new
+        # line after a trailing newline
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_missing_close(self):
         with pytest.raises(ParseError):
             parse("< a | a^2")
