@@ -104,7 +104,7 @@ def load(path: str) -> list[CatalogEntry]:
         entries.append(entry)
         block.clear()
 
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw.split("\n"), start=1):  # not splitlines(): "\x0c" is no break
         if not line.strip():
             flush()  # blank lines separate entries
             continue

@@ -314,11 +314,12 @@ def check_big(g, label="G") -> CheckResult:
     if a.size % 2 == 0:
         return _result("big", label, False, witness=(("abelian_part_even", a.size),))
     rebuilt = direct_product(h_group, a.as_group())
-    ok = analysis.is_regular(rebuilt) == deg
     details = {"sylow2_order": h.size, "abelian_order": a.size,
                "sylow2_degree": h_deg}
-    if ok:
-        ok = _product_map_is_isomorphism(g, h, a, rebuilt)
+    # a confirmed product map makes rebuilt isomorphic to G, hence regular
+    # of the same degree; rebuilt's own degree is read only on failure
+    ok = _product_map_is_isomorphism(g, h, a, rebuilt)
+    if ok or analysis.is_regular(rebuilt) == deg:
         details["isomorphism_confirmed"] = ok
     return _result("big", label, ok, witness=(("rebuilt_regular", False),),
                    details=details)
@@ -477,10 +478,9 @@ def check_big1(g, label="G") -> CheckResult:
         return _result("big1", label, False,
                        witness=(("p_part_not_induced_regular", h.size),))
     rebuilt = direct_product(h_group, a.as_group())
-    ok = analysis.is_induced_regular(rebuilt) == deg
     details = {"p": p, "p_part_order": h.size, "abelian_order": a.size}
-    if ok:
-        ok = _product_map_is_isomorphism(g, h, a, rebuilt)
+    ok = _product_map_is_isomorphism(g, h, a, rebuilt)  # as in check_big
+    if ok or analysis.is_induced_regular(rebuilt) == deg:
         details["isomorphism_confirmed"] = ok
     return _result("big1", label, ok, witness=(("rebuilt_induced_regular", False),),
                    details=details)

@@ -149,9 +149,12 @@ class Subgroup:
         New element i corresponds to parent element self.members[i]; index 0
         stays the identity because members are sorted and contain 0.  The
         table is the parent's restricted to a subgroup, so it is not
-        validated again.
+        validated again.  The whole group is the parent itself: same table,
+        same labels, and its caches come along.
         """
         g = self.parent
+        if self.size == g.order:
+            return g
         pos = np.cumsum(self.mask) - 1
         return FiniteGroup(pos[g.table[np.ix_(self.mask, self.mask)]],
                            [g.labels[m] for m in self.members])

@@ -11,6 +11,10 @@ Grammar (whitespace insensitive):
     factor       := atom ('^' integer)?         (integer may be negative)
     atom         := ident | '(' word ')' | '1'  ('1' is the empty word)
 
+parse tokenizes once and builds each word as a free-reduced list of letters
+(2g for generator g, 2g+1 for its inverse), run-length encoded as a Word only
+at the end.  Error positions count lines at "\n" only.
+
 Enumeration is plain HLT with a single lookahead pass at the coset cap.
 Coincidences merge through a union-find that only the coincidence routine
 and the final compaction consult: it leaves no live row pointing at a dead
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import os
 import re
+import string
 from dataclasses import dataclass
+from itertools import groupby
 
 from .core import FiniteGroup, check_table_budget, from_table, table_from_action
 
@@ -65,24 +71,6 @@ class CosetLimitExceeded(RuntimeError):
         self.max_cosets = max_cosets
 
 
-def free_reduce(word) -> Word:
-    out: list[list[int]] = []
-    for gen, exp in word:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([gen, exp])
-    return tuple((g, e) for g, e in out)
-
-
-def invert_word(word) -> Word:
-    return tuple((g, -e) for g, e in reversed(word))
-
-
 @dataclass(frozen=True)
 class Presentation:
     """Generator names plus freely reduced relator words."""
@@ -104,141 +92,113 @@ class Presentation:
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|-?\d+|[<>|,*^()=]|\S")
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.items = []  # (token, line, column)
-        for lineno, line in enumerate(text.splitlines() or [""], start=1):
-            for m in _TOKEN_RE.finditer(line):
-                self.items.append((m.group(0), lineno, m.start() + 1))
-        self.pos = 0
-        self.last = (text.count("\n") + 1, len(text) - text.rfind("\n"))  # just past the end
-
-    def peek(self):
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
-
-    def where(self):
-        if self.pos < len(self.items):
-            _, ln, col = self.items[self.pos]
-            return ln, col
-        return self.last
-
-    def take(self):
-        tok = self.items[self.pos]
-        self.pos += 1
-        return tok[0]
-
-    def expect(self, token: str):
-        if self.peek() != token:
-            ln, col = self.where()
-            raise ParseError(ln, col, repr(token))
-        return self.take()
+_NAME_START = frozenset(string.ascii_letters + "_")  # first characters of a name token
 
 
 def parse(text: str) -> Presentation:
     """Parse '< gens | relators >' into a validated Presentation."""
-    toks = _Tokens(text)
-    toks.expect("<")
+    toks = _TOKEN_RE.findall(text)
+    toks.append(None)  # end of input
+
+    def fail(i: int, expected: str):
+        # the position of token i, or just past the end; lines break at "\n" only
+        starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+        at = starts[i] if i < len(starts) else len(text)
+        raise ParseError(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), expected)
+
+    if toks[0] != "<":
+        fail(0, "'<'")
     gens: list[str] = []
-    while True:
-        tok = toks.peek()
-        if tok == ",":
-            toks.take()
-            continue
-        if tok == "|":
-            break
-        if tok is None or not _IDENT_RE.match(tok or ""):
-            ln, col = toks.where()
-            raise ParseError(ln, col, "generator name or '|'")
-        name = toks.take()
-        if name in gens:
-            ln, col = toks.where()
-            raise ParseError(ln, col, f"unique generator name (duplicate {name!r})")
-        gens.append(name)
+    i = 1
+    while (tok := toks[i]) != "|":
+        if tok != ",":
+            if tok is None or tok[0] not in _NAME_START:
+                fail(i, "generator name or '|'")
+            if tok in gens:
+                fail(i + 1, f"unique generator name (duplicate {tok!r})")
+            gens.append(tok)
+        i += 1
     if not gens:
-        ln, col = toks.where()
-        raise ParseError(ln, col, "at least one generator")
-    toks.expect("|")
-    gen_index = {name: i for i, name in enumerate(gens)}
+        fail(i, "at least one generator")
+    letter = {name: 2 * k for k, name in enumerate(gens)}
+
+    def word(i: int) -> tuple[list[int], int]:
+        """The free-reduced letters of the word at token i, and the index past it."""
+        out: list[int] = []
+        while True:
+            tok = toks[i]
+            if tok == "(":
+                atom, i = word(i + 1)
+                if toks[i] != ")":
+                    fail(i, "')'")
+            elif tok == "1":
+                atom = []
+            elif tok in letter:
+                atom = [letter[tok]]
+            elif tok is not None and tok[0] in _NAME_START:
+                raise UndeclaredGenerator(tok)
+            else:
+                fail(i, "generator, '(' or '1'")
+            i += 1
+            if toks[i] == "^":
+                if not (toks[i + 1] or "").lstrip("-").isdecimal():
+                    fail(i + 1, "integer exponent")
+                atom = _power(atom, int(toks[i + 1]))
+                i += 2
+            _push(out, atom)
+            if toks[i] != "*":
+                return out, i
+            i += 1
 
     relators: list[Word] = []
-    while toks.peek() != ">":
-        relators.append(_parse_relator(toks, gen_index))
-        if toks.peek() == ",":
-            toks.take()
-        elif toks.peek() != ">":
-            ln, col = toks.where()
-            raise ParseError(ln, col, "',' or '>'")
-    toks.expect(">")
-    if toks.peek() is not None:
-        ln, col = toks.where()
-        raise ParseError(ln, col, "end of input")
+    i += 1
+    while toks[i] != ">":
+        rel, i = word(i)
+        if toks[i] == "=":  # lhs = rhs is stored as lhs * rhs^-1
+            rhs, i = word(i + 1)
+            _push(rel, _power(rhs, -1))
+        relators.append(_encode(rel))
+        if toks[i] == ",":
+            i += 1
+        elif toks[i] != ">":
+            fail(i, "',' or '>'")
+    if toks[i + 1] is not None:
+        fail(i + 1, "end of input")
     return Presentation(tuple(gens), tuple(relators))
 
 
-def _parse_relator(toks: _Tokens, gen_index: dict[str, int]) -> Word:
-    lhs = _parse_word(toks, gen_index)
-    if toks.peek() == "=":
-        toks.take()
-        rhs = _parse_word(toks, gen_index)
-        return free_reduce(lhs + invert_word(rhs))
-    return free_reduce(lhs)
+def _push(word: list[int], letters: list[int]):
+    """Append free-reduced letters to a free-reduced word; only the join can cancel."""
+    t = 0
+    while t < len(letters) and word and word[-1] == letters[t] ^ 1:
+        word.pop()
+        t += 1
+    word.extend(letters[t:])
 
 
-def _parse_word(toks: _Tokens, gen_index: dict[str, int]) -> Word:
-    parts = [_parse_factor(toks, gen_index)]
-    while toks.peek() == "*":
-        toks.take()
-        parts.append(_parse_factor(toks, gen_index))
-    return free_reduce(tuple(x for p in parts for x in p))
+def _power(letters: list[int], k: int) -> list[int]:
+    """The k-th power of a free-reduced word u*v*u^-1, v cyclically reduced: u*v^k*u^-1."""
+    if k < 0:
+        letters, k = [x ^ 1 for x in reversed(letters)], -k
+    if not letters or k == 0:
+        return []
+    n, t = len(letters), 0
+    while letters[n - 1 - t] == letters[t] ^ 1:  # stops before the middle of a reduced word
+        t += 1
+    return letters[:t] + letters[t:n - t] * k + letters[n - t:]
 
 
-def _parse_factor(toks: _Tokens, gen_index: dict[str, int]) -> Word:
-    atom = _parse_atom(toks, gen_index)
-    if toks.peek() == "^":
-        toks.take()
-        tok = toks.peek()
-        if tok is None or not re.fullmatch(r"-?\d+", tok):
-            ln, col = toks.where()
-            raise ParseError(ln, col, "integer exponent")
-        exp = int(toks.take())
-        if exp < 0:
-            atom = invert_word(atom)
-            exp = -exp
-        return free_reduce(atom * exp)
-    return atom
-
-
-def _parse_atom(toks: _Tokens, gen_index: dict[str, int]) -> Word:
-    tok = toks.peek()
-    if tok == "(":
-        toks.take()
-        inner = _parse_word(toks, gen_index)
-        toks.expect(")")
-        return inner
-    if tok == "1":
-        toks.take()
-        return ()
-    if tok is not None and _IDENT_RE.match(tok):
-        name = toks.take()
-        if name not in gen_index:
-            raise UndeclaredGenerator(name)
-        return ((gen_index[name], 1),)
-    ln, col = toks.where()
-    raise ParseError(ln, col, "generator, '(' or '1'")
+def _encode(letters: list[int]) -> Word:
+    """Run-length encode a free-reduced letter list as a Word."""
+    runs = ((x, len(list(run))) for x, run in groupby(letters))
+    return tuple((x >> 1, -n if x & 1 else n) for x, n in runs)
 
 
 # --- coset enumeration -------------------------------------------------------
 
 def _letters(word: Word) -> list[int]:
     """Flatten a word into letters: 2*g for a generator, 2*g+1 for its inverse."""
-    out = []
-    for g, e in word:
-        letter = 2 * g if e > 0 else 2 * g + 1
-        out.extend([letter] * abs(e))
-    return out
+    return [2 * g + (e < 0) for g, e in word for _ in range(abs(e))]
 
 
 class _CosetTable:

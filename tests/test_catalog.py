@@ -168,6 +168,18 @@ class TestLoad:
         assert str(exc.value) == "line 2: bad degree: 'two'"
 
 
+    def test_lines_break_at_newline_only(self, tmp_path):
+        # open() turns "\r\n" and "\r" into "\n"; a form feed or "\x85" is
+        # whitespace inside a line, not a line break
+        path = write(tmp_path, "name: C2\nkind: table\norder: 2\n"
+                               "# a comment\x0cwith a form feed\n0 1\n1 0\n")
+        assert load(path)[0].group().order == 2
+        path = write(tmp_path, "name: X\r\nkind: table\rorder: 1\x85\nzero\n")
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value) == "line 4: unrecognized line: 'zero'"
+
+
 class TestFingerprint:
     def test_d8_vs_q8(self):
         assert fingerprint(families.dihedral(4)) != \

@@ -403,6 +403,10 @@ class TestSubgroupType:
         h = g.subgroup([0, 1, 2, 3]).as_group()
         assert is_isomorphic(h, families.cyclic(4))
 
+    def test_whole_group_as_group_is_parent(self):
+        g = families.dihedral(4)
+        assert g.subgroup(range(8)).as_group() is g
+
     def test_cosets(self):
         g = families.dihedral(4)
         cosets = g.subgroup([0, 2]).cosets()

@@ -1,6 +1,7 @@
 """Array kernels cross-checked against the slow reference implementations
 they replaced, which are kept here as test-only oracles."""
 
+import random
 import re
 from collections import Counter
 
@@ -9,7 +10,8 @@ import pytest
 
 from noncent import analysis, checks, cli, core, families, graph, presentation
 from noncent.core import NotAGroup, from_permutations, from_table
-from noncent.presentation import CosetLimitExceeded, enumerate_presentation, parse
+from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
+                                  UndeclaredGenerator, Word, enumerate_presentation, parse)
 from test_presentation import FAMILY_PRESENTATIONS
 
 
@@ -124,6 +126,156 @@ def slow_coset_table(ct, pres):
     labels = ["*".join(pres.generators[x // 2] + ("" if x % 2 == 0 else "^-1")
                        for x in w) or "e" for w in words]
     return table, labels
+
+
+# The recursive-descent presentation parser that presentation.parse replaced:
+# a tokenizer class, one function per grammar level, and run-length words
+# free-reduced at every level.
+
+def slow_free_reduce(word) -> Word:
+    out: list[list[int]] = []
+    for gen, exp in word:
+        if exp == 0:
+            continue
+        if out and out[-1][0] == gen:
+            out[-1][1] += exp
+            if out[-1][1] == 0:
+                out.pop()
+        else:
+            out.append([gen, exp])
+    return tuple((g, e) for g, e in out)
+
+
+def slow_invert_word(word) -> Word:
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+_SLOW_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|-?\d+|[<>|,*^()=]|\S")
+
+_SLOW_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+
+
+class _SlowTokens:
+    def __init__(self, text: str):
+        self.items = []  # (token, line, column)
+        for lineno, line in enumerate(text.splitlines() or [""], start=1):
+            for m in _SLOW_TOKEN_RE.finditer(line):
+                self.items.append((m.group(0), lineno, m.start() + 1))
+        self.pos = 0
+        self.last = (text.count("\n") + 1, len(text) - text.rfind("\n"))  # just past the end
+
+    def peek(self):
+        return self.items[self.pos][0] if self.pos < len(self.items) else None
+
+    def where(self):
+        if self.pos < len(self.items):
+            _, ln, col = self.items[self.pos]
+            return ln, col
+        return self.last
+
+    def take(self):
+        tok = self.items[self.pos]
+        self.pos += 1
+        return tok[0]
+
+    def expect(self, token: str):
+        if self.peek() != token:
+            ln, col = self.where()
+            raise ParseError(ln, col, repr(token))
+        return self.take()
+
+
+def slow_parse(text: str) -> Presentation:
+    """Parse '< gens | relators >' into a validated Presentation."""
+    toks = _SlowTokens(text)
+    toks.expect("<")
+    gens: list[str] = []
+    while True:
+        tok = toks.peek()
+        if tok == ",":
+            toks.take()
+            continue
+        if tok == "|":
+            break
+        if tok is None or not _SLOW_IDENT_RE.match(tok or ""):
+            ln, col = toks.where()
+            raise ParseError(ln, col, "generator name or '|'")
+        name = toks.take()
+        if name in gens:
+            ln, col = toks.where()
+            raise ParseError(ln, col, f"unique generator name (duplicate {name!r})")
+        gens.append(name)
+    if not gens:
+        ln, col = toks.where()
+        raise ParseError(ln, col, "at least one generator")
+    toks.expect("|")
+    gen_index = {name: i for i, name in enumerate(gens)}
+
+    relators: list[Word] = []
+    while toks.peek() != ">":
+        relators.append(_slow_parse_relator(toks, gen_index))
+        if toks.peek() == ",":
+            toks.take()
+        elif toks.peek() != ">":
+            ln, col = toks.where()
+            raise ParseError(ln, col, "',' or '>'")
+    toks.expect(">")
+    if toks.peek() is not None:
+        ln, col = toks.where()
+        raise ParseError(ln, col, "end of input")
+    return Presentation(tuple(gens), tuple(relators))
+
+
+def _slow_parse_relator(toks: _SlowTokens, gen_index: dict[str, int]) -> Word:
+    lhs = _slow_parse_word(toks, gen_index)
+    if toks.peek() == "=":
+        toks.take()
+        rhs = _slow_parse_word(toks, gen_index)
+        return slow_free_reduce(lhs + slow_invert_word(rhs))
+    return slow_free_reduce(lhs)
+
+
+def _slow_parse_word(toks: _SlowTokens, gen_index: dict[str, int]) -> Word:
+    parts = [_slow_parse_factor(toks, gen_index)]
+    while toks.peek() == "*":
+        toks.take()
+        parts.append(_slow_parse_factor(toks, gen_index))
+    return slow_free_reduce(tuple(x for p in parts for x in p))
+
+
+def _slow_parse_factor(toks: _SlowTokens, gen_index: dict[str, int]) -> Word:
+    atom = _slow_parse_atom(toks, gen_index)
+    if toks.peek() == "^":
+        toks.take()
+        tok = toks.peek()
+        if tok is None or not re.fullmatch(r"-?\d+", tok):
+            ln, col = toks.where()
+            raise ParseError(ln, col, "integer exponent")
+        exp = int(toks.take())
+        if exp < 0:
+            atom = slow_invert_word(atom)
+            exp = -exp
+        return slow_free_reduce(atom * exp)
+    return atom
+
+
+def _slow_parse_atom(toks: _SlowTokens, gen_index: dict[str, int]) -> Word:
+    tok = toks.peek()
+    if tok == "(":
+        toks.take()
+        inner = _slow_parse_word(toks, gen_index)
+        toks.expect(")")
+        return inner
+    if tok == "1":
+        toks.take()
+        return ()
+    if tok is not None and _SLOW_IDENT_RE.match(tok):
+        name = toks.take()
+        if name not in gen_index:
+            raise UndeclaredGenerator(name)
+        return ((gen_index[name], 1),)
+    ln, col = toks.where()
+    raise ParseError(ln, col, "generator, '(' or '1'")
 
 
 def slow_dihedral(m):
@@ -990,6 +1142,82 @@ class TestEdgeCases:
         assert g.order == 1
         assert g.table.tolist() == [[0]]
         assert g.labels == ("e",)
+
+
+def random_presentation_text(rng):
+    """A presentation over a few generators with nested words, exponents from
+    -3 to 3, '1' and equations; some declare a name twice or use an
+    undeclared one, and some are corrupted by one inserted or deleted
+    character.  Lines break at "\n" only."""
+    gens = rng.sample(["a", "b", "c", "x1", "_y"], rng.randint(1, 3))
+    if rng.random() < 0.1:
+        gens.append(rng.choice(gens))
+    names = gens + ["z"] * (rng.random() < 0.1)
+
+    def word(depth):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if depth < 3 and r < 0.25:
+                atom = f"({word(depth + 1)})"
+            elif r < 0.35:
+                atom = "1"
+            else:
+                atom = rng.choice(names)
+            if rng.random() < 0.5:
+                atom += f"^{rng.randint(-3, 3)}"
+            factors.append(atom)
+        return rng.choice(["*", " * "]).join(factors)
+
+    rels = [word(0) + (f" = {word(0)}" if rng.random() < 0.3 else "")
+            for _ in range(rng.randint(0, 3))]
+    text = f"< {', '.join(gens)} | {', '.join(rels)} >"
+    text = "".join(c if c != " " or rng.random() > 0.1 else "\n" for c in text)
+    if rng.random() < 0.4:
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice("()^*,=<>|-2?1a \n") + text[at:]
+    return text
+
+
+def parse_outcome(parser, text):
+    """("ok", relators) of a parse, or the type and message of its exception."""
+    try:
+        return "ok", parser(text).relators
+    except (ParseError, UndeclaredGenerator) as exc:
+        return type(exc), str(exc)
+
+
+class TestParseOracle:
+    def test_shipped_and_family_presentations(self, shipped_presentations):
+        texts = shipped_presentations + [text for text, _, _ in FAMILY_PRESENTATIONS]
+        assert len(texts) == 100
+        for text in texts:
+            assert parse(text) == slow_parse(text), text
+
+    @pytest.mark.parametrize("text", [
+        "", "<", "< a", "< | a >", "< , | a >", "< a b, | a^2 >", "< a | >", "< a | , >",
+        "< a | a^2, >", "< a | a^ >", "< a | a^x >", "< a | a^2^3 >", "< a | (a >",
+        "< a | a) >", "< a | a*(a*(a^-1)^2)^-2 >", "< a | a = a = a >", "< a | a > b",
+        "< a | a >\n\n", "< a | 01 >", "< a | a^-0*1^7 >", "< a1 | a1^2 = 1 >",
+        "< a | (((((((((((a))))))))))) >", "< a, b | a*b*a^-1*b^-1 = 1, (a*b)^0 >",
+        "< a, b | (a*b*a^-1)^3, (b^-1*a*b^2*a^-1*b)^-2, (a*b*a^-1*b^-1)^2, (a^2*b*a^-2)^0 >",
+    ])
+    def test_edge_cases(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(slow_parse, text)
+
+    def test_random_corpus(self):
+        rng = random.Random(12)
+        kinds = Counter()
+        for _ in range(400):
+            text = random_presentation_text(rng)
+            fast = parse_outcome(parse, text)
+            assert fast == parse_outcome(slow_parse, text), text
+            kinds[fast[0]] += 1
+        assert kinds["ok"] > 150
+        assert kinds[ParseError] > 50 and kinds[UndeclaredGenerator] > 10
 
 
 # --- centralizer classes and commutators -----------------------------------------

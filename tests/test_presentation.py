@@ -3,8 +3,7 @@ import pytest
 
 from noncent import core, families
 from noncent.presentation import (CosetLimitExceeded, ParseError,
-                                  UndeclaredGenerator, enumerate_presentation,
-                                  free_reduce, parse)
+                                  UndeclaredGenerator, enumerate_presentation, parse)
 
 
 class TestParse:
@@ -52,6 +51,7 @@ class TestParse:
         ("< a | a^2\n\n", 3, 1),
         ("< a |\n a^2 ,\n", 3, 1),
         ("< a |\n a^2", 2, 5),
+        ("< a |\r a^2 ,", 1, 13),
         ("", 1, 1),
     ])
     def test_end_of_input_position(self, text, line, column):
@@ -74,8 +74,21 @@ class TestParse:
         p = parse(text)
         assert parse(str(p)) == p
 
-    def test_free_reduce_helper(self):
-        assert free_reduce([(0, 2), (0, -2), (1, 1)]) == ((1, 1),)
+    def test_free_reduction_cancels_whole_runs(self):
+        assert parse("< a, b | a^2*a^-2*b >").relators == (((1, 1),),)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("< a |\x0c a^b", 1, 10),
+        ("< a |\r a^b", 1, 10),
+        ("< a,\x85b | a^2 >\u2028\x0bx", 1, 17),
+        ("< a |\r\n a^b", 2, 4),
+    ])
+    def test_lines_break_at_newline_only(self, text, line, column):
+        # "\r", form feed and the other str.splitlines() breaks are
+        # whitespace within a line, as they are at the end of input
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
 
 
 class TestEnumerate:
