@@ -1,7 +1,7 @@
 """Finite-group centralizer structure, non-centralizer graphs, and the
 regularity verification toolkit."""
 
-from .core import (FiniteGroup, Subgroup, Coset, NotAGroup, ClosureExceeded,
+from .core import (FiniteGroup, Subgroup, Coset, NotAGroup,
                    NotNormal, TooLarge, TrivialGroup, TRIVIAL, from_table,
                    from_permutations, direct_product, fingerprint,
                    is_isomorphic, all_subgroups)

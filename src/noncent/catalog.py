@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .core import (ISO_ORDER_CAP, FiniteGroup, TooLarge, fingerprint, from_table,
-                   from_permutations, is_isomorphic)
+from .core import (ISO_ORDER_CAP, FiniteGroup, TooLarge, check_table_budget, fingerprint,
+                   from_table, from_permutations, is_isomorphic)
 from .analysis import is_regular, is_reduced_regular
 from .presentation import enumerate_presentation, parse
 
@@ -73,6 +73,7 @@ class CatalogEntry:
 
     def group(self) -> FiniteGroup:
         if self._group is None:
+            check_table_budget(self.order)  # before anything is built
             if self.kind == "table":
                 g = from_table(self.payload)
             elif self.kind == "perm":

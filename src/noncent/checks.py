@@ -81,13 +81,6 @@ def _quotient_histogram(orders: np.ndarray, size: int) -> tuple[tuple[int, int],
     return tuple((int(v), int(c) // size) for v, c in zip(vals, counts))
 
 
-def _elementary_abelian_quotient_prime(q: FiniteGroup) -> Optional[int]:
-    """Prime p when q is elementary abelian of rank >= 1, else None."""
-    if q.order == 1 or not q.is_abelian:
-        return None
-    return q.is_elementary_p()
-
-
 def _abelian_embeds(a_orders: np.ndarray, b_orders: np.ndarray) -> bool:
     """Whether abelian group A embeds in abelian group B, given the orders of
     their elements.
@@ -125,7 +118,7 @@ def check_be(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("be", label, "abelian")
     quo = g.central_quotient()[0]
-    p = _elementary_abelian_quotient_prime(quo)
+    p = quo.is_elementary_abelian()
     if p is None or quo.order != p * p:
         return _na("be", label, "G/Z not of shape Cp x Cp")
     n = len(g.beta_classes())
@@ -188,7 +181,7 @@ def check_creg(g, label="G") -> CheckResult:
     if g.is_abelian or analysis.is_regular(g) is None:
         return _na("creg", label, "not a non-abelian regular group")
     quo = g.central_quotient()[0]
-    p = _elementary_abelian_quotient_prime(quo)
+    p = quo.is_elementary_abelian()
     return _result("creg", label, p == 2,
                    witness=(("quotient_order_histogram", quo.order_histogram()),),
                    details={"quotient_order": quo.order})
@@ -199,7 +192,7 @@ def check_ccreg_c2c2(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("ccreg_c2c2", label, "abelian")
     quo = g.central_quotient()[0]
-    if quo.order != 4 or _elementary_abelian_quotient_prime(quo) != 2:
+    if quo.order != 4 or quo.is_elementary_abelian() != 2:
         return _na("ccreg_c2c2", label, "G/Z not C2 x C2")
     deg = analysis.is_regular(g)
     return _result("ccreg_c2c2", label, deg is not None,
@@ -212,7 +205,7 @@ def check_ccreg_c2cubed(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("ccreg_c2cubed", label, "abelian")
     quo = g.central_quotient()[0]
-    if quo.order != 8 or _elementary_abelian_quotient_prime(quo) != 2:
+    if quo.order != 8 or quo.is_elementary_abelian() != 2:
         return _na("ccreg_c2cubed", label, "G/Z not C2 x C2 x C2")
     lhs = analysis.is_regular(g) is not None
     indices = _centralizer_indices(g)
@@ -437,7 +430,7 @@ def check_cmg(g, label="G") -> CheckResult:
         if np.array_equal(comm[members[0]], (ids == cid) | (ids == 0)):
             return _na("cmg", label, "some centralizer equals beta u Z")
     quo = g.central_quotient()[0]
-    p = quo.is_elementary_p() if quo.order > 1 else None
+    p = quo.is_elementary_p()
     return _result("cmg", label, p is not None,
                    witness=(("quotient_histogram", quo.order_histogram()),))
 
@@ -447,7 +440,7 @@ def check_pp(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("pp", label, "abelian")
     quo = g.central_quotient()[0]
-    p = _elementary_abelian_quotient_prime(quo)
+    p = quo.is_elementary_abelian()
     if p is None or quo.order != p * p:
         return _na("pp", label, "G/Z not of shape Cp x Cp")
     deg = analysis.is_induced_regular(g)
@@ -506,7 +499,7 @@ def scan_conjecture_lco(g, label="G") -> CheckResult:
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("lco", label, "not a non-abelian induced regular group")
     quo = g.central_quotient()[0]
-    p = quo.is_elementary_p() if quo.order > 1 else None
+    p = quo.is_elementary_p()
     status = "consistent" if p is not None else "COUNTEREXAMPLE CANDIDATE"
     return _result("lco", label, True,
                    details={"elementary_p": p, "status": status,

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "NotAGroup",
-    "ClosureExceeded",
     "NotNormal",
     "TooLarge",
     "TrivialGroup",
@@ -32,7 +32,6 @@ __all__ = [
     "direct_product",
     "greedy_generators",
     "row_classes",
-    "table_from_action",
     "check_table_budget",
     "fingerprint",
     "is_isomorphic",
@@ -40,7 +39,6 @@ __all__ = [
 ]
 
 ISO_ORDER_CAP = 512
-DEFAULT_CLOSURE_CAP = 10_000
 TABLE_BYTE_BUDGET = 256 << 20
 """Largest int64 Cayley table built, in bytes: order 5792.  cyclic(2048)
 needs 32 MiB, elementary_abelian(2, 13) would need 512 MiB."""
@@ -51,14 +49,6 @@ TRIVIAL = "trivial"
 
 class NotAGroup(ValueError):
     """The given table violates a group axiom."""
-
-
-class ClosureExceeded(RuntimeError):
-    """Permutation closure grew past the configured cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"closure exceeded cap of {cap} elements")
-        self.cap = cap
 
 
 class NotNormal(ValueError):
@@ -187,11 +177,12 @@ class Coset:
 class FiniteGroup:
     """A finite group on elements 0..n-1 given by its multiplication table.
 
-    table[i, j] is the index of (element i) * (element j).  Construct through
-    from_table / from_permutations / the family constructors, which validate
-    the axioms.  The raw constructor trusts its input; it is used only for
-    tables that are correct by construction (direct_product,
-    Subgroup.as_group, quotient).
+    table[i, j] is the index of (element i) * (element j).  The raw
+    constructor trusts its input.  from_table, which the family constructors
+    use, validates the axioms; from_permutations and enumerate_presentation
+    check the table they build from an action with the action's own letters;
+    direct_product, Subgroup.as_group and quotient build tables that are
+    correct by construction.
 
     Derived structure is cached on the group (inverses, commuting matrix,
     beta classes and the maximal ones, G/Z(G), element orders, conjugacy
@@ -568,7 +559,14 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
             perm[e], perm[0] = 0, e
             group = perm[table[np.ix_(perm, perm)]]
             labels[0], labels[e] = labels[e], labels[0]
-        _check_associativity(group)
+        # Light's test on the greedy sequence, drawn one generator at a time,
+        # so its closures run only over generators (and powers) that passed.
+        # In a Latin square k that passed generate a subsquare of at least 2^k
+        # elements, all n once 2^k > n/2: one more names a bad row or column.
+        gens = _greedy_sequence(group)
+        _check_associativity(group, islice(gens, n.bit_length() - 1))
+        if next(gens, None) is not None:
+            raise NotAGroup(f"more than {n.bit_length() - 1} greedy generators")
         _check_inverses(group)
     except NotAGroup:
         for name, t in (("row", table), ("column", table.T)):
@@ -622,26 +620,18 @@ def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
         reached[frontier] = True
 
 
-def _check_associativity(table: np.ndarray) -> None:
-    """Light's test: (x*y)*g = x*(y*g) for all x, y and each generator g.
+def _check_associativity(table: np.ndarray, gens: Iterable[int]) -> None:
+    """Light's test: (x*y)*g = x*(y*g) for all x, y and each g in gens.
 
-    Exact: the g that pass are closed under products ((xy)(ab) = ((xy)a)b =
-    (x(ya))b = x((ya)b) = x(y(ab)) when a and b pass), and every element is a
-    left-nested product of generators (table has its identity at index 0).
-    A generator's closure runs only after it passed, so the powers
-    _greedy_sequence feeds it pass too, and x*g^(2^(i+1)) = (x*g^(2^i))*g^(2^i)
-    reaches nothing that g alone would not.
-    Each generator is tested before the next is searched for, and the search
-    stops past log2(n) generators: in a Latin square the k that passed would
-    generate a proper subgroup of at least 2^k > n/2 elements, a subsquare no
-    Latin square has, so from_table then names a row or column.  Rows x go
-    64 at a time, so each side of a block is a gather into a small array
+    Exact when every element is a left-nested product of the gens in the
+    table itself and index 0 is the identity: the g that pass are closed
+    under products ((xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)) when
+    a and b pass).  Each g is tested before the next is drawn from gens.  Rows
+    x go 64 at a time, so each side of a block is a gather into a small array
     that stays in cache, not an n x n temporary.
     """
     n = len(table)
-    for k, g in enumerate(_greedy_sequence(table)):
-        if k == n.bit_length() - 1:
-            raise NotAGroup(f"more than {k} greedy generators")
+    for g in gens:
         col = table[:, g].copy()        # y*g for every y
         for s in range(0, n, 64):
             rows = table[s:s + 64]
@@ -651,22 +641,51 @@ def _check_associativity(table: np.ndarray) -> None:
                 raise NotAGroup(f"associativity fails at ({s + int(x)},{int(y)},{g})")
 
 
-def table_from_action(act: Sequence[Sequence[int]], parent: Sequence[int],
-                      letter: Sequence[int]) -> np.ndarray:
-    """Cayley table from the right-regular action of generating letters.
+def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
+                  width: int) -> tuple[np.ndarray, list, list[tuple[int, int]]]:
+    """Cayley table of the group that letters 0..width-1 generate, from their
+    right-regular action: step(node, x) is node times letter x.
 
-    act[l][i] is element i times letter l.  Element j > 0 is element
-    parent[j] times letter[j], with parent[j] < j (a BFS spanning tree), so
-    i * j = (i * parent[j]) * letter[j] fills the table column by column.
+    The nodes reached from start are numbered in BFS order under the table
+    budget; node j > 0 is node p times letter x for (p, x) = tree[j], p < j,
+    so i * j = (i * p) * x fills the table column by column.  The letters'
+    rows a (a[i] = i times the letter) then check it: each is a permutation,
+    column a[0] equals a, and Light's test passes on the a[0].  That is exact:
+    each j is p * x in the table itself, row and column 0 are the identity,
+    and each column is a product of permutations, so inverses exist.
+    Returns the table, the nodes and the tree.
     """
-    n = len(parent)
-    check_table_budget(n)
-    act = np.asarray(act, dtype=np.int64)
+    nodes, index, tree = [start], {start: 0}, [(0, 0)]
+    act: list[list[int]] = [[] for _ in range(width)]
+    for i, cur in enumerate(nodes):  # nodes grows while walked: a BFS queue
+        for x in range(width):
+            nxt = step(cur, x)
+            k = index.get(nxt)
+            if k is None:
+                k = index[nxt] = len(nodes)
+                check_table_budget(k + 1)
+                nodes.append(nxt)
+                tree.append((i, x))
+            act[x].append(k)
+    n = len(nodes)
+    rows = np.array(act, dtype=np.int64).reshape(width, n)
+    ok = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+    if not ok.all():
+        raise NotAGroup(f"letter {int(np.argmin(ok))} does not act as a permutation of 0..{n - 1}")
     cols = np.empty((n, n), dtype=np.int64)  # cols[j] is column j
     cols[0] = np.arange(n)
-    for j in range(1, n):
-        cols[j] = act[letter[j]][cols[parent[j]]]
-    return cols.T
+    for j, (p, x) in enumerate(tree[1:], start=1):
+        cols[j] = rows[x][cols[p]]
+    elements = rows[:, 0]
+    ok = (cols[elements] == rows).all(axis=1)
+    if not ok.all():
+        x = int(np.argmin(ok))
+        raise NotAGroup(f"column {elements[x]} is not the action of letter {x}")
+    table = np.empty((n, n), dtype=np.int32)
+    for s in range(0, n, 64):  # in blocks: one transposing copy is about 5x slower
+        table[:, s:s + 64] = cols[s:s + 64].T
+    _check_associativity(table, np.unique(elements))
+    return table, nodes, tree
 
 
 def _check_inverses(table: np.ndarray) -> None:
@@ -676,12 +695,13 @@ def _check_inverses(table: np.ndarray) -> None:
         raise NotAGroup("an element lacks a two-sided inverse")
 
 
-def from_permutations(degree: int, generators: Sequence[Sequence[int]],
-                      cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def from_permutations(degree: int, generators: Sequence[Sequence[int]]) -> FiniteGroup:
     """Group generated by permutations of {0..degree-1}, in image notation.
 
     Element 0 is the identity; element order is BFS discovery order with the
-    generator list order fixed, so the table is reproducible.
+    generator list order fixed, so the table is reproducible.  The table is
+    checked with the generators as its letters, and the closure raises
+    TooLarge as soon as it passes the table budget.
     """
     gens = []
     for g in generators:
@@ -689,29 +709,14 @@ def from_permutations(degree: int, generators: Sequence[Sequence[int]],
         if sorted(t) != list(range(degree)):
             raise ValueError(f"generator {g!r} is not a permutation of 0..{degree - 1}")
         gens.append(t)
-    # step(cur) is cur applied after g; below degree 2 every g is the
-    # identity, and itemgetter would return a scalar or refuse no indices
+    # steps[x](cur) is cur applied after generator x; below degree 2 every
+    # generator is the identity, and itemgetter would return a scalar or
+    # refuse no indices
     steps = [itemgetter(*g) if degree > 1 else tuple for g in gens]
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    act: list[list[int]] = [[] for _ in gens]
-    parent, letter = [0], [0]
-    for i, cur in enumerate(elems):  # elems grows while walked: a BFS queue
-        for x, step in enumerate(steps):
-            nxt = step(cur)
-            k = index.get(nxt)
-            if k is None:
-                if len(elems) >= cap:
-                    raise ClosureExceeded(cap)
-                k = index[nxt] = len(elems)
-                elems.append(nxt)
-                parent.append(i)
-                letter.append(x)
-            act[x].append(k)
+    table, elems, _ = _action_table(tuple(range(degree)), lambda cur, x: steps[x](cur),
+                                    len(steps))
     sep = "" if degree <= 10 else ","
-    labels = [sep.join(map(str, el)) + sep for el in elems]
-    return from_table(table_from_action(act, parent, letter), labels)
+    return FiniteGroup(table, [sep.join(map(str, el)) + sep for el in elems])
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

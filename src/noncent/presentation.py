@@ -32,7 +32,7 @@ import string
 from dataclasses import dataclass
 from itertools import groupby
 
-from .core import FiniteGroup, check_table_budget, from_table, table_from_action
+from .core import FiniteGroup, _action_table
 
 __all__ = [
     "ParseError",
@@ -220,9 +220,6 @@ class _CosetTable:
             k = self.p[k]
         return k
 
-    def live_count(self) -> int:
-        return sum(1 for i in range(len(self.p)) if self.p[i] == i)
-
     def define(self, alpha: int, x: int) -> int:
         beta = len(self.rows)
         if beta >= self.max_cosets:
@@ -351,25 +348,19 @@ def _lookahead(ct: _CosetTable, rel_letters: list[list[int]]):
 
 
 def _table_to_group(ct: _CosetTable, pres: Presentation) -> FiniteGroup:
-    check_table_budget(ct.live_count())
-    # renumber live cosets in BFS discovery order from coset 0 (always live)
-    # and record the action of each letter on the renumbered cosets
+    """The group on the live cosets, numbered in BFS order from coset 0
+    (always live), each labeled by the word that first reached it."""
+    rows = ct.rows
+
+    def step(coset: int, x: int) -> int:
+        nxt = rows[coset][x]
+        if nxt is None:  # incomplete table: not closed
+            raise CosetLimitExceeded(ct.max_cosets)
+        return nxt
+
+    table, _, tree = _action_table(0, step, ct.width)
     names = [g + inv for g in pres.generators for inv in ("", "^-1")]
-    order: list[int] = [0]
-    number = {0: 0}
     labels = ["e"]
-    act: list[list[int]] = [[] for _ in range(ct.width)]
-    parent, letter = [0], [0]
-    for i, cur in enumerate(order):  # order grows while walked: a BFS queue
-        for x, nxt in enumerate(ct.rows[cur]):
-            k = number.get(nxt)
-            if k is None:
-                if nxt is None:
-                    raise CosetLimitExceeded(ct.max_cosets)  # incomplete table: not closed
-                k = number[nxt] = len(order)
-                order.append(nxt)
-                labels.append(f"{labels[i]}*{names[x]}" if i else names[x])
-                parent.append(i)
-                letter.append(x)
-            act[x].append(k)
-    return from_table(table_from_action(act, parent, letter), labels)
+    for p, x in tree[1:]:
+        labels.append(f"{labels[p]}*{names[x]}" if p else names[x])
+    return FiniteGroup(table, labels)

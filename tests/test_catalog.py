@@ -112,6 +112,21 @@ class TestLoad:
         with pytest.raises(OrderMismatch):
             entries[0].group()
 
+    def test_declared_order_over_budget_builds_nothing(self, tmp_path, monkeypatch):
+        # S8 (order 40320) by its Coxeter presentation on (1 2) and (1 2 ... 8)
+        path = write(tmp_path, """\
+            name: S8
+            kind: presentation
+            order: 40320
+            pres: < a,b | a^2, b^8, (a*b)^7, (a*b^-1*a*b)^3, (a*b^-2*a*b^2)^2, (a*b^-3*a*b^3)^2, (a*b^-4*a*b^4)^2 >
+        """)
+        calls = []
+        monkeypatch.setattr(catalog, "enumerate_presentation", lambda *a: calls.append(a))
+        entry = load(path)[0]
+        with pytest.raises(core.TooLarge, match="budget"):
+            entry.group()
+        assert calls == [] and entry._group is None
+
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, """\
             kind: table

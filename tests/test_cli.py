@@ -16,6 +16,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def write_s8(tmp_path, order):
+    path = tmp_path / "s8.cat"
+    path.write_text(f"name: S8\nkind: perm\norder: {order}\ndegree: 8\n"
+                    "gen: 1 2 3 4 5 6 7 0\ngen: 1 0 2 3 4 5 6 7\n")
+    return str(path)
+
+
 class TestAnalyze:
     def test_dihedral4(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "dihedral:4")
@@ -151,6 +158,16 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--catalog", str(bad))
         assert code == 2 and out == ""
         assert err == "error: line 2: bad degree: 'two'\n"
+
+    @pytest.mark.parametrize("order", [40320, 8])
+    def test_permutation_group_over_table_budget(self, capsys, tmp_path, order):
+        # S8: its declared order is refused before the closure starts, and a
+        # wrong declared order lets the closure run until it passes the budget
+        path = write_s8(tmp_path, order)
+        for argv in (["verify", "--catalog", path], ["analyze", f"{path}#S8"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: order ") and err.count("\n") == 1 and "budget" in err
 
     def test_unknown_check_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--catalog",

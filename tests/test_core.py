@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noncent import core, families, presentation
-from noncent.core import (TRIVIAL, ClosureExceeded, NotAGroup, NotNormal,
+from noncent.core import (TRIVIAL, NotAGroup, NotNormal,
                           TooLarge, TrivialGroup, all_subgroups,
                           direct_product, from_permutations, from_table,
                           is_isomorphic)
@@ -95,8 +95,10 @@ class TestFromPermutations:
             from_permutations(3, [(0, 0, 1)])
 
     def test_closure_cap(self):
-        with pytest.raises(ClosureExceeded):
-            from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=30)
+        # the table budget is the only size limit: S8 (order 40320) passes
+        # order 5792 during the closure and raises there
+        with pytest.raises(TooLarge, match="budget"):
+            from_permutations(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
     def test_deterministic(self):
         a = from_permutations(4, [(1, 2, 3, 0), (2, 1, 0, 3)])
@@ -263,12 +265,11 @@ class TestTableBudget:
     def test_raises_before_any_table_is_allocated(self, small_budget):
         n = self.N
         c32 = families.cyclic(32)
-        act = [[(i + 1) % n for i in range(n)]]
-        parent, letter = [0] + list(range(n - 1)), [0] * n
         narrow = np.zeros((n, n), dtype=np.int32)  # from_table would widen it to int64
         pres = presentation.parse(f"< a | a^{n} >")
         sites = {
-            "table_from_action": lambda: core.table_from_action(act, parent, letter),
+            "from_permutations": lambda: from_permutations(6, [(1, 2, 3, 4, 5, 0),
+                                                               (1, 0, 2, 3, 4, 5)]),
             "cyclic": lambda: families.cyclic(n),
             "elementary_abelian": lambda: families.elementary_abelian(2, 10),
             "dihedral": lambda: families.dihedral(n // 2),

@@ -1144,6 +1144,99 @@ class TestEdgeCases:
         assert g.labels == ("e",)
 
 
+def action_table(rows):
+    """core._action_table over nodes 0..n-1 with step(i, x) = rows[i, x]."""
+    return core._action_table(0, lambda i, x: int(rows[i, x]), rows.shape[1])
+
+
+class TestActionTables:
+    """Groups built from an action are checked with the action's own letters,
+    and from_table, kept as the oracle, accepts every table they give."""
+
+    def d8_letters(self):
+        # every non-identity element of D8 is a letter, so BFS numbers the
+        # nodes as D8 does and letter x is element x + 1
+        return np.array(families.dihedral(4).table, dtype=np.int64)[:, 1:]
+
+    def test_accepts_the_right_regular_action(self):
+        table, nodes, tree = action_table(self.d8_letters())
+        assert (table == families.dihedral(4).table).all()
+        assert nodes == list(range(8)) and tree == [(0, 0)] + [(0, x) for x in range(7)]
+
+    def test_letter_row_not_a_permutation(self):
+        rows = self.d8_letters()
+        rows[3, 0] = rows[5, 0]
+        with pytest.raises(NotAGroup, match="letter 0 does not act as a permutation of 0..7"):
+            action_table(rows)
+
+    def test_two_entries_of_a_letter_row_swapped(self):
+        # still a permutation, and column 1 is that row; only Light's test sees it
+        rows = self.d8_letters()
+        rows[[3, 5], 0] = rows[[5, 3], 0]
+        with pytest.raises(NotAGroup, match="associativity fails at") as info:
+            action_table(rows)
+        table = np.array(families.dihedral(4).table, dtype=np.int64)
+        table[[3, 5], 1] = table[[5, 3], 1]
+        assert_triple_fails(table, named_triple(info.value))
+
+    def test_relabeled_column(self):
+        # an eighth letter whose row is column 1 relabeled by the swap of 2
+        # and 3: a permutation that takes node 0 to 1, but not column 1
+        rows = self.d8_letters()
+        relabel = np.array([0, 1, 3, 2, 4, 5, 6, 7])
+        rows = np.column_stack([rows, relabel[rows[:, 0]]])
+        with pytest.raises(NotAGroup, match="column 1 is not the action of letter 7"):
+            action_table(rows)
+
+    def test_action_that_is_not_regular(self):
+        # D8 on the corners of a square: the BFS table is C4's, a group, but
+        # the reflection is not right multiplication by any of its elements
+        cycle, flip = (1, 2, 3, 0), (1, 0, 3, 2)
+        rows = np.array([cycle, flip]).T
+        with pytest.raises(NotAGroup, match="column 1 is not the action of letter 1"):
+            action_table(rows)
+
+    def test_corrupted_coset_tables(self, shipped_presentations, monkeypatch):
+        # one entry of a generator's row moved, or two entries swapped: the
+        # permutations the letters act by then generate a group that does
+        # not act regularly, so no table built from them may pass
+        rng = np.random.default_rng(37)
+        fast = presentation._table_to_group
+        messages = set()
+
+        def corrupt(ct, pres):
+            live = [k for k in range(len(ct.rows)) if ct.p[k] == k]
+            a, b = rng.choice(live, size=2, replace=False)
+            x = int(rng.integers(ct.width))
+            if mode == "swap":
+                ct.rows[a][x], ct.rows[b][x] = ct.rows[b][x], ct.rows[a][x]
+            else:
+                ct.rows[a][x] = ct.rows[b][x]
+            return fast(ct, pres)
+
+        monkeypatch.setattr(presentation, "_table_to_group", corrupt)
+        for text in shipped_presentations:
+            for mode in ("move", "swap"):
+                with pytest.raises(NotAGroup) as info:
+                    enumerate_presentation(parse(text))
+                messages.add(str(info.value).split()[0])
+        assert messages == {"letter", "column", "associativity"}
+
+    def test_from_table_oracle(self, shipped_presentations, order8_entries, order16_entries,
+                               order32_entries, order64_entries):
+        entries = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+        perms = [e.payload for e in entries if e.kind == "perm"]
+        assert len(perms) + len(shipped_presentations) == 115
+        groups = [from_permutations(degree, gens) for degree, gens in perms]
+        groups += [enumerate_presentation(parse(text)) for text in shipped_presentations]
+        groups.append(from_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]))
+        groups.append(enumerate_presentation(parse("< r,s | r^512, s^2, s*r*s^-1 = r^-1 >")))
+        assert [g.order for g in groups[-2:]] == [720, 1024]
+        for g in groups:
+            oracle = from_table(np.array(g.table), g.labels)
+            assert (oracle.table == g.table).all() and oracle.labels == g.labels
+
+
 def random_presentation_text(rng):
     """A presentation over a few generators with nested words, exponents from
     -3 to 3, '1' and equations; some declare a name twice or use an
