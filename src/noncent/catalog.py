@@ -72,17 +72,22 @@ class CatalogEntry:
     _group: Optional[FiniteGroup] = field(default=None, repr=False)
 
     def group(self) -> FiniteGroup:
+        """The entry's group, built on first call; a TooLarge raised while
+        building it names the entry's label."""
         if self._group is None:
-            check_table_budget(self.order)  # before anything is built
-            if self.kind == "table":
-                g = from_table(self.payload)
-            elif self.kind == "perm":
-                degree, gens = self.payload
-                g = from_permutations(degree, gens)
-            elif self.kind == "presentation":
-                g = enumerate_presentation(parse(self.payload))
-            else:  # unreachable: load() validates kinds
-                raise FormatError(self.line, f"unknown kind {self.kind!r}")
+            try:
+                check_table_budget(self.order)  # before anything is built
+                if self.kind == "table":
+                    g = from_table(self.payload)
+                elif self.kind == "perm":
+                    degree, gens = self.payload
+                    g = from_permutations(degree, gens)
+                elif self.kind == "presentation":
+                    g = enumerate_presentation(parse(self.payload))
+                else:  # unreachable: load() validates kinds
+                    raise FormatError(self.line, f"unknown kind {self.kind!r}")
+            except TooLarge as exc:
+                raise TooLarge(f"{self.label}: {exc}") from exc
             if g.order != self.order:
                 raise OrderMismatch(self.label, self.order, g.order)
             self._group = g

@@ -68,10 +68,12 @@ def _centralizer_indices(g: FiniteGroup) -> list[int]:
     return sorted(set((g.order // _centralizer_rows(g)[1:].sum(axis=1)).tolist()))
 
 
-def _coset_orders(g: FiniteGroup) -> np.ndarray:
-    """Order of the image in G/Z(G) of every element."""
-    gz, coset_index = g.central_quotient()
-    return gz.element_orders()[coset_index]
+def _quotient_exponent(g: FiniteGroup) -> Optional[int]:
+    """The prime p when every non-central element has coset order p, that is
+    when G/Z(G) is an elementary p-group; None otherwise."""
+    orders = g.center_coset_orders()
+    p = int(orders.max())
+    return p if is_prime(p) and bool((orders[orders > 1] == p).all()) else None
 
 
 def _quotient_histogram(orders: np.ndarray, size: int) -> tuple[tuple[int, int], ...]:
@@ -79,6 +81,11 @@ def _quotient_histogram(orders: np.ndarray, size: int) -> tuple[tuple[int, int],
     orders modulo N with |N| = size: each coset's order appears size times."""
     vals, counts = np.unique(orders, return_counts=True)
     return tuple((int(v), int(c) // size) for v, c in zip(vals, counts))
+
+
+def _center_histogram(g: FiniteGroup) -> tuple[tuple[int, int], ...]:
+    """order_histogram of G/Z(G)."""
+    return _quotient_histogram(g.center_coset_orders(), len(g.beta_classes()[0]))
 
 
 def _abelian_embeds(a_orders: np.ndarray, b_orders: np.ndarray) -> bool:
@@ -117,9 +124,8 @@ def check_be(g, label="G") -> CheckResult:
     """G/Z isomorphic to Cp x Cp forces exactly p + 2 centralizers."""
     if g.is_abelian:
         return _na("be", label, "abelian")
-    quo = g.central_quotient()[0]
-    p = quo.is_elementary_abelian()
-    if p is None or quo.order != p * p:
+    p = _quotient_exponent(g)
+    if p is None or _index(g) != p * p:
         return _na("be", label, "G/Z not of shape Cp x Cp")
     n = len(g.beta_classes())
     return _result("be", label, n == p + 2, witness=(("cent_count", n), ("p", p)),
@@ -150,7 +156,7 @@ def check_ereg1(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("ereg1", label, "abelian")
     lhs = analysis.is_regular(g) is not None
-    cidx = g.central_quotient()[1]
+    cidx = g.center().coset_index()
     rhs = True
     bad = None
     for cid, members in enumerate(g.beta_classes()):
@@ -180,19 +186,16 @@ def check_creg(g, label="G") -> CheckResult:
     """Regular groups have elementary abelian 2-group central quotients."""
     if g.is_abelian or analysis.is_regular(g) is None:
         return _na("creg", label, "not a non-abelian regular group")
-    quo = g.central_quotient()[0]
-    p = quo.is_elementary_abelian()
-    return _result("creg", label, p == 2,
-                   witness=(("quotient_order_histogram", quo.order_histogram()),),
-                   details={"quotient_order": quo.order})
+    return _result("creg", label, _quotient_exponent(g) == 2,
+                   witness=(("quotient_order_histogram", _center_histogram(g)),),
+                   details={"quotient_order": _index(g)})
 
 
 def check_ccreg_c2c2(g, label="G") -> CheckResult:
     """G/Z isomorphic to C2 x C2 forces regularity."""
     if g.is_abelian:
         return _na("ccreg_c2c2", label, "abelian")
-    quo = g.central_quotient()[0]
-    if quo.order != 4 or quo.is_elementary_abelian() != 2:
+    if _index(g) != 4 or _quotient_exponent(g) != 2:
         return _na("ccreg_c2c2", label, "G/Z not C2 x C2")
     deg = analysis.is_regular(g)
     return _result("ccreg_c2c2", label, deg is not None,
@@ -204,8 +207,7 @@ def check_ccreg_c2cubed(g, label="G") -> CheckResult:
     """Under G/Z = C2^3: regular iff every non-central centralizer has index 4."""
     if g.is_abelian:
         return _na("ccreg_c2cubed", label, "abelian")
-    quo = g.central_quotient()[0]
-    if quo.order != 8 or quo.is_elementary_abelian() != 2:
+    if _index(g) != 8 or _quotient_exponent(g) != 2:
         return _na("ccreg_c2cubed", label, "G/Z not C2 x C2 x C2")
     lhs = analysis.is_regular(g) is not None
     indices = _centralizer_indices(g)
@@ -344,7 +346,7 @@ def check_lg1(g, label="G") -> CheckResult:
               if not np.array_equal(cents[cid], (ids == cid) | (ids == 0))]
     if not strict:
         return _na("lg1", label, "no maximal centralizer exceeds beta u Z")
-    coset_orders = _coset_orders(g)
+    coset_orders = g.center_coset_orders()
     found = {}
     for cid in strict:
         ys = [y for y in np.flatnonzero(cents[cid] & (ids != cid)).tolist()
@@ -364,7 +366,7 @@ def check_lg2(g, label="G") -> CheckResult:
         return _na("lg2", label, "not induced regular")
     ids = g.beta_class_ids()
     cents = _centralizer_rows(g)
-    coset_orders = _coset_orders(g)
+    coset_orders = g.center_coset_orders()
     applicable = False
     for cid in g.maximal_class_ids():
         primes = {o for o in coset_orders[cents[cid] & (ids != cid)].tolist()
@@ -390,12 +392,10 @@ def check_mg(g, label="G") -> CheckResult:
     """Induced regular groups have prime-power central quotients."""
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("mg", label, "not a non-abelian induced regular group")
-    quo = g.central_quotient()[0]
-    p = quo.is_p_group()
-    return _result("mg", label, isinstance(p, int),
-                   witness=(("quotient_order", quo.order),),
-                   details={"quotient_order": quo.order,
-                            "p": p if isinstance(p, int) else None})
+    index = _index(g)
+    pk = is_prime_power(index)
+    return _result("mg", label, pk is not None, witness=(("quotient_order", index),),
+                   details={"quotient_order": index, "p": pk[0] if pk else None})
 
 
 def check_pq_index(g, label="G") -> CheckResult:
@@ -407,7 +407,7 @@ def check_pq_index(g, label="G") -> CheckResult:
     if pk is None or not is_prime(pk[1]):
         return _na("pq_index", label, "[G:Z] not p^q with q prime")
     p, _ = pk
-    elem_ok = g.central_quotient()[0].is_elementary_p() == p
+    elem_ok = _quotient_exponent(g) == p
     classes = g.beta_classes()
     zsize = len(classes[0])
     sizes = {len(c) for c in classes[1:]}
@@ -429,19 +429,16 @@ def check_cmg(g, label="G") -> CheckResult:
     for cid, members in enumerate(g.beta_classes()[1:], start=1):
         if np.array_equal(comm[members[0]], (ids == cid) | (ids == 0)):
             return _na("cmg", label, "some centralizer equals beta u Z")
-    quo = g.central_quotient()[0]
-    p = quo.is_elementary_p()
-    return _result("cmg", label, p is not None,
-                   witness=(("quotient_histogram", quo.order_histogram()),))
+    return _result("cmg", label, _quotient_exponent(g) is not None,
+                   witness=(("quotient_histogram", _center_histogram(g)),))
 
 
 def check_pp(g, label="G") -> CheckResult:
     """G/Z isomorphic to Cp x Cp forces induced regularity."""
     if g.is_abelian:
         return _na("pp", label, "abelian")
-    quo = g.central_quotient()[0]
-    p = quo.is_elementary_abelian()
-    if p is None or quo.order != p * p:
+    p = _quotient_exponent(g)
+    if p is None or _index(g) != p * p:
         return _na("pp", label, "G/Z not of shape Cp x Cp")
     deg = analysis.is_induced_regular(g)
     return _result("pp", label, deg is not None,
@@ -455,11 +452,11 @@ def check_big1(g, label="G") -> CheckResult:
     deg = analysis.is_induced_regular(g)
     if g.is_abelian or deg is None:
         return _na("big1", label, "not a non-abelian induced regular group")
-    quo = g.central_quotient()[0]
-    p = quo.is_p_group()
-    if not isinstance(p, int):
+    pk = is_prime_power(_index(g))
+    if pk is None:
         return _result("big1", label, False,
-                       witness=(("central_quotient_not_p_group", quo.order),))
+                       witness=(("central_quotient_not_p_group", _index(g)),))
+    p = pk[0]
     split, witness = _p_part_decomposition(g, p)
     if split is None:
         return _result("big1", label, False, witness=witness)
@@ -498,12 +495,11 @@ def scan_conjecture_lco(g, label="G") -> CheckResult:
     """
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("lco", label, "not a non-abelian induced regular group")
-    quo = g.central_quotient()[0]
-    p = quo.is_elementary_p()
+    p = _quotient_exponent(g)
     status = "consistent" if p is not None else "COUNTEREXAMPLE CANDIDATE"
     return _result("lco", label, True,
                    details={"elementary_p": p, "status": status,
-                            "quotient_histogram": quo.order_histogram()},
+                            "quotient_histogram": _center_histogram(g)},
                    reason=status)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
@@ -64,10 +65,11 @@ class TrivialGroup(ValueError):
 
 
 def check_table_budget(n: int) -> None:
-    """Raise TooLarge when an n x n int64 table would exceed TABLE_BYTE_BUDGET;
-    called before the table, or anything else of size n x n, is allocated."""
+    """Raise TooLarge when an n x n int64 table would exceed TABLE_BYTE_BUDGET,
+    naming its size in MiB rounded up; called before the table, or anything
+    else of size n x n, is allocated."""
     if 8 * n * n > TABLE_BYTE_BUDGET:
-        raise TooLarge(f"order {n} needs a {8 * n * n >> 20} MiB table, over the "
+        raise TooLarge(f"order {n} needs a {-(-8 * n * n >> 20)} MiB table, over the "
                        f"{TABLE_BYTE_BUDGET >> 20} MiB budget")
 
 
@@ -99,6 +101,29 @@ def is_prime_power(n: int) -> Optional[tuple[int, int]]:
         return None
     ((p, k),) = fac.items()
     return p, k
+
+
+def _cached(fn):
+    """Compute fn(g) once per group and keep it in g._cache under fn's name;
+    an ndarray is made read-only before it is kept."""
+    key = fn.__name__
+
+    @wraps(fn)
+    def cached(g):
+        cache = g._cache
+        if key not in cache:
+            value = fn(g)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            cache[key] = value
+        return cache[key]
+    return cached
+
+
+def _split_by_id(ids: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The elements with each id 0..m-1, ascending, indexed by id."""
+    members = np.argsort(ids, kind="stable")
+    return tuple(tuple(c.tolist()) for c in np.split(members, np.cumsum(np.bincount(ids))[:-1]))
 
 
 @dataclass(frozen=True)
@@ -156,11 +181,7 @@ class Subgroup:
 
     def cosets(self) -> list["Coset"]:
         """Left cosets x*H, ordered by smallest member (identity coset first)."""
-        idx = self.coset_index()
-        by_coset = np.argsort(idx, kind="stable")
-        bounds = np.cumsum(np.bincount(idx))[:-1]
-        return [Coset(representative=int(c[0]), members=tuple(c.tolist()))
-                for c in np.split(by_coset, bounds)]
+        return [Coset(representative=c[0], members=c) for c in _split_by_id(self.coset_index())]
 
 
 @dataclass(frozen=True)
@@ -184,17 +205,16 @@ class FiniteGroup:
     direct_product, Subgroup.as_group and quotient build tables that are
     correct by construction.
 
-    Derived structure is cached on the group (inverses, commuting matrix,
-    beta classes and the maximal ones, G/Z(G), element orders, conjugacy
-    classes, element keys, fingerprint).  A cache holds only arrays, tuples
-    of ints and groups that do not refer back to this one, so dropping the
-    last reference to a group frees its table at once instead of leaving a
+    Derived structure is computed once and kept in the group's one cache
+    (inverses, commuting matrix, beta classes and the maximal ones, element
+    orders and the orders of the center cosets, conjugacy classes, element
+    keys, fingerprint).  The cache holds read-only arrays, tuples and bools,
+    never a group, so nothing in it refers back to this one: dropping the last
+    reference to a group frees its table at once instead of leaving a
     reference cycle for the collector.
     """
 
-    __slots__ = ("order", "table", "labels", "_inv", "_comm", "_beta_ids",
-                 "_beta_classes", "_max_ids", "_central_quotient", "_elt_orders",
-                 "_conj_class", "_abelian", "_elt_keys", "_fingerprint")
+    __slots__ = ("order", "table", "labels", "_cache")
 
     def __init__(self, table: np.ndarray, labels: Sequence[str]):
         n = table.shape[0]
@@ -203,17 +223,7 @@ class FiniteGroup:
         t.setflags(write=False)
         self.table = t
         self.labels = tuple(labels)
-        self._inv = None
-        self._comm = None
-        self._beta_ids = None
-        self._beta_classes = None
-        self._max_ids = None
-        self._central_quotient = None
-        self._elt_orders = None
-        self._conj_class = None
-        self._abelian = None
-        self._elt_keys = None
-        self._fingerprint = None
+        self._cache = {}
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -224,78 +234,61 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverses()[a])
 
+    @_cached
     def inverses(self) -> np.ndarray:
-        if self._inv is None:
-            inv = np.empty(self.order, dtype=np.int32)
-            rows, cols = np.nonzero(self.table == 0)
-            inv[rows] = cols
-            self._inv = inv
-        return self._inv
+        inv = np.empty(self.order, dtype=np.int32)
+        rows, cols = np.nonzero(self.table == 0)
+        inv[rows] = cols
+        return inv
 
+    @_cached
     def commuting_matrix(self) -> np.ndarray:
         """Boolean matrix M with M[x, y] iff x and y commute."""
-        if self._comm is None:
-            m = self.table == self.table.T
-            m.setflags(write=False)
-            self._comm = m
-        return self._comm
+        return self.table == self.table.T
 
+    @_cached
     def beta_class_ids(self) -> np.ndarray:
         """Equal-centralizer (beta) class of every element: elements share a
         class exactly when their centralizers are equal.  Classes are numbered
         by smallest member, so class 0 is the center."""
-        if self._beta_ids is None:
-            ids = row_classes(self.commuting_matrix())
-            ids.setflags(write=False)
-            self._beta_ids = ids
-        return self._beta_ids
+        return row_classes(self.commuting_matrix())
 
+    @_cached
     def beta_classes(self) -> tuple[tuple[int, ...], ...]:
         """Members of each beta class, indexed by class id."""
-        if self._beta_classes is None:
-            ids = self.beta_class_ids()
-            members = np.argsort(ids, kind="stable")
-            bounds = np.cumsum(np.bincount(ids))[:-1]
-            self._beta_classes = tuple(tuple(c.tolist()) for c in np.split(members, bounds))
-        return self._beta_classes
+        return _split_by_id(self.beta_class_ids())
 
+    @_cached
     def maximal_class_ids(self) -> tuple[int, ...]:
         """Non-central beta classes whose centralizer is maximal under
         inclusion among proper centralizers, ascending; empty when abelian.
         Decided from the commuting-matrix rows of one member per class."""
-        if self._max_ids is None:
-            reps = [c[0] for c in self.beta_classes()[1:]]
-            rows = self.commuting_matrix()[reps].astype(np.int64)
-            common = rows @ rows.T  # |C_i & C_j|
-            size = np.diag(common)
-            inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
-            maximal = np.flatnonzero(~inside_larger.any(axis=1)) + 1  # class ids
-            self._max_ids = tuple(maximal.tolist())
-        return self._max_ids
-
-    def central_quotient(self) -> tuple["FiniteGroup", np.ndarray]:
-        """G/Z(G), and the center coset of every element numbered as in it."""
-        if self._central_quotient is None:
-            z = self.center()
-            self._central_quotient = (self.quotient(z), z.coset_index())
-        return self._central_quotient
+        reps = [c[0] for c in self.beta_classes()[1:]]
+        rows = self.commuting_matrix()[reps].astype(np.int64)
+        common = rows @ rows.T  # |C_i & C_j|
+        size = np.diag(common)
+        inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
+        maximal = np.flatnonzero(~inside_larger.any(axis=1)) + 1  # class ids
+        return tuple(maximal.tolist())
 
     @property
+    @_cached
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = bool(self.commuting_matrix().all())
-        return self._abelian
+        return bool(self.commuting_matrix().all())
 
     def element_order(self, x: int) -> int:
         """Least k >= 1 with x^k = identity."""
         return int(self.element_orders()[x])
 
+    @_cached
     def element_orders(self) -> np.ndarray:
-        if self._elt_orders is None:
-            orders = self.orders_modulo(np.arange(self.order) == 0)
-            orders.setflags(write=False)
-            self._elt_orders = orders
-        return self._elt_orders
+        return self.orders_modulo(np.arange(self.order) == 0)
+
+    @_cached
+    def center_coset_orders(self) -> np.ndarray:
+        """Order of every element's center coset in G/Z(G), read without
+        building G/Z(G)."""
+        return self.orders_modulo(self.beta_class_ids() == 0)
 
     def orders_modulo(self, inside_mask: np.ndarray) -> np.ndarray:
         """Least k >= 1 with x^k inside the mask, for every element x.
@@ -317,10 +310,9 @@ class FiniteGroup:
         return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
     def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv(x), -k
+        """x^k for any integer k, in fewer than order(x) products."""
         acc = 0
-        for _ in range(k):
+        for _ in range(k % self.element_order(x)):
             acc = int(self.table[acc, x])
         return acc
 
@@ -331,43 +323,32 @@ class FiniteGroup:
     def center(self) -> Subgroup:
         return Subgroup(self, self.beta_classes()[0])
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
+    @_cached
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugacy classes ordered by smallest member."""
-        if self._conj_class is None:
-            n = self.order
-            inv = self.inverses()
-            seen = np.zeros(n, dtype=bool)
-            classes = []
-            for x in range(n):
-                if seen[x]:
-                    continue
-                # conjugate of x by g is (g*x)*g^-1, vectorized over g
-                orbit = np.unique(self.table[self.table[:, x], inv])
-                seen[orbit] = True
-                classes.append(tuple(int(i) for i in orbit))
-            self._conj_class = classes
-        return self._conj_class
+        t = self.table
+        # column x holds (g*x)*g^-1 for every g: its minimum is the smallest
+        # member of x's class
+        smallest = t[t, self.inverses()[:, None]].min(axis=0)
+        return _split_by_id(np.unique(smallest, return_inverse=True)[1])
 
+    @_cached
     def element_keys(self) -> np.ndarray:
         """Isomorphism-invariant key of every element, one row each: order,
         order of x^2, |C(x)|, conjugacy class size, |beta(x)|, number of
         square roots.  An isomorphism maps each element to one with the same
         row."""
-        if self._elt_keys is None:
-            orders = self.element_orders()
-            squares = np.diagonal(self.table)
-            classes = self.conjugacy_classes()
-            lens = np.array([len(c) for c in classes])
-            class_size = np.empty(self.order, dtype=np.int64)
-            class_size[np.concatenate(classes)] = np.repeat(lens, lens)
-            ids = self.beta_class_ids()
-            keys = np.column_stack([
-                orders, orders[squares], self.commuting_matrix().sum(axis=1),
-                class_size, np.bincount(ids)[ids],
-                np.bincount(squares, minlength=self.order)]).astype(np.int64)
-            keys.setflags(write=False)
-            self._elt_keys = keys
-        return self._elt_keys
+        orders = self.element_orders()
+        squares = np.diagonal(self.table)
+        classes = self.conjugacy_classes()
+        lens = np.array([len(c) for c in classes])
+        class_size = np.empty(self.order, dtype=np.int64)
+        class_size[np.concatenate(classes)] = np.repeat(lens, lens)
+        ids = self.beta_class_ids()
+        return np.column_stack([
+            orders, orders[squares], self.commuting_matrix().sum(axis=1),
+            class_size, np.bincount(ids)[ids],
+            np.bincount(squares, minlength=self.order)]).astype(np.int64)
 
     def subgroup(self, members: Iterable[int]) -> Subgroup:
         """Validate a member set as a subgroup and return it.
@@ -453,28 +434,22 @@ class FiniteGroup:
     def frattini(self) -> Subgroup:
         """Frattini subgroup (intersection of all maximal subgroups).
 
-        For p-groups this is the subgroup generated by p-th powers and
-        commutators; nilpotent groups reduce to their Sylow factors; other
+        G is nilpotent exactly when for every p^k exactly dividing |G| it has
+        p^k p-elements (its one Sylow p-subgroup P).  Then Phi(G) is the product
+        of the Phi(P) = P'P^p (Huppert, Endliche Gruppen I, III.3), the
+        subgroup generated by G' and the p-th powers of the p-elements.  Other
         groups fall back to maximal-subgroup enumeration.
         """
-        if self.order == 1:
-            return Subgroup(self, (0,))
-        p = self.is_p_group()
-        if isinstance(p, int):
-            return self._frattini_p_group(p)
-        sylows = self._sylow_decomposition()
-        if sylows is not None:
-            return self.generated_subgroup(np.concatenate([
-                np.flatnonzero(syl.mask)[syl.as_group()._frattini_p_group(prime).mask]
-                for prime, syl in sylows]))
-        return self.frattini_by_maximal_subgroups()
-
-    def _frattini_p_group(self, p: int) -> Subgroup:
-        idx = np.arange(self.order)
-        powers = idx
-        for _ in range(p - 1):
-            powers = self.table[powers, idx]
-        return self.generated_subgroup(np.union1d(powers, self._commutators()))
+        seeds = [self._commutators()]
+        for p, k in _prime_factors(self.order).items():
+            x = np.flatnonzero(self.p_element_mask(p))
+            if x.size != p ** k:
+                return self.frattini_by_maximal_subgroups()
+            powers = x
+            for _ in range(p - 1):
+                powers = self.table[powers, x]
+            seeds.append(powers)
+        return self.generated_subgroup(np.unique(np.concatenate(seeds)))
 
     def frattini_by_maximal_subgroups(self) -> Subgroup:
         """Frattini subgroup straight from the definition; exponential fallback."""
@@ -488,22 +463,6 @@ class FiniteGroup:
         for h in maximal:
             members &= h.member_set()
         return Subgroup(self, tuple(sorted(members)))
-
-    def _sylow_decomposition(self) -> Optional[list[tuple[int, Subgroup]]]:
-        """(p, Sylow_p) per prime when every Sylow is the set of p-elements.
-
-        Succeeds exactly when G is nilpotent; returns None otherwise.
-        """
-        out = []
-        for prime, mult in _prime_factors(self.order).items():
-            mask = self.p_element_mask(prime)
-            if np.count_nonzero(mask) != prime ** mult:
-                return None
-            try:
-                out.append((prime, self.subgroup(np.flatnonzero(mask))))
-            except ValueError:
-                return None
-        return out
 
     def commutator_subgroup(self) -> Subgroup:
         return self.generated_subgroup(self._commutators())
@@ -767,28 +726,27 @@ def row_classes(m: np.ndarray) -> np.ndarray:
 
 # --- isomorphism testing ---------------------------------------------------
 
+@_cached
 def fingerprint(g: FiniteGroup) -> tuple:
     """Isomorphism invariant of g, cached on it: order, abelian flag, order
     histogram, center element orders, beta class sizes, conjugacy class size
     per element, sorted element-key profiles, and per beta class its size,
     centralizer size, element and square orders and whether the squares of
     its members are central.  Isomorphic groups have equal fingerprints."""
-    if g._fingerprint is None:
-        keys = g.element_keys()
-        orders, sq_orders = keys[:, 0], keys[:, 1]
-        classes = [np.asarray(c) for c in g.beta_classes()]
-        sq_central = g.beta_class_ids()[np.diagonal(g.table)] == 0
-        g._fingerprint = (
-            g.order, g.is_abelian, g.order_histogram(),
-            tuple(np.sort(orders[classes[0]]).tolist()),
-            tuple(sorted(c.size for c in classes)),
-            tuple(np.sort(keys[:, 3]).tolist()),
-            tuple(sorted(map(tuple, keys[:, :4].tolist()))),
-            tuple(sorted((c.size, int(keys[c[0], 2]), tuple(np.sort(orders[c]).tolist()),
-                          tuple(np.sort(sq_orders[c]).tolist())) for c in classes)),
-            tuple(sorted(tuple(np.unique(sq_central[c]).tolist()) for c in classes)),
-        )
-    return g._fingerprint
+    keys = g.element_keys()
+    orders, sq_orders = keys[:, 0], keys[:, 1]
+    classes = [np.asarray(c) for c in g.beta_classes()]
+    sq_central = g.beta_class_ids()[np.diagonal(g.table)] == 0
+    return (
+        g.order, g.is_abelian, g.order_histogram(),
+        tuple(np.sort(orders[classes[0]]).tolist()),
+        tuple(sorted(c.size for c in classes)),
+        tuple(np.sort(keys[:, 3]).tolist()),
+        tuple(sorted(map(tuple, keys[:, :4].tolist()))),
+        tuple(sorted((c.size, int(keys[c[0], 2]), tuple(np.sort(orders[c]).tolist()),
+                      tuple(np.sort(sq_orders[c]).tolist())) for c in classes)),
+        tuple(sorted(tuple(np.unique(sq_central[c]).tolist()) for c in classes)),
+    )
 
 
 def _extend_map(a: FiniteGroup, b: FiniteGroup, fmap: dict, used: set,

@@ -127,6 +127,22 @@ class TestLoad:
             entry.group()
         assert calls == [] and entry._group is None
 
+    def test_closure_over_budget_names_the_entry(self, tmp_path):
+        # S8 declared with the wrong order: the closure stops past the budget
+        path = write(tmp_path, """\
+            name: S8
+            kind: perm
+            order: 8
+            degree: 8
+            gen: 1 2 3 4 5 6 7 0
+            gen: 1 0 2 3 4 5 6 7
+        """)
+        entry = load(path)[0]
+        with pytest.raises(core.TooLarge) as info:
+            entry.group()
+        assert str(info.value) == "S8: order 5793 needs a 257 MiB table, over the 256 MiB budget"
+        assert entry._group is None
+
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, """\
             kind: table

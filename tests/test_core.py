@@ -125,6 +125,23 @@ class TestElementOrder:
             orders = g.element_orders()
             assert all(g.order % int(o) == 0 for o in orders), label
 
+    def test_power_matches_repeated_products(self, small_corpus):
+        for label, g in small_corpus:
+            for x in range(g.order):
+                acc, inv = 0, g.inv(x)
+                for k in range(0, -8, -1):  # x^0 .. x^-7
+                    assert g.power(x, k) == acc, (label, x, k)
+                    acc = g.mul(acc, inv)
+                acc = 0
+                for k in range(41):
+                    assert g.power(x, k) == acc, (label, x, k)
+                    acc = g.mul(acc, x)
+
+    def test_huge_exponent_reduced_by_the_order(self):
+        g = families.cyclic(7)
+        # 10**12 = 142857142857 * 7 + 1, in at most 6 products
+        assert g.power(3, 10 ** 12) == 3 and g.power(3, -10 ** 12) == 4
+
 
 class TestCentralizerCenter:
     def test_centralizer_of_identity(self):

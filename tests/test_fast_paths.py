@@ -12,6 +12,7 @@ from noncent import analysis, checks, cli, core, families, graph, presentation
 from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
+from test_acceptance import _family_instances, _with_cyclic_products
 from test_presentation import FAMILY_PRESENTATIONS
 
 
@@ -403,6 +404,30 @@ def slow_quotient(g, n_sub):
     return from_table(rows, [f"[{g.labels[r]}]" for r, _ in cosets])
 
 
+def slow_coset_orders(g):
+    """Order in G/Z(G) of every element's center coset, read from the
+    quotient group G/Z(G) built with FiniteGroup.quotient."""
+    z = g.center()
+    return g.quotient(z).element_orders()[z.coset_index()]
+
+
+def slow_conjugacy_classes(g):
+    """Conjugacy classes ordered by smallest member, one orbit gather per
+    class (FiniteGroup.conjugacy_classes before it became one gather)."""
+    n = g.order
+    inv = g.inverses()
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        # conjugate of x by g is (g*x)*g^-1, vectorized over g
+        orbit = np.unique(g.table[g.table[:, x], inv])
+        seen[orbit] = True
+        classes.append(tuple(int(i) for i in orbit))
+    return classes
+
+
 def slow_as_group(h):
     """The subgroup's own table from a dict position map, validated by from_table."""
     g = h.parent
@@ -537,7 +562,7 @@ def parent_lg2(g, label):
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return checks._na("lg2", label, "not induced regular")
     ids = g.beta_class_ids()
-    coset_orders = checks._coset_orders(g)
+    coset_orders = slow_coset_orders(g)
     applicable = False
     for cid, cent in analysis.maximal_centralizers(g):
         primes = {o for o in coset_orders[cent.mask & (ids != cid)].tolist()
@@ -1352,7 +1377,30 @@ class TestCommutators:
             if not isinstance(p, int):
                 continue
             seeds = {g.power(x, p) for x in range(g.order)} | slow_commutators(g)
-            assert g._frattini_p_group(p) == g.generated_subgroup(seeds), label
+            assert g.frattini() == g.generated_subgroup(seeds), label
+
+    def test_conjugacy_gather_matches_orbit_loop(self, small_corpus):
+        rng = np.random.default_rng(14)
+        for label, g in small_corpus:
+            copies = [g] + [from_table(relabeled(g, rng)) for _ in range(3) if g.order > 1]
+            for h in copies:
+                assert h.conjugacy_classes() == tuple(slow_conjugacy_classes(h)), label
+
+    @pytest.mark.parametrize("make, nilpotent", [
+        (lambda: families.cyclic(30), True),
+        (lambda: core.direct_product(families.generalized_quaternion(8), families.cyclic(3)),
+         True),
+        (lambda: core.direct_product(families.dihedral(4), families.cyclic(15)), True),
+        (lambda: from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)]), False),  # A4
+        (lambda: from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)]), False),  # S4
+        (lambda: core.direct_product(families.dihedral(3), families.cyclic(4)), False),
+    ], ids=["C30", "Q8xC3", "D8xC15", "A4", "S4", "S3xC4"])
+    def test_frattini_matches_maximal_subgroups(self, make, nilpotent, monkeypatch):
+        g = make()
+        expected = g.frattini_by_maximal_subgroups()
+        if nilpotent:  # read from p-element counts, without the enumeration
+            monkeypatch.setattr(core.FiniteGroup, "frattini_by_maximal_subgroups", None)
+        assert g.frattini() == expected
 
 
 # --- subgroups on membership masks ----------------------------------------------
@@ -1526,6 +1574,30 @@ class TestElementOrders:
                 if g.is_normal(n):
                     expected = g.quotient(n).element_orders()[n.coset_index()]
                     assert np.array_equal(g.orders_modulo(n.mask), expected), (label, n.members)
+
+    def test_center_coset_reads_match_quotient_group(self, order8_entries, order16_entries,
+                                                     order32_entries, order64_entries):
+        # the acceptance-5 corpus; the checks read G/Z(G) only on non-abelian G
+        entries = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+        corpus = [(e.label, e.group()) for e in entries]
+        corpus += _with_cyclic_products(_family_instances())
+        abelian_reads = Counter()
+        for label, g in corpus:
+            if g.is_abelian:
+                continue
+            q = g.quotient(g.center())
+            assert np.array_equal(g.center_coset_orders(), slow_coset_orders(g)), label
+            assert q.order == checks._index(g), label
+            pk = core.is_prime_power(checks._index(g))
+            assert q.is_p_group() == (pk[0] if pk else None), label
+            p = checks._quotient_exponent(g)
+            assert q.is_elementary_p() == p, label
+            assert q.order_histogram() == checks._center_histogram(g), label
+            if p is not None and (p == 2 or q.order == p * p):
+                assert q.is_elementary_abelian() == p, label
+                abelian_reads[p, q.order == p * p] += 1
+        assert abelian_reads[2, False] and abelian_reads[2, True], abelian_reads
+        assert any(p > 2 for p, _ in abelian_reads), abelian_reads
 
 
 class TestReportText:

@@ -1,10 +1,11 @@
 """The centralizer structure is computed once per group and cached on it
-without a reference back to the group."""
+without a reference back to the group, as read-only arrays, tuples and bools."""
 
 import gc
 import weakref
 
 import numpy as np
+import pytest
 
 from noncent import analysis, checks, core, families, graph
 from noncent.core import from_table
@@ -52,8 +53,34 @@ def test_cached_structure_holds_no_reference_cycle():
         analysis.maximal_centralizers(g)
         g.maximal_class_ids()
         core.fingerprint(g)
-        assert g.central_quotient()[0].order == 6
+        # D12/Z = S3
+        assert checks._center_histogram(g) == ((1, 1), (2, 3), (3, 2))
         del g
         assert table() is None
     finally:
         gc.enable()
+
+
+def test_cache_holds_read_only_arrays_and_no_group():
+    for g in (families.dihedral(6), families.heisenberg(3),
+              core.direct_product(families.generalized_quaternion(8), families.cyclic(3))):
+        checks.run_suite([("G", g)])
+        analysis.build_report(g, "G")
+        core.fingerprint(g)
+        assert {"inverses", "center_coset_orders", "conjugacy_classes",
+                "fingerprint"} <= set(g._cache)
+        for key, value in g._cache.items():
+            assert not isinstance(value, core.FiniteGroup), key
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, key
+
+
+def test_cached_values_cannot_be_changed_in_place():
+    g = families.dihedral(6)
+    with pytest.raises(ValueError):
+        g.inverses()[1] = 0
+    with pytest.raises(ValueError):
+        g.center_coset_orders()[1] = 5
+    classes = g.conjugacy_classes()
+    assert isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)
+    assert g.conjugacy_classes() is classes
