@@ -156,15 +156,13 @@ def check_ereg1(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("ereg1", label, "abelian")
     lhs = analysis.is_regular(g) is not None
-    cidx = g.center().coset_index()
-    rhs = True
-    bad = None
-    for cid, members in enumerate(g.beta_classes()):
-        coset = np.flatnonzero(cidx == cidx[members[0]])
-        if tuple(coset.tolist()) != members:
-            rhs = False
-            bad = cid
-            break
+    ids = g.beta_class_ids()
+    # C(xz) = C(x) for central z, so a class is a union of center cosets and
+    # is one coset exactly when it meets one
+    pairs = np.unique(ids * g.order + g.center().coset_index())
+    bad = np.flatnonzero(np.bincount(pairs // g.order) != 1)
+    rhs = bad.size == 0
+    bad = None if rhs else int(bad[0])
     return _result("ereg1", label, lhs == rhs,
                    witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
                             ("first_non_coset_class", bad)),

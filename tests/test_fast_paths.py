@@ -583,6 +583,25 @@ def parent_lg2(g, label):
     return checks._result("lg2", label, True)
 
 
+def parent_ereg1(g, label):
+    """check_ereg1 as it was before the whole-array comparison: it compares
+    every beta class with the center coset of its first member."""
+    if g.is_abelian:
+        return checks._na("ereg1", label, "abelian")
+    lhs = analysis.is_regular(g) is not None
+    cidx = g.center().coset_index()
+    rhs, bad = True, None
+    for cid, members in enumerate(g.beta_classes()):
+        coset = np.flatnonzero(cidx == cidx[members[0]])
+        if tuple(coset.tolist()) != members:
+            rhs, bad = False, cid
+            break
+    return checks._result("ereg1", label, lhs == rhs,
+                          witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
+                                   ("first_non_coset_class", bad)),
+                          details={"regular": lhs, "all_classes_are_cosets": rhs})
+
+
 def slow_element_orders(g):
     """Order of every element by walking its powers one product at a time."""
     orders = np.empty(g.order, dtype=np.int32)
@@ -1549,6 +1568,20 @@ class TestCentralizerChecks:
             assert result == parent_lg2(g, label), label
             verdicts[result.applicable, result.passed] += 1
         assert verdicts[True, False] > 0 and verdicts[True, True] > 0, verdicts
+
+    @pytest.mark.parametrize("forced", [None, 1])
+    def test_ereg1_matches_per_class_loop(self, non_regular_corpus, monkeypatch, forced):
+        # forcing the regularity verdict makes the check fail on one side,
+        # so the witness with first_non_coset_class is compared too
+        monkeypatch.setattr(analysis, "is_regular", lambda g: forced)
+        outcomes = Counter()
+        for label, g in non_regular_corpus:
+            result = checks.check_ereg1(g, label)
+            assert result == parent_ereg1(g, label), label
+            outcomes[result.passed, dict(result.witness).get("first_non_coset_class")] += 1
+        assert {passed for passed, _ in outcomes} == {True, False}, outcomes
+        if forced:  # non-regular groups fail, at several first non-coset classes
+            assert len(outcomes) > 3, outcomes
 
     def test_centralizer_indices_match_subgroup_sizes(self, subgroup_corpus):
         for label, g in subgroup_corpus:

@@ -23,6 +23,7 @@ Usage: python tools/gen_catalogs.py
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 import time
@@ -37,6 +38,13 @@ from noncent.core import FiniteGroup, fingerprint, from_table, direct_product, i
 from noncent.presentation import enumerate_presentation, parse
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "noncent" / "data"
+
+
+def expect(ok: bool, what: str) -> None:
+    """Stop regeneration when a check fails; raising keeps the check under
+    python -O."""
+    if not ok:
+        raise RuntimeError(f"check failed: {what}")
 
 
 # --- GF(2) linear algebra on bitmask vectors --------------------------------
@@ -180,78 +188,55 @@ def classify_order(parents: list[FiniteGroup]) -> list[FiniteGroup]:
 
 # --- class-2 groups from (Z, c, q) data --------------------------------------
 
-def abelian_data(factors: tuple[int, ...]):
-    """Tables and torsion structure for Z = prod C_{factors[i]}."""
-    nz = int(np.prod(factors))
-    radix = []
-    acc = 1
-    for f in reversed(factors):
-        radix.append(acc)
-        acc *= f
-    radix = list(reversed(radix))  # mixed-radix place values
+def abelian_data(factors: tuple[int, ...]) -> tuple[FiniteGroup, list[int], np.ndarray]:
+    """Z = prod C_{factors[i]} as a direct product, with its 2-torsion and the
+    smallest member of every coset of 2Z.
 
-    def decode(i):
-        out = []
-        for place, f in zip(radix, factors):
-            out.append((i // place) % f)
-        return tuple(out)
-
-    def encode(t):
-        return sum(v * place for v, place in zip(t, radix))
-
-    add = np.empty((nz, nz), dtype=np.int64)
-    for i in range(nz):
-        ti = decode(i)
-        for j in range(nz):
-            tj = decode(j)
-            add[i, j] = encode(tuple((a + b) % f for a, b, f in zip(ti, tj, factors)))
-    two_torsion = [i for i in range(nz)
-                   if all((2 * v) % f == 0 for v, f in zip(decode(i), factors))]
-    doubles = sorted({encode(tuple((2 * v) % f for v, f in zip(decode(i), factors)))
-                      for i in range(nz)})
-    # coset representatives of 2Z in Z
-    seen = set()
-    q_reps = []
-    for i in range(nz):
-        if i in seen:
-            continue
-        q_reps.append(i)
-        for d in doubles:
-            seen.add(int(add[i, d]))
-    return nz, add, two_torsion, q_reps, decode
+    Element indices are the mixed-radix numbers of the digit tuples, first
+    factor most significant, so np.unravel_index(z, factors) decodes z.
+    """
+    z = dp(*(families.cyclic(f) for f in factors))
+    two_torsion = np.flatnonzero(z.element_orders() <= 2).tolist()
+    rep_of = z.table[:, np.diag(z.table)].min(axis=1)
+    return z, two_torsion, rep_of
 
 
-def pair_phi(k: int, nz: int, zadd: np.ndarray,
-             cpairs: dict[tuple[int, int], int]) -> np.ndarray:
-    """Commutator part of the collection cocycle: sum of c[(j, i)] over bits
-    i of v and j of w with i > j."""
-    nv = 1 << k
-    phi = np.zeros((nv, nv), dtype=np.int64)
-    for v in range(nv):
-        for w in range(nv):
-            acc = 0
-            for i in range(k):
-                for j in range(i):
-                    if (v >> i & 1) and (w >> j & 1):
-                        acc = int(zadd[acc, cpairs[(j, i)]])
-            phi[v, w] = acc
+def _bits(k: int) -> np.ndarray:
+    """bits[v, i] = bit i of the bitmask v, for every v < 2^k."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+
+
+def pair_phi(k: int, zadd: np.ndarray, cpairs: dict[tuple[int, int], int]) -> np.ndarray:
+    """Commutator part of the collection cocycle: phi[v, w] is the sum of
+    c[(j, i)] over bits i of v and j of w with i > j, for all v, w at once.
+
+    Every pairing value is 2-torsion, so the commutator form is
+    zadd[phi, phi.T]."""
+    bits = _bits(k)
+    phi = np.zeros((1 << k, 1 << k), dtype=np.int64)
+    for (j, i), c in cpairs.items():
+        phi = zadd[phi, c * (bits[:, i, None] & bits[None, :, j])]
     return phi
 
 
-def class2_table(k: int, nz: int, zadd: np.ndarray, phi_c: np.ndarray,
-                 qvals: list[int]) -> np.ndarray:
+def subset_sums(k: int, zadd: np.ndarray, qvals) -> np.ndarray:
+    """s[m] = sum of qvals[i] over the bits i of m, for every m < 2^k."""
+    bits = _bits(k)
+    s = np.zeros(1 << k, dtype=np.int64)
+    for i, q in enumerate(qvals):
+        s = zadd[s, q * bits[:, i]]
+    return s
+
+
+def class2_table(zadd: np.ndarray, phi_c: np.ndarray, subset_q: np.ndarray) -> np.ndarray:
     """Table of the class-2 group with center data (Z, c, q).
 
     Elements are (v, z) with v in F2^k (bitmask, bit i = generator x_i) and
     z in Z; index = v * nz + z.  Multiplication collects commutators
-    (phi_c, from the pairing) and squares q[i] on shared bits of v and w.
+    (phi_c, from the pairing) and squares q[i] on shared bits of v and w
+    (subset_q, the sums of the q[i] over each bitmask).
     """
-    nv = 1 << k
-    subset_q = np.zeros(nv, dtype=np.int64)
-    for m in range(1, nv):
-        low = m & -m
-        i = low.bit_length() - 1
-        subset_q[m] = zadd[subset_q[m ^ low], qvals[i]]
+    nv, nz = len(subset_q), len(zadd)
     av = np.repeat(np.arange(nv), nz)
     az = np.tile(np.arange(nz), nv)
     phi = zadd[phi_c, subset_q[np.arange(nv)[:, None] & np.arange(nv)[None, :]]]
@@ -261,113 +246,39 @@ def class2_table(k: int, nz: int, zadd: np.ndarray, phi_c: np.ndarray,
     return vx * nz + total
 
 
-def comm_map(k: int, nz: int, zadd: np.ndarray, cpairs) -> np.ndarray:
-    nv = 1 << k
-    cm = np.zeros((nv, nv), dtype=np.int64)
-    for v in range(nv):
-        for w in range(nv):
-            acc = 0
-            for i in range(k):
-                for j in range(i):
-                    if ((v >> i & 1) and (w >> j & 1)) ^ ((w >> i & 1) and (v >> j & 1)):
-                        acc = int(zadd[acc, cpairs[(j, i)]])
-            cm[v, w] = acc
-    return cm
+@functools.cache
+def gl_matrices(k: int) -> np.ndarray:
+    """All of GL(k, 2), one row of column images (bitmasks) per matrix: the
+    k-tuples of linearly independent nonzero columns."""
+    gl = np.array([m for m in itertools.product(range(1, 1 << k), repeat=k)
+                   if len(rref(list(m))) == k])
+    gl.setflags(write=False)
+    return gl
 
 
-def eval_form(cpairs: dict, zadd: np.ndarray, k: int, u: int, w: int) -> int:
-    """Bilinear expansion of the pairing at bitmask vectors u, w."""
-    acc = 0
-    for i in range(k):
-        for j in range(i):
-            if ((u >> i & 1) and (w >> j & 1)) ^ ((u >> j & 1) and (w >> i & 1)):
-                acc = int(zadd[acc, cpairs[(j, i)]])
-    return acc
+@functools.cache
+def abelian_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
+    """Every automorphism of Z = prod C_{factors[i]}, one row per map, as a
+    permutation of element indices.
 
-
-def eval_square(cpairs: dict, qvals, zadd: np.ndarray, k: int, m: int) -> int:
-    """Z-part of the square of the normal-form monomial with support m."""
-    acc = 0
-    for i in range(k):
-        if not (m >> i & 1):
-            continue
-        acc = int(zadd[acc, qvals[i]])
-        for j in range(i):
-            if m >> j & 1:
-                acc = int(zadd[acc, cpairs[(j, i)]])
-    return acc
-
-
-def gl_matrices(k: int) -> list[list[int]]:
-    """All of GL(k, 2) as column-image lists, closed under the generators."""
-    ident = [1 << i for i in range(k)]
-
-    def mul(m, n):  # (m*n)(e_i) = m(n(e_i))
-        return [_apply(m, col) for col in n]
-
-    seen = {tuple(ident)}
-    queue = [ident]
-    out = [ident]
-    gens = _gl_generators(k)
-    while queue:
-        cur = queue.pop()
-        for gmat in gens:
-            nxt = mul(cur, gmat)
-            key = tuple(nxt)
-            if key not in seen:
-                seen.add(key)
-                out.append(nxt)
-                queue.append(nxt)
-    return out
-
-
-def _apply(m: list[int], v: int) -> int:
-    out = 0
-    for i in range(len(m)):
-        if v >> i & 1:
-            out ^= m[i]
-    return out
-
-
-def abelian_automorphisms(factors: tuple[int, ...]) -> list[np.ndarray]:
-    """Every automorphism of Z = prod C_{factors[i]} as a permutation of
-    element indices."""
-    nz, zadd, _, _, decode = abelian_data(factors)
-    orders = np.empty(nz, dtype=np.int64)
-    for z in range(nz):
-        o, acc = 1, z
-        while acc != 0:
-            acc = int(zadd[acc, z])
-            o += 1
-        orders[z] = o
-
-    def power(z, e):
-        acc = 0
-        for _ in range(e):
-            acc = int(zadd[acc, z])
-        return acc
-
-    basis = []
-    place = nz
+    A candidate sends the i-th unit digit to an element of order factors[i]
+    and extends additively: digit column by digit column, each image is a
+    zadd gather of the images so far with the multiples of the new one.  The
+    bijective candidates are the automorphisms.
+    """
+    z = abelian_data(factors)[0]
+    zadd = z.table
+    mult = np.zeros((z.order, max(factors)), dtype=np.int64)  # mult[x, e] = e*x
+    for e in range(1, max(factors)):
+        mult[:, e] = zadd[mult[:, e - 1], np.arange(z.order)]
+    maps = np.zeros((1, 1), dtype=np.int64)
     for f in factors:
-        place //= f
-        basis.append(place)  # element with a single unit digit
-
-    candidates = [[z for z in range(nz) if orders[z] == f] for f in factors]
-    out = []
-    for images in itertools.product(*candidates):
-        # the image map z = sum(d_i * basis_i) -> sum(d_i * images_i)
-        perm = np.zeros(nz, dtype=np.int64)
-        ok = True
-        for z in range(nz):
-            digits = decode(z)
-            acc = 0
-            for d, img in zip(digits, images):
-                acc = int(zadd[acc, power(img, d)])
-            perm[z] = acc
-        if len(set(int(x) for x in perm)) == nz:
-            out.append(perm)
-    return out
+        gens = mult[np.flatnonzero(z.element_orders() == f), :f]
+        maps = zadd[maps[:, None, :, None], gens[None, :, None, :]]
+        maps = maps.reshape(maps.shape[0] * maps.shape[1], -1)
+    auts = maps[(np.sort(maps, axis=1) == np.arange(z.order)).all(axis=1)]
+    auts.setflags(write=False)
+    return auts
 
 
 def _gl_generators(k: int) -> list[list[int]]:
@@ -386,38 +297,34 @@ def _gl_generators(k: int) -> list[list[int]]:
     return gens
 
 
-def form_orbit_reps(k: int, nz: int, zadd, two_torsion: list[int],
-                    val_gens: list) -> list[dict]:
+def _pairs(k: int) -> list[tuple[int, int]]:
+    """Index pairs (j, i), j < i, of the commutator pairing on C2^k."""
+    return [(j, i) for i in range(k) for j in range(i)]
+
+
+def form_orbit_reps(k: int, zadd: np.ndarray, two_torsion: list[int],
+                    val_gens: np.ndarray) -> list[dict]:
     """One commutator pairing per orbit under basis changes of G/Z and the
     given value-side permutations of Z."""
-    pairs = [(j, i) for i in range(k) for j in range(i)]
-    gl_gens = _gl_generators(k)
-
-    def key(cpairs):
-        return tuple(cpairs[p] for p in pairs)
-
+    pairs = _pairs(k)
+    js, is_ = np.array(pairs).T
+    gl_gens = np.array(_gl_generators(k))
     seen: set[tuple] = set()
     reps = []
     for combo in itertools.product(two_torsion, repeat=len(pairs)):
-        cpairs = dict(zip(pairs, combo))
-        k0 = key(cpairs)
-        if k0 in seen:
+        if combo in seen:
             continue
-        reps.append(cpairs)
-        frontier = [cpairs]
-        seen.add(k0)
+        reps.append(dict(zip(pairs, combo)))
+        frontier = [combo]
+        seen.add(combo)
         while frontier:
             cur = frontier.pop()
-            images = []
-            for m in gl_gens:
-                images.append({(j, i): eval_form(cur, zadd, k, m[j], m[i])
-                               for (j, i) in pairs})
-            for perm in val_gens:
-                images.append({p: int(perm[v]) for p, v in cur.items()})
-            for img in images:
-                ki = key(img)
-                if ki not in seen:
-                    seen.add(ki)
+            phi = pair_phi(k, zadd, dict(zip(pairs, cur)))
+            images = zadd[phi, phi.T][gl_gens[:, js], gl_gens[:, is_]].tolist()
+            images += val_gens[:, list(cur)].tolist()
+            for img in map(tuple, images):
+                if img not in seen:
+                    seen.add(img)
                     frontier.append(img)
     return reps
 
@@ -431,49 +338,41 @@ def class2_groups(factors: tuple[int, ...], k: int,
     deduplication marks whole stabilizer orbits of q instead of running
     group-level isomorphism searches.
     """
-    nz, zadd, two_torsion, q_reps, _ = abelian_data(factors)
-    pairs = [(j, i) for i in range(k) for j in range(i)]
+    z, two_torsion, rep_of = abelian_data(factors)
+    zadd = z.table
+    js, is_ = np.array(_pairs(k)).T
     gl = gl_matrices(k)
     auts = abelian_automorphisms(factors)
-    # canonical coset representative of z modulo 2Z
-    doubles = sorted({int(zadd[z, z]) for z in range(nz)})
-    rep_of = np.empty(nz, dtype=np.int64)
-    for z in range(nz):
-        rep_of[z] = min(int(zadd[z, d]) for d in doubles)
+    q_reps = np.unique(rep_of).tolist()  # smallest member of each coset of 2Z
     # distinct value-side actions on the 2-torsion drive the form orbits
-    val_gens = list({tuple(int(s[t]) for t in two_torsion): s for s in auts}.values())
+    val_gens = np.array(list({tuple(s[two_torsion].tolist()): s for s in auts}.values()))
 
     found = []
-    for cpairs in form_orbit_reps(k, nz, zadd, two_torsion, val_gens):
-        cm = comm_map(k, nz, zadd, cpairs)
-        if not all((cm[:, v] != 0).any() for v in range(1, 1 << k)):
+    for cpairs in form_orbit_reps(k, zadd, two_torsion, val_gens):
+        phi_c = pair_phi(k, zadd, cpairs)
+        cm = zadd[phi_c, phi_c.T]
+        if not (cm[:, 1:] != 0).any(axis=0).all():
             continue  # center would be bigger than Z
         if require_regular:
-            kernels = [frozenset(int(w) for w in range(1 << k) if cm[w, v] == 0)
-                       for v in range(1, 1 << k)]
-            if len(set(kernels)) != len(kernels):
+            kernels = cm[:, 1:].T == 0
+            if len(np.unique(kernels, axis=0)) != len(kernels):
                 continue
-        stab = []
-        for m in gl:
-            cm_form = {(j, i): eval_form(cpairs, zadd, k, m[j], m[i])
-                       for (j, i) in pairs}
-            for sigma in auts:
-                if all(int(sigma[cm_form[p]]) == cpairs[p] for p in pairs):
-                    stab.append((m, sigma))
-        phi_c = pair_phi(k, nz, zadd, cpairs)
+        # stabilizer pairs (m, sigma): sigma(c(m e_j, m e_i)) = c(e_j, e_i)
+        sa, sg = np.nonzero((auts[:, cm[gl[:, js], gl[:, is_]]]
+                             == list(cpairs.values())).all(axis=2))
+        stab_auts, stab_gl = auts[sa], gl[sg]
         seen: set[tuple] = set()
         for qvals in itertools.product(q_reps, repeat=k):
             if qvals in seen:
                 continue
-            for m, sigma in stab:
-                img = tuple(int(rep_of[int(sigma[eval_square(cpairs, qvals, zadd, k, m[i])])])
-                            for i in range(k))
-                seen.add(img)
-            table = class2_table(k, nz, zadd, phi_c, list(qvals))
-            g = from_table(table)
-            assert g.center().size == nz
+            subset_q = subset_sums(k, zadd, qvals)
+            squares = zadd[subset_q, np.diag(phi_c)]  # Z-part of each monomial's square
+            images = rep_of[np.take_along_axis(stab_auts, squares[stab_gl], axis=1)]
+            seen.update(map(tuple, images.tolist()))
+            g = from_table(class2_table(zadd, phi_c, subset_q))
+            expect(g.center().size == z.order, f"{factors}, k={k}: center larger than Z")
             if require_regular:
-                assert analysis.is_regular(g) is not None
+                expect(analysis.is_regular(g) is not None, f"{factors}, k={k}: not regular")
             found.append((g, dict(cpairs), list(qvals)))
     return found
 
@@ -497,13 +396,8 @@ def semidihedral(order: int) -> FiniteGroup:
 
 
 def min_generators(g: FiniteGroup) -> int:
-    phi = g.frattini()
-    d = 0
-    q = g.order // phi.size
-    while q > 1:
-        q //= 2
-        d += 1
-    return d
+    """Rank of a 2-group: log2 of [G : Phi(G)] (Burnside basis theorem)."""
+    return (g.order // g.frattini().size).bit_length() - 1
 
 
 def match_label(classes: list[FiniteGroup], ref: FiniteGroup) -> int:
@@ -620,11 +514,8 @@ def assign_labels(classes: list[FiniteGroup], order: int,
                 assigned[gid] = classes[i]
                 remaining.remove(i)
 
-        def is_c23_quotient(g):
-            if g.is_abelian or g.center().size != 4:
-                return False
-            quo = g.quotient(g.center())
-            return quo.order == 8 and quo.is_abelian and quo.order_histogram() == ((1, 1), (2, 7))
+        def is_c23_quotient(g):  # G/Z = C2^3; exponent 2 makes G/Z abelian
+            return g.order // g.center().size == 8 and g.center_coset_orders().max() == 2
 
         def is_reduced24(g):
             return (not g.is_abelian and analysis.is_regular(g) == 24
@@ -661,7 +552,7 @@ def order64_rows():
         for factors in Z_TYPES[zsize]:
             for g, cpairs, qvals in class2_groups(factors, k, require_regular=True):
                 if store.add(g):
-                    assert analysis.is_regular(g) == degree
+                    expect(analysis.is_regular(g) == degree, f"{factors}: not {degree}-regular")
                     if analysis.is_reduced_regular(g):
                         rows[degree].append((g, factors, cpairs, qvals))
     return rows
@@ -735,13 +626,12 @@ def pres_entry(label: str, g_order: int, text: str, comment: str = "") -> str:
 def class2_presentation(factors: tuple[int, ...], k: int,
                         cpairs: dict, qvals: list[int]) -> str:
     """Presentation of the class-2 group from its (Z, c, q) data."""
-    nz, zadd, _, _, decode = abelian_data(factors)
     znames = [f"z{i+1}" for i in range(len(factors))]
     xnames = [f"x{i+1}" for i in range(k)]
 
     def zword(idx: int) -> str:
         parts = [f"{nm}^{e}" if e > 1 else nm
-                 for nm, e in zip(znames, decode(idx)) if e]
+                 for nm, e in zip(znames, np.unravel_index(idx, factors)) if e]
         return "*".join(parts) if parts else "1"
 
     rels = [f"{nm}^{o}" for nm, o in zip(znames, factors)]
@@ -772,13 +662,13 @@ def main():
     order4 = [families.cyclic(4), dp(c2, c2)]
     order8 = classify_order(order4)
     print(f"order 8: {len(order8)} classes ({time.time() - t0:.1f}s)")
-    assert len(order8) == 5
+    expect(len(order8) == 5, "5 groups of order 8")
     order16 = classify_order(order8)
     print(f"order 16: {len(order16)} classes ({time.time() - t0:.1f}s)")
-    assert len(order16) == 14
+    expect(len(order16) == 14, "14 groups of order 16")
     order32 = classify_order(order16)
     print(f"order 32: {len(order32)} classes ({time.time() - t0:.1f}s)")
-    assert len(order32) == 51
+    expect(len(order32) == 51, "51 groups of order 32")
 
     refs8, refs16, refs32 = build_references()
     labels8 = assign_labels(order8, 8, refs8)
@@ -795,11 +685,12 @@ def main():
                 t1.setdefault(deg, []).append(label)
     for deg in sorted(t1):
         print(f"  reduced {deg}-regular: {sorted(t1[deg])}")
-    assert sorted(t1[6]) == ["[8,3]", "[8,4]"]
-    assert sorted(t1[12]) == ["[16,13]", "[16,3]", "[16,4]", "[16,6]"]
-    assert len(t1[24]) == 7 and len(t1[30]) == 2
-    assert sorted(int(l.strip("[]").split(",")[1]) for l in t1[24]) == [2, 4, 5, 12, 17, 24, 38]
-    assert sorted(int(l.strip("[]").split(",")[1]) for l in t1[30]) == [49, 50]
+    expect(sorted(t1[6]) == ["[8,3]", "[8,4]"], "Table 1 row n=6")
+    expect(sorted(t1[12]) == ["[16,13]", "[16,3]", "[16,4]", "[16,6]"], "Table 1 row n=12")
+    expect(len(t1[24]) == 7 and len(t1[30]) == 2, "Table 1 rows n=24, n=30 sizes")
+    expect(sorted(int(l.strip("[]").split(",")[1]) for l in t1[24]) == [2, 4, 5, 12, 17, 24, 38],
+           "Table 1 row n=24")
+    expect(sorted(int(l.strip("[]").split(",")[1]) for l in t1[30]) == [49, 50], "Table 1 row n=30")
 
     # cross-validate the class-2 machinery against the cocycle-based
     # classification at order 32 before trusting it for order 64
@@ -809,17 +700,18 @@ def main():
     es32 = [g for g, _, _ in class2_groups((2,), 4, require_regular=True)]
     ref24 = [g for g in order32 if analysis.is_regular(g) == 24]
     ref30 = [g for g in order32 if analysis.is_regular(g) == 30]
-    assert len(reg32) == len(ref24) == 15
-    assert len(es32) == len(ref30) == 2
+    expect(len(reg32) == len(ref24) == 15, "15 class-2 24-regular groups of order 32")
+    expect(len(es32) == len(ref30) == 2, "2 class-2 30-regular groups of order 32")
     for g in reg32:
-        assert sum(1 for h in ref24 if is_isomorphic(g, h)) == 1
+        expect(sum(1 for h in ref24 if is_isomorphic(g, h)) == 1, "class-2 group matches one 24-regular class")
     for g in es32:
-        assert sum(1 for h in ref30 if is_isomorphic(g, h)) == 1
+        expect(sum(1 for h in ref30 if is_isomorphic(g, h)) == 1, "class-2 group matches one 30-regular class")
     print(f"class-2 machinery cross-validated at order 32 ({time.time() - t0:.1f}s)")
 
     rows = order64_rows()
     print(f"order-64 rows: { {d: len(v) for d, v in rows.items()} } ({time.time() - t0:.1f}s)")
-    assert len(rows[48]) == 10 and len(rows[56]) == 10 and len(rows[60]) == 20
+    expect(len(rows[48]) == 10 and len(rows[56]) == 10 and len(rows[60]) == 20,
+           "order-64 rows of 10, 10 and 20 groups")
     labels64 = assign_labels64(rows)
     print(f"order-64 labels assigned ({time.time() - t0:.1f}s)")
 
