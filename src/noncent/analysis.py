@@ -130,24 +130,24 @@ def h_subgroup(g: FiniteGroup, class_id: int) -> Subgroup:
             f"beta-class {class_id} union center is not a subgroup: {exc}") from exc
 
 
-def _pure_cyclic(ab: FiniteGroup, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """For each x[i] of the abelian 2-group ab: True iff x[i] has order
-    m[i] > 1 and <x[i]> is a pure subgroup of ab.
-
-    <x> of order 2^k is pure exactly when 2^(k-1)x has height k - 1, that is,
-    lies outside 2^k ab.  Each pass doubles every element (2^j ab is the image
-    of j squaring gathers of arange) and every x together, and tests the x
-    whose doubling first reaches the identity; 0 lies in every 2^j ab, so
-    the identity and already-finished x never pass.
+def _pure_cyclic(g: FiniteGroup, z: np.ndarray) -> np.ndarray:
+    """For each central z[i] of the 2-group g: True iff <z[i]> is a direct
+    factor of g (see is_reduced_regular).  Each pass squares every element
+    and every z in one gather and marks the cosets xG' of the squares by
+    their smallest members; a z that has just reached the identity passes
+    when its last power before it lies in an unmarked coset.  The identity
+    is a square in every pass, so the identity and finished z never pass.
     """
-    t = ab.table
-    pure = np.zeros(len(x), dtype=bool)
-    mult, x_pow = np.arange(ab.order), np.asarray(x)
-    for _ in range(ab.order.bit_length()):  # 2^k <= |ab| bounds every k
-        mult, doubled = t[mult, mult], t[x_pow, x_pow]
-        pure |= (doubled == 0) & ~np.isin(x_pow, mult)
-        x_pow = doubled
-    return pure & (ab.element_orders()[x] == m)
+    n, squares = g.order, np.diagonal(g.table)
+    coset = g.table[:, g.commutator_subgroup().mask].min(axis=1)
+    pure = np.zeros(len(z), dtype=bool)
+    x = np.concatenate([np.arange(n), z])  # every element, then the z
+    while x[n:].any():
+        y, x = x[n:], squares[x]
+        hit = np.zeros(n, dtype=bool)
+        hit[coset[x[:n]]] = True
+        pure |= (x[n:] == 0) & ~hit[coset[y]]
+    return pure
 
 
 def is_reduced_regular(g: FiniteGroup) -> bool:
@@ -159,18 +159,16 @@ def is_reduced_regular(g: FiniteGroup) -> bool:
     A = G/G' is a direct summand of order m: a projection A -> <zbar> pulls
     back to G -> <z> with a complement as kernel, and G = K x <z> gives
     A = K/K' x <z>.  A bounded pure subgroup of an abelian group is a direct
-    summand (Fuchs, Infinite Abelian Groups I, 1970, sections 26-27), so G is
-    reduced iff no central z != 1 of order m = 2^k has both: zbar of order m
-    in A, and 2^(k-1)zbar outside 2^k A.  Cross-validated in the test suite
-    against brute_force_abelian_factor and a homomorphism search.
+    summand (Fuchs, Infinite Abelian Groups I, 1970, sections 26-27), and
+    <zbar> of order 2^k is pure exactly when 2^(k-1)zbar lies outside 2^k A.
+    Since 2^k zbar = 0 and 0 lies in 2^k A, that condition alone forces zbar
+    to have order m = 2^k.  So G is reduced iff no central z != 1 has
+    2^(k-1)zbar outside 2^k A.  Cross-validated in the test suite against
+    brute_force_abelian_factor and a homomorphism search.
     """
     if g.is_abelian or g.is_p_group() != 2 or is_regular(g) is None:
         raise NotRegular2Group("reduced-regularity needs a regular non-abelian 2-group")
-    comm_sub = g.commutator_subgroup()
-    ab = g.quotient(comm_sub)  # numbered by comm_sub.coset_index()
-    z = np.asarray(g.center().members[1:])
-    zbar = comm_sub.coset_index()[z]
-    return not _pure_cyclic(ab, zbar, g.element_orders()[z]).any()
+    return not _pure_cyclic(g, np.asarray(g.center().members[1:])).any()
 
 
 def brute_force_abelian_factor(

@@ -120,6 +120,13 @@ def _cached(fn):
     return cached
 
 
+_BLOCK = 64  # rows or columns per step of the blocked n x n passes
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
 def _split_by_id(ids: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """The elements with each id 0..m-1, ascending, indexed by id."""
     members = np.argsort(ids, kind="stable")
@@ -243,8 +250,13 @@ class FiniteGroup:
 
     @_cached
     def commuting_matrix(self) -> np.ndarray:
-        """Boolean matrix M with M[x, y] iff x and y commute."""
-        return self.table == self.table.T
+        """Boolean matrix M with M[x, y] iff x and y commute, compared
+        _BLOCK columns at a time so that the transposed rows stay in cache."""
+        t = self.table
+        m = np.empty(t.shape, dtype=bool)
+        for s in _blocks(self.order):
+            np.equal(t[:, s], t[s].T, out=m[:, s])
+        return m
 
     @_cached
     def beta_class_ids(self) -> np.ndarray:
@@ -468,9 +480,13 @@ class FiniteGroup:
         return self.generated_subgroup(self._commutators())
 
     def _commutators(self) -> np.ndarray:
-        """Distinct commutators a^-1 b^-1 a b = (b*a)^-1 (a*b), in one gather."""
-        t = self.table
-        return np.unique(t[self.inverses()[t.T], t])
+        """Distinct commutators a^-1 b^-1 a b = (b*a)^-1 (a*b), ascending:
+        scattered into a mask _BLOCK rows a at a time."""
+        t, inv = self.table, self.inverses()
+        seen = np.zeros(self.order, dtype=bool)
+        for s in _blocks(self.order):
+            seen[t[inv[t[:, s].T], t[s]]] = True
+        return np.flatnonzero(seen)
 
 
 def _find_identity(table: np.ndarray) -> int:

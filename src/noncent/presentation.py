@@ -123,15 +123,18 @@ def parse(text: str) -> Presentation:
     letter = {name: 2 * k for k, name in enumerate(gens)}
 
     def word(i: int) -> tuple[list[int], int]:
-        """The free-reduced letters of the word at token i, and the index past it."""
+        """The free-reduced letters of the word at token i, and the index past
+        it.  The words of open parentheses wait on a stack, so nesting depth
+        is bounded only by the input."""
         out: list[int] = []
+        open_words: list[list[int]] = []
         while True:
             tok = toks[i]
             if tok == "(":
-                atom, i = word(i + 1)
-                if toks[i] != ")":
-                    fail(i, "')'")
-            elif tok == "1":
+                open_words.append(out)
+                out, i = [], i + 1
+                continue
+            if tok == "1":
                 atom = []
             elif tok in letter:
                 atom = [letter[tok]]
@@ -140,15 +143,22 @@ def parse(text: str) -> Presentation:
             else:
                 fail(i, "generator, '(' or '1'")
             i += 1
-            if toks[i] == "^":
-                if not (toks[i + 1] or "").lstrip("-").isdecimal():
-                    fail(i + 1, "integer exponent")
-                atom = _power(atom, int(toks[i + 1]))
-                i += 2
-            _push(out, atom)
-            if toks[i] != "*":
-                return out, i
-            i += 1
+            while True:  # an atom ends a factor; a closed word is the next atom
+                if toks[i] == "^":
+                    if not (toks[i + 1] or "").lstrip("-").isdecimal():
+                        fail(i + 1, "integer exponent")
+                    atom = _power(atom, int(toks[i + 1]))
+                    i += 2
+                _push(out, atom)
+                if toks[i] == "*":
+                    i += 1
+                    break
+                if not open_words:
+                    return out, i
+                if toks[i] != ")":
+                    fail(i, "')'")
+                atom, out = out, open_words.pop()
+                i += 1
 
     relators: list[Word] = []
     i += 1

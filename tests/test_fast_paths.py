@@ -8,11 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from noncent import analysis, checks, cli, core, families, graph, presentation
+from noncent import analysis, catalog, checks, cli, core, families, graph, presentation
 from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
-from test_acceptance import _family_instances, _with_cyclic_products
+from test_acceptance import TABLE1_ROWS, _family_instances, _with_cyclic_products
 from test_presentation import FAMILY_PRESENTATIONS
 
 
@@ -509,6 +509,12 @@ def slow_commutators(g):
     inv = g.inverses()
     return {int(g.table[int(inv[int(g.table[b, a])]), int(g.table[a, b])])
             for a in range(g.order) for b in range(g.order)}
+
+
+def parent_commutators(g):
+    """Distinct commutators (b*a)^-1 (a*b) by one whole-table gather and sort."""
+    t = g.table
+    return np.unique(t[g.inverses()[t.T], t])
 
 
 def slow_embeds(a, b_subgroups):
@@ -1345,6 +1351,13 @@ class TestParseOracle:
     def test_edge_cases(self, text):
         assert parse_outcome(parse, text) == parse_outcome(slow_parse, text)
 
+    def test_deep_nesting_parses_without_recursion(self):
+        depth = 10 ** 4
+        text = "< a | " + "(" * depth + "a" + ")" * depth + "^2 >"
+        assert parse(text).relators == (((0, 2),),)
+        with pytest.raises(ParseError, match="expected '\\)'"):
+            parse("< a | " + "(" * depth + "a >")
+
     def test_random_corpus(self):
         rng = random.Random(12)
         kinds = Counter()
@@ -1382,6 +1395,26 @@ class TestRowKeys:
             fast = core.row_classes(comm)
             same = ids[:, None] == ids[None, :]
             assert (same == (fast[:, None] == fast[None, :])).all(), label
+
+
+@pytest.fixture(scope="module")
+def blocked_corpus(shipped_groups):
+    """Every shipped catalog group (one short block each) and larger tables:
+    orders 640 and 1024 are whole blocks, order 343 ends in a short one."""
+    return [*shipped_groups,
+            ("C1024", families.cyclic(1024)), ("D1024", families.dihedral(512)),
+            ("H343", families.heisenberg(7)),
+            ("D64xC5", core.direct_product(families.dihedral(32), families.cyclic(5)))]
+
+
+class TestBlockedPasses:
+    def test_commuting_matrix_matches_transpose_compare(self, blocked_corpus):
+        for label, g in blocked_corpus:
+            assert np.array_equal(g.commuting_matrix(), g.table == g.table.T), label
+
+    def test_commutator_scatter_matches_unique_gather(self, blocked_corpus):
+        for label, g in blocked_corpus:
+            assert np.array_equal(g._commutators(), parent_commutators(g)), label
 
 
 class TestCommutators:
@@ -1698,7 +1731,7 @@ class TestProductMapConfirmation:
         assert not core.is_isomorphic(rebuilt, c4)
 
 
-# --- reduced regularity by purity in G/G' -------------------------------------
+# --- reduced regularity by purity, on G itself --------------------------------
 
 @pytest.fixture(scope="module")
 def regular_2groups(order8_entries, order16_entries, order32_entries, order64_entries,
@@ -1714,27 +1747,56 @@ def regular_2groups(order8_entries, order16_entries, order32_entries, order64_en
     return corpus + [("D8oC8", d8_central_product_c8)]
 
 
+def parent_pure_cyclic(ab, x, m):
+    """For each x[i] of the abelian 2-group ab: True iff x[i] has order
+    m[i] > 1 and <x[i]> is a pure subgroup of ab.
+
+    <x> of order 2^k is pure exactly when 2^(k-1)x has height k - 1, that is,
+    lies outside 2^k ab.  Each pass doubles every element (2^j ab is the image
+    of j squaring gathers of arange) and every x together, and tests the x
+    whose doubling first reaches the identity; 0 lies in every 2^j ab, so
+    the identity and already-finished x never pass.
+    """
+    t = ab.table
+    pure = np.zeros(len(x), dtype=bool)
+    mult, x_pow = np.arange(ab.order), np.asarray(x)
+    for _ in range(ab.order.bit_length()):  # 2^k <= |ab| bounds every k
+        mult, doubled = t[mult, mult], t[x_pow, x_pow]
+        pure |= (doubled == 0) & ~np.isin(x_pow, mult)
+        x_pow = doubled
+    return pure & (ab.element_orders()[x] == m)
+
+
+def parent_central_splits(g, z):
+    """parent_pure_cyclic on the images of the central z in G/G', built as a
+    quotient group, each at the order of z in G."""
+    comm_sub = g.commutator_subgroup()
+    ab = g.quotient(comm_sub)
+    return parent_pure_cyclic(ab, comm_sub.coset_index()[z], g.element_orders()[z])
+
+
 def pure_cyclic(a, xs):
-    """_pure_cyclic on elements of the abelian group a, each at its own order."""
-    x = np.array(xs)
-    return analysis._pure_cyclic(a, x, a.element_orders()[x]).tolist()
+    """_pure_cyclic on elements of the abelian 2-group a."""
+    return analysis._pure_cyclic(a, np.array(xs, dtype=np.int64)).tolist()
 
 
 class TestPurity:
     def test_central_splits_match_homomorphism_search(self, regular_2groups):
+        rng = np.random.default_rng(16)
         order_only = 0
         for label, g in regular_2groups:
-            comm_sub = g.commutator_subgroup()
-            ab = g.quotient(comm_sub)
-            z = np.asarray(g.center().members[1:])
-            zbar, m = comm_sub.coset_index()[z], g.element_orders()[z]
-            fast = analysis._pure_cyclic(ab, zbar, m).tolist()
-            slow = [slow_central_cyclic_splits(g, int(x)) for x in z]
-            assert fast == slow, label
-            assert analysis.is_reduced_regular(g) == (not any(slow)), label
-            order_only += int(((ab.element_orders()[zbar] == m) & ~np.array(slow)).sum())
+            for h in (g, from_table(relabeled(g, rng))):
+                z = np.asarray(h.center().members[1:])
+                fast = analysis._pure_cyclic(h, z).tolist()
+                assert fast == parent_central_splits(h, z).tolist(), label
+                slow = [slow_central_cyclic_splits(h, int(x)) for x in z]
+                assert fast == slow, label
+                assert analysis.is_reduced_regular(h) == (not any(slow)), label
+                comm_sub = h.commutator_subgroup()
+                zbar_orders = h.quotient(comm_sub).element_orders()[comm_sub.coset_index()[z]]
+                order_only += int(((zbar_orders == h.element_orders()[z]) & ~np.array(slow)).sum())
         assert len(regular_2groups) == 75
-        assert order_only > 100  # the height test decides these
+        assert order_only > 2 * 100  # the height test decides these, in both copies
 
     def test_z8_x_z2(self):
         a = core.direct_product(families.cyclic(8), families.cyclic(2))
@@ -1744,17 +1806,26 @@ class TestPurity:
 
         assert a.table[elt(2, 1), elt(2, 1)] == elt(4, 0)
         # (2,1) has order 4 and height 0, but 2*(2,1) = (4,0) = 4*(1,0)
-        assert pure_cyclic(a, [elt(2, 1), elt(1, 0), elt(0, 1), elt(2, 0)]) == \
-            [False, True, True, False]
-        x = np.full(4, elt(1, 0))
-        assert analysis._pure_cyclic(a, x, np.array([1, 4, 8, 16])).tolist() == \
-            [False, False, True, False]
+        xs = [elt(2, 1), elt(1, 0), elt(0, 1), elt(2, 0), elt(4, 0), elt(1, 1)]
+        assert pure_cyclic(a, xs) == [False, True, True, False, False, True]
+        assert pure_cyclic(a, xs) == parent_central_splits(a, np.array(xs)).tolist()
         assert pure_cyclic(a, [0]) == [False]
 
     def test_elementary_abelian_all_pure(self):
         for rank in (1, 2, 3, 4):
             e = families.elementary_abelian(2, rank)
             assert all(pure_cyclic(e, range(1, e.order)))
+
+
+def test_table1_search_builds_no_quotient(monkeypatch, order8_entries, order16_entries,
+                                         order32_entries, order64_entries):
+    def refuse(g, n_sub):
+        raise AssertionError("table1_search built a quotient group")
+
+    monkeypatch.setattr(core.FiniteGroup, "quotient", refuse)
+    entries = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+    assert catalog.table1_search(entries) == [
+        (n, sorted(labels, key=catalog.label_sort_key)) for n, labels in TABLE1_ROWS.items()]
 
 
 # --- one fingerprint and one element key per group ---------------------------
