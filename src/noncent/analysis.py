@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteGroup, Subgroup, TooLarge, all_subgroups, greedy_generators
+from .core import FiniteGroup, Subgroup
 
 __all__ = [
     "AbelianGroup",
@@ -22,17 +22,13 @@ __all__ = [
     "NotRegular2Group",
     "RegularityReport",
     "beta_partition",
-    "cent_count",
     "is_regular",
     "is_induced_regular",
     "maximal_centralizers",
     "h_subgroup",
     "is_reduced_regular",
-    "brute_force_abelian_factor",
     "build_report",
 ]
-
-BRUTE_FACTOR_CAP = 64
 
 
 class AbelianGroup(ValueError):
@@ -63,11 +59,6 @@ def beta_partition(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     identity) comes first; g.beta_class_ids() gives each element's class.
     """
     return g.beta_classes()
-
-
-def cent_count(g: FiniteGroup) -> int:
-    """Number of distinct centralizers (= number of beta classes)."""
-    return len(g.beta_classes())
 
 
 def is_regular(g: FiniteGroup) -> Optional[int]:
@@ -163,57 +154,12 @@ def is_reduced_regular(g: FiniteGroup) -> bool:
     <zbar> of order 2^k is pure exactly when 2^(k-1)zbar lies outside 2^k A.
     Since 2^k zbar = 0 and 0 lies in 2^k A, that condition alone forces zbar
     to have order m = 2^k.  So G is reduced iff no central z != 1 has
-    2^(k-1)zbar outside 2^k A.  Cross-validated in the test suite against
-    brute_force_abelian_factor and a homomorphism search.
+    2^(k-1)zbar outside 2^k A.  Cross-validated in the test suite against a
+    homomorphism search and brute_force_abelian_factor (tests/oracles.py).
     """
     if g.is_abelian or g.is_p_group() != 2 or is_regular(g) is None:
         raise NotRegular2Group("reduced-regularity needs a regular non-abelian 2-group")
     return not _pure_cyclic(g, np.asarray(g.center().members[1:])).any()
-
-
-def brute_force_abelian_factor(
-        g: FiniteGroup) -> Optional[tuple[Subgroup, Subgroup]]:
-    """Search for an internal direct decomposition G = H x A, A central
-    non-trivial; independent oracle for is_reduced_regular.
-
-    For each candidate central subgroup A the complement H is sought by
-    lifting generators of G/A in every possible way.  Deterministic: first
-    hit in (|A|, members, lift order) wins.  None when G is directly
-    indecomposable over its center.
-    """
-    if g.order > BRUTE_FACTOR_CAP:
-        raise TooLarge(f"brute-force factor search capped at order {BRUTE_FACTOR_CAP}")
-    z = g.center()
-    z_subs = [s for s in all_subgroups(z.as_group()) if 1 < s.size]
-    for a_small in sorted(z_subs, key=lambda s: (s.size, s.members)):
-        a_members = tuple(sorted(z.members[i] for i in a_small.members))
-        a_sub = g.subgroup(a_members)
-        res = _find_complement(g, a_sub)
-        if res is not None:
-            return res, a_sub
-    return None
-
-
-def _find_complement(g: FiniteGroup, a_sub: Subgroup) -> Optional[Subgroup]:
-    target = g.order // a_sub.size
-    quo = g.quotient(a_sub)
-    cosets = a_sub.cosets()
-    lift_choices = [cosets[q].members for q in greedy_generators(quo.table)]
-    a_set = a_sub.member_set()
-
-    def rec(i: int, picked: list[int]) -> Optional[Subgroup]:
-        if i == len(lift_choices):
-            h = g.generated_subgroup(picked)
-            if h.size == target and len(h.member_set() & a_set) == 1:
-                return h
-            return None
-        for x in lift_choices[i]:
-            found = rec(i + 1, picked + [x])
-            if found is not None:
-                return found
-        return None
-
-    return rec(0, [])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "NotAGroup",
     "NotNormal",
     "TooLarge",
-    "TrivialGroup",
     "TRIVIAL",
     "FiniteGroup",
     "Subgroup",
@@ -58,10 +57,6 @@ class NotNormal(ValueError):
 
 class TooLarge(ValueError):
     """Group order exceeds the supported cap for this operation."""
-
-
-class TrivialGroup(ValueError):
-    """Operation undefined on the order-1 group."""
 
 
 def check_table_budget(n: int) -> None:
@@ -162,9 +157,6 @@ class Subgroup:
     def __iter__(self):
         return iter(self.members)
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
     def as_group(self) -> "FiniteGroup":
         """Materialize this subgroup as a standalone FiniteGroup.
 
@@ -235,12 +227,6 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverses()[a])
-
     @_cached
     def inverses(self) -> np.ndarray:
         inv = np.empty(self.order, dtype=np.int32)
@@ -288,10 +274,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(self.commuting_matrix().all())
 
-    def element_order(self, x: int) -> int:
-        """Least k >= 1 with x^k = identity."""
-        return int(self.element_orders()[x])
-
     @_cached
     def element_orders(self) -> np.ndarray:
         return self.orders_modulo(np.arange(self.order) == 0)
@@ -320,13 +302,6 @@ class FiniteGroup:
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         vals, counts = np.unique(self.element_orders(), return_counts=True)
         return tuple((int(v), int(c)) for v, c in zip(vals, counts))
-
-    def power(self, x: int, k: int) -> int:
-        """x^k for any integer k, in fewer than order(x) products."""
-        acc = 0
-        for _ in range(k % self.element_order(x)):
-            acc = int(self.table[acc, x])
-        return acc
 
     def centralizer(self, x: int) -> Subgroup:
         """Subgroup of all elements commuting with x."""
@@ -425,56 +400,26 @@ class FiniteGroup:
         pk = is_prime_power(self.order)
         return pk[0] if pk else None
 
-    def is_elementary_p(self) -> Optional[int]:
-        """Prime p when every non-identity element has order exactly p.
-
-        Commutativity is not required.  Raises TrivialGroup on order 1.
-        """
-        if self.order == 1:
-            raise TrivialGroup("elementary-p test undefined for the trivial group")
-        orders = self.element_orders()
-        p = int(orders[1])
-        if not is_prime(p):
-            return None
-        return p if bool((orders[1:] == p).all()) else None
-
-    def is_elementary_abelian(self) -> Optional[int]:
-        if not self.is_abelian:
-            return None
-        return self.is_elementary_p()
-
     def frattini(self) -> Subgroup:
-        """Frattini subgroup (intersection of all maximal subgroups).
+        """Frattini subgroup (intersection of all maximal subgroups) of a
+        nilpotent group.
 
         G is nilpotent exactly when for every p^k exactly dividing |G| it has
         p^k p-elements (its one Sylow p-subgroup P).  Then Phi(G) is the product
         of the Phi(P) = P'P^p (Huppert, Endliche Gruppen I, III.3), the
-        subgroup generated by G' and the p-th powers of the p-elements.  Other
-        groups fall back to maximal-subgroup enumeration.
+        subgroup generated by G' and the p-th powers of the p-elements.  Raises
+        ValueError on a group that is not nilpotent.
         """
         seeds = [self._commutators()]
         for p, k in _prime_factors(self.order).items():
             x = np.flatnonzero(self.p_element_mask(p))
             if x.size != p ** k:
-                return self.frattini_by_maximal_subgroups()
+                raise ValueError("frattini() needs a nilpotent group")
             powers = x
             for _ in range(p - 1):
                 powers = self.table[powers, x]
             seeds.append(powers)
         return self.generated_subgroup(np.unique(np.concatenate(seeds)))
-
-    def frattini_by_maximal_subgroups(self) -> Subgroup:
-        """Frattini subgroup straight from the definition; exponential fallback."""
-        subs = [s for s in all_subgroups(self) if s.size < self.order]
-        maximal = []
-        for h in subs:
-            hm = h.member_set()
-            if not any(hm < k.member_set() for k in subs):
-                maximal.append(h)
-        members = frozenset(range(self.order))
-        for h in maximal:
-            members &= h.member_set()
-        return Subgroup(self, tuple(sorted(members)))
 
     def commutator_subgroup(self) -> Subgroup:
         return self.generated_subgroup(self._commutators())

@@ -12,18 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGroup, TooLarge
+from .core import FiniteGroup
 
 __all__ = [
     "UnknownFormat",
     "NonCentralizerGraph",
     "build_graph",
-    "degree_sequence",
-    "oracle_graph",
     "export",
 ]
-
-ORACLE_CAP = 256
 
 
 class UnknownFormat(ValueError):
@@ -52,52 +48,12 @@ class NonCentralizerGraph:
     def part_of(self) -> dict[int, int]:
         return {v: i for i, p in enumerate(self.parts) for v in p}
 
-    def edges(self):
-        """Yield edges (u, v), u < v ascending, pair by pair: the reference oracle for export."""
-        part_of = self.part_of()
-        verts = self.vertices()
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                if part_of[u] != part_of[v]:
-                    yield (u, v)
-
-    def edge_count(self) -> int:
-        n = self.vertex_count
-        return (n * n - sum(len(p) ** 2 for p in self.parts)) // 2
-
 
 def build_graph(g: FiniteGroup, induced: bool = False) -> NonCentralizerGraph:
     """Materialize the (induced) non-centralizer graph of g."""
     classes = g.beta_classes()
     return NonCentralizerGraph(labels=g.labels, parts=classes[1:] if induced else classes,
                                induced=induced)
-
-
-def degree_sequence(graph: NonCentralizerGraph) -> list[int]:
-    """Sorted degree multiset, computed from part sizes alone."""
-    n = graph.vertex_count
-    return sorted(n - len(p) for p in graph.parts for _ in p)
-
-
-def oracle_graph(g: FiniteGroup, induced: bool = False) -> set[tuple[int, int]]:
-    """Edge set built the slow way: compare centralizer member-sets pairwise.
-
-    Independent of the partition machinery; used to cross-check build_graph.
-    """
-    if g.order > ORACLE_CAP:
-        raise TooLarge(f"oracle capped at order {ORACLE_CAP}")
-    comm = g.commuting_matrix()
-    cents = [frozenset(int(i) for i in comm[x].nonzero()[0]) for x in range(g.order)]
-    if induced:
-        verts = [x for x in range(g.order) if len(cents[x]) != g.order]
-    else:
-        verts = list(range(g.order))
-    edges = set()
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if cents[u] != cents[v]:
-                edges.add((u, v))
-    return edges
 
 
 def export(graph: NonCentralizerGraph, fmt: str) -> str:

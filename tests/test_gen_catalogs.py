@@ -69,6 +69,13 @@ def slow_eval_square(cpairs, qvals, zadd, k, m):
     return acc
 
 
+def slow_gl_matrices(k):
+    """GL(k, 2) as the tool enumerated it before: every k-tuple of nonzero
+    columns in lexicographic order, kept when row reduction finds rank k."""
+    return np.array([m for m in itertools.product(range(1, 1 << k), repeat=k)
+                     if len(gen.rref(list(m))) == k])
+
+
 # --- tests -------------------------------------------------------------------
 
 ALL_Z_TYPES = [f for types in gen.Z_TYPES.values() for f in types]
@@ -106,6 +113,12 @@ def test_gl_orders():
         assert gl.shape == (count, k)
         assert len({tuple(m) for m in gl.tolist()}) == count
         assert all(len(gen.rref(m)) == k for m in gl[::97].tolist())
+
+
+def test_gl_matrices_match_rref_filter_in_order():
+    # the enumeration order decides which catalog representatives are kept
+    for k in (2, 3, 4):
+        assert np.array_equal(gen.gl_matrices(k), slow_gl_matrices(k)), k
 
 
 def test_commutator_form_and_squares_match_per_pair_loops():

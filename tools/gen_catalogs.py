@@ -249,9 +249,21 @@ def class2_table(zadd: np.ndarray, phi_c: np.ndarray, subset_q: np.ndarray) -> n
 @functools.cache
 def gl_matrices(k: int) -> np.ndarray:
     """All of GL(k, 2), one row of column images (bitmasks) per matrix: the
-    k-tuples of linearly independent nonzero columns."""
-    gl = np.array([m for m in itertools.product(range(1, 1 << k), repeat=k)
-                   if len(rref(list(m))) == k])
+    k-tuples of linearly independent nonzero columns, in lexicographic order.
+
+    Built column by column: each new column ranges, ascending, over the
+    nonzero vectors outside the span of the columns before it, so every
+    prefix extends in order and no tuple is row-reduced.  span[i] is the
+    membership mask of the span of row i's columns; adding v gives S | S ^ v.
+    """
+    vecs = np.arange(1, 1 << k)
+    gl = np.zeros((1, 0), dtype=np.int64)
+    span = np.arange(1 << k)[None, :] == 0
+    for _ in range(k):
+        rows, cols = np.nonzero(~span[:, vecs])  # row-major: prefixes, then columns ascending
+        v, span = vecs[cols], span[rows]
+        gl = np.column_stack([gl[rows], v])
+        span = span | np.take_along_axis(span, np.arange(1 << k) ^ v[:, None], axis=1)
     gl.setflags(write=False)
     return gl
 
