@@ -16,18 +16,9 @@ import numpy as np
 from .core import FiniteGroup, Subgroup
 
 __all__ = [
-    "AbelianGroup",
-    "NotMaximal",
-    "NotASubgroup",
-    "NotRegular2Group",
-    "RegularityReport",
-    "beta_partition",
-    "is_regular",
-    "is_induced_regular",
-    "maximal_centralizers",
-    "h_subgroup",
-    "is_reduced_regular",
-    "build_report",
+    "AbelianGroup", "NotMaximal", "NotASubgroup", "NotRegular2Group", "RegularityReport",
+    "beta_partition", "is_regular", "is_induced_regular", "maximal_centralizers",
+    "h_subgroup", "is_reduced_regular", "build_report",
 ]
 
 
@@ -53,11 +44,8 @@ class NotRegular2Group(ValueError):
 
 def beta_partition(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """The members of each class of elements with identical centralizers:
-    g.beta_classes(), computed once per group and cached on it.
-
-    Classes are numbered by smallest member, so the center (the class of the
-    identity) comes first; g.beta_class_ids() gives each element's class.
-    """
+    g.beta_classes(), cached on g.  Class 0 is the center; g.beta_class_ids()
+    gives each element's class."""
     return g.beta_classes()
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import FiniteGroup, _prime_factors, is_prime, is_prime_power
+from .core import FiniteGroup, Subgroup, _prime_factors, is_prime, is_prime_power
 from . import analysis
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
@@ -88,25 +88,59 @@ def _center_histogram(g: FiniteGroup) -> tuple[tuple[int, int], ...]:
     return _quotient_histogram(g.center_coset_orders(), len(g.beta_classes()[0]))
 
 
-def _abelian_embeds(a_orders: np.ndarray, b_orders: np.ndarray) -> bool:
-    """Whether abelian group A embeds in abelian group B, given the orders of
-    their elements.
+def _embeds_in_center(g: FiniteGroup, cents: np.ndarray) -> np.ndarray:
+    """For each row C of cents, a normal centralizer with G/C abelian:
+    whether G/C embeds in Z(G), by the Omega-counts of check_ncen."""
+    n, central = g.order, g.beta_class_ids() == 0
+    ok = np.ones(len(cents), dtype=bool)
+    for p, e in _prime_factors(n).items():
+        maps = [np.arange(n)]  # x -> x^(p^k) for k = 0..e
+        for _ in range(e):
+            acc = maps[-1]
+            for _ in range(p - 1):
+                acc = g.table[acc, maps[-1]]
+            maps.append(acc)
+        pw = np.array(maps)
+        # hits[k, y]: the x with x^(p^k) = y; a[c, k]: |C| |Omega_k(G/C)| for row c
+        hits = np.bincount((pw + n * np.arange(e + 1)[:, None]).ravel(), minlength=(e + 1) * n)
+        a = cents @ hits.reshape(e + 1, n).T.astype(np.int32)  # cents is cast to int32
+        b = np.count_nonzero(pw[:, central] == 0, axis=1)  # |Omega_k(Z)|
+        ok &= (a[:, 1:] * b[:-1] <= b[1:] * a[:, :-1]).all(axis=1)
+    return ok
 
-    With Omega_k the elements whose order divides p^k, |Omega_k|/|Omega_k-1|
-    is p to the number of cyclic factors of order at least p^k in the Sylow
-    p-subgroup.  A embeds in B exactly when that ratio for A is at most the
-    ratio for B, for every prime p and every k >= 1 (Macdonald, Symmetric
-    Functions and Hall Polynomials, ch. II).  Comparing |Omega_k| alone does
-    not suffice: |Omega_k(C4)| <= |Omega_k(C2 x C2)| for every k, yet C4 does
-    not embed in C2 x C2.
-    """
-    for p, e in _prime_factors(int(a_orders.max())).items():
-        omega_a = [np.count_nonzero(p ** k % a_orders == 0) for k in range(e + 1)]
-        omega_b = [np.count_nonzero(p ** k % b_orders == 0) for k in range(e + 1)]
-        if any(omega_a[k] * omega_b[k - 1] > omega_b[k] * omega_a[k - 1]
-               for k in range(1, e + 1)):
-            return False
-    return True
+
+def _exceeds_beta_z(g: FiniteGroup) -> np.ndarray:
+    """Per class id: whether C(x), which contains beta(x) u Z(G), exceeds it."""
+    ids = g.beta_class_ids()
+    cents = _centralizer_rows(g)
+    return (cents != ((ids == np.arange(len(cents))[:, None]) | (ids == 0))).any(axis=1)
+
+
+def _first_open(g: FiniteGroup, cids: list[int]) -> Optional[tuple[int, str]]:
+    """The first class in cids whose beta(x) u Z(G) is not a subgroup, with
+    h_subgroup's message, or None; one gather per class size (see check_lg)."""
+    ids, classes, found = g.beta_class_ids(), g.beta_classes(), []
+    for size in sorted({len(classes[c]) for c in cids}):
+        same = np.array([c for c in cids if len(classes[c]) == size])
+        members = np.array([classes[c] for c in same])
+        prod = ids[g.table[members[:, :, None], members[:, None, :]]]
+        found += same[((prod != same[:, None, None]) & (prod != 0)).any(axis=(1, 2))].tolist()
+    for cid in sorted(found):
+        try:
+            analysis.h_subgroup(g, cid)
+        except analysis.NotASubgroup as exc:
+            return cid, str(exc)
+    return None
+
+
+def _witness_rows(g: FiniteGroup, cids: list[int]) -> np.ndarray:
+    """Per class id in cids: C(x) minus beta(x), prime coset orders only;
+    is_prime runs once per distinct order."""
+    ids, orders = g.beta_class_ids(), g.center_coset_orders()
+    vals = np.flatnonzero(np.bincount(orders))
+    prime = np.zeros(vals[-1] + 1, dtype=bool)
+    prime[vals] = [is_prime(v) for v in vals.tolist()]
+    return _centralizer_rows(g)[cids] & (ids != np.array(cids)[:, None]) & prime[orders]
 
 
 # --- section 2: the full graph ------------------------------------------------
@@ -219,28 +253,35 @@ def check_ncen(g, label="G") -> CheckResult:
     """In regular groups every centralizer is normal with G/C embedding in Z.
 
     C = C(x) is normal with G/C abelian exactly when C contains G' (every
-    subgroup above G' is; an abelian G/C kills every commutator), so one mask
-    test decides both, and C is built only on a failure, to name which one
-    failed.  Orders in G/C are read per element (orders_modulo); each appears
-    |C| times, which scales both sides of every comparison in _abelian_embeds
-    alike.
+    subgroup above G' is; an abelian G/C kills every commutator), and, C
+    being a subgroup, when it holds every commutator: one gather over the
+    commutator set decides that for every class, without building G'.
+
+    With Omega_k the elements whose order divides p^k, abelian A embeds in
+    abelian B exactly when |Omega_k(A)|/|Omega_k-1(A)| <= |Omega_k(B)|/
+    |Omega_k-1(B)| for every prime p and k >= 1, each ratio being p to the
+    number of cyclic factors of order at least p^k (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. II; the counts alone do not decide
+    it: C4 and C2 x C2).  The x with x^(p^k) in C are |C| times
+    Omega_k(G/C), counted for every class at once from the histogram of the
+    power map.  A p not dividing |G/C|, or a k past its exponent, leaves
+    Omega_k(G/C) = Omega_k-1(G/C) while Omega_k(Z) only grows, so running
+    p^k over every prime power dividing |G| is exact.
     """
     if g.is_abelian or analysis.is_regular(g) is None:
         return _na("ncen", label, "not a non-abelian regular group")
-    cents = _centralizer_rows(g)
-    derived = g.commutator_subgroup().mask
-    z_orders = g.element_orders()[g.beta_class_ids() == 0]
-    for cid, inside in enumerate(cents[1:], start=1):
-        if not inside[derived].all():
-            normal = g.is_normal(g.centralizer(g.beta_classes()[cid][0]))
-            return _result("ncen", label, False, witness=(
-                ("class", cid), ("quotient_abelian" if normal else "normal", False)))
-        orders = g.orders_modulo(inside)
-        if not _abelian_embeds(orders, z_orders):
-            hist = _quotient_histogram(orders, np.count_nonzero(inside))
-            return _result("ncen", label, False,
-                           witness=(("class", cid), ("quotient_histogram", hist)))
-    return _result("ncen", label, True, details={"classes_checked": len(cents) - 1})
+    cents = _centralizer_rows(g)[1:]
+    above = cents[:, g._commutators()].all(axis=1)
+    bad = np.flatnonzero(~(above & _embeds_in_center(g, cents)))
+    if not bad.size:
+        return _result("ncen", label, True, details={"classes_checked": len(cents)})
+    cid, inside = int(bad[0]) + 1, cents[bad[0]]
+    if not above[bad[0]]:
+        normal = g.is_normal(g.centralizer(g.beta_classes()[cid][0]))
+        return _result("ncen", label, False, witness=(
+            ("class", cid), ("quotient_abelian" if normal else "normal", False)))
+    hist = _quotient_histogram(g.orders_modulo(inside), np.count_nonzero(inside))
+    return _result("ncen", label, False, witness=(("class", cid), ("quotient_histogram", hist)))
 
 
 def check_preg(g, label="G") -> CheckResult:
@@ -268,18 +309,21 @@ def check_bound(g, label="G") -> CheckResult:
 
 def _p_part_decomposition(g: FiniteGroup, p: int):
     """Split G as (p-elements) x (central p'-part); None with a witness when
-    the p-elements fail to form a subgroup of the right order."""
+    the p-elements fail to form a subgroup of the right order.
+
+    The p-elements hold the identity, so one gather of their products
+    decides whether they form a subgroup H.  A, the p'-elements of the
+    abelian Z(G), is one without a test: commuting p'-elements multiply to
+    one.  H holds only p-elements and A only p'-elements, so H n A = 1.
+    """
     p_elems = g.p_element_mask(p)
-    h = g.generated_subgroup(np.flatnonzero(p_elems))
-    if not np.array_equal(h.mask, p_elems):
+    h = np.flatnonzero(p_elems)
+    if not p_elems[g.table[np.ix_(h, h)]].all():
         return None, ("p_elements_not_closed",)
-    central = g.beta_class_ids() == 0
-    a = g.subgroup(np.flatnonzero(central & (g.element_orders() % p != 0)))
+    a = np.flatnonzero((g.beta_class_ids() == 0) & (g.element_orders() % p != 0))
     if h.size * a.size != g.order:
         return None, ("sizes", h.size, a.size)
-    if np.count_nonzero(h.mask & a.mask) != 1:
-        return None, ("intersection_nontrivial",)
-    return (h, a), ()
+    return (Subgroup(g, tuple(h.tolist())), Subgroup(g, tuple(a.tolist()))), ()
 
 
 def check_big(g, label="G") -> CheckResult:
@@ -289,8 +333,9 @@ def check_big(g, label="G") -> CheckResult:
     (so normal: conjugation keeps element orders), and A, the central
     elements of odd order, with H n A = 1 and |H||A| = |G|.  As A is central,
     (h, a) -> h*a is a homomorphism H x A -> G; H n A = 1 makes it
-    injective, and |H||A| = |G| onto.  So G = H x A, and what is left to
-    measure is H regular and |A| odd.
+    injective, and |H||A| = |G| onto.  So G = H x A, and |A| is odd: by
+    Cauchy's theorem an even |A| would put an element of order 2 in A.  What
+    is left to measure is H regular.
     """
     if g.is_abelian or analysis.is_regular(g) is None:
         return _na("big", label, "not a non-abelian regular group")
@@ -301,8 +346,6 @@ def check_big(g, label="G") -> CheckResult:
     h_deg = analysis.is_regular(h.as_group())
     if h_deg is None:
         return _result("big", label, False, witness=(("sylow2_not_regular", h.size),))
-    if a.size % 2 == 0:
-        return _result("big", label, False, witness=(("abelian_part_even", a.size),))
     return _result("big", label, True, details={
         "sylow2_order": h.size, "abelian_order": a.size, "sylow2_degree": h_deg})
 
@@ -310,15 +353,20 @@ def check_big(g, label="G") -> CheckResult:
 # --- section 3: the induced graph ----------------------------------------------
 
 def check_lg(g, label="G") -> CheckResult:
-    """beta(x) union Z(G) is a subgroup whenever C(x) is maximal."""
+    """beta(x) union Z(G) is a subgroup whenever C(x) is maximal.
+
+    A class is a union of center cosets (C(xz) = C(x) for central z), so
+    Z beta(x) and beta(x) Z lie in beta(x) and Z Z in Z: beta(x) u Z, which
+    holds the identity, is a subgroup exactly when every product of two
+    members of beta(x) lands in beta(x) or in Z.  _first_open tests that for
+    all maximal classes of one size by one gather.
+    """
     if g.is_abelian:
         return _na("lg", label, "abelian")
-    maximal = g.maximal_class_ids()
-    for cid in maximal:
-        try:
-            analysis.h_subgroup(g, cid)
-        except analysis.NotASubgroup as exc:
-            return _result("lg", label, False, witness=(("class", cid), ("error", str(exc))))
+    maximal = list(g.maximal_class_ids())
+    bad = _first_open(g, maximal)
+    if bad:
+        return _result("lg", label, False, witness=(("class", bad[0]), ("error", bad[1])))
     return _result("lg", label, True, details={"maximal_classes": len(maximal)})
 
 
@@ -327,21 +375,16 @@ def check_lg1(g, label="G") -> CheckResult:
     C(x) minus beta(x) has prime coset order."""
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("lg1", label, "not induced regular")
-    ids = g.beta_class_ids()
-    cents = _centralizer_rows(g)
-    strict = [cid for cid in g.maximal_class_ids()
-              if not np.array_equal(cents[cid], (ids == cid) | (ids == 0))]
+    exceeds = _exceeds_beta_z(g)
+    strict = [cid for cid in g.maximal_class_ids() if exceeds[cid]]
     if not strict:
         return _na("lg1", label, "no maximal centralizer exceeds beta u Z")
-    coset_orders = g.center_coset_orders()
-    found = {}
-    for cid in strict:
-        ys = [y for y in np.flatnonzero(cents[cid] & (ids != cid)).tolist()
-              if is_prime(int(coset_orders[y]))]
-        if not ys:
-            return _result("lg1", label, False, witness=(("class", cid),))
-        found[cid] = ys[0]
-    return _result("lg1", label, True, details={"witnesses": found})
+    rows = _witness_rows(g, strict)
+    found = rows.any(axis=1)
+    if not found.all():
+        return _result("lg1", label, False, witness=(("class", strict[int(np.argmin(found))]),))
+    return _result("lg1", label, True,
+                   details={"witnesses": dict(zip(strict, rows.argmax(axis=1).tolist()))})
 
 
 def check_lg2(g, label="G") -> CheckResult:
@@ -352,26 +395,22 @@ def check_lg2(g, label="G") -> CheckResult:
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("lg2", label, "not induced regular")
     ids = g.beta_class_ids()
-    cents = _centralizer_rows(g)
     coset_orders = g.center_coset_orders()
-    applicable = False
-    for cid in g.maximal_class_ids():
-        primes = {o for o in coset_orders[cents[cid] & (ids != cid)].tolist()
-                  if o != 2 and is_prime(o)}
-        if not primes:
-            continue
-        applicable = True
-        try:
-            hx = analysis.h_subgroup(g, cid).mask
-        except analysis.NotASubgroup as exc:
-            return _result("lg2", label, False, witness=(("class", cid), ("error", str(exc))))
-        for p in sorted(primes):
+    maximal = list(g.maximal_class_ids())
+    rows = _witness_rows(g, maximal) & (coset_orders != 2)
+    witnessed = [cid for cid, row in zip(maximal, rows) if row.any()]
+    if not witnessed:
+        return _na("lg2", label, "no odd-prime coset-order witness")
+    bad = _first_open(g, witnessed) or (None, "")
+    for cid, row in zip(maximal, rows):
+        if cid == bad[0]:
+            return _result("lg2", label, False, witness=(("class", cid), ("error", bad[1])))
+        for p in np.unique(coset_orders[row]).tolist():
             if (coset_orders[ids == cid] != p).any():
-                hist = _quotient_histogram(coset_orders[hx], len(g.beta_classes()[0]))
+                hist = _quotient_histogram(coset_orders[(ids == cid) | (ids == 0)],
+                                           len(g.beta_classes()[0]))
                 return _result("lg2", label, False, witness=(
                     ("class", cid), ("p", p), ("hx_quotient_histogram", hist)))
-    if not applicable:
-        return _na("lg2", label, "no odd-prime coset-order witness")
     return _result("lg2", label, True)
 
 
@@ -411,11 +450,8 @@ def check_cmg(g, label="G") -> CheckResult:
         return _na("cmg", label, "not induced regular")
     if g.order % 2 == 0:
         return _na("cmg", label, "even order")
-    ids = g.beta_class_ids()
-    comm = g.commuting_matrix()
-    for cid, members in enumerate(g.beta_classes()[1:], start=1):
-        if np.array_equal(comm[members[0]], (ids == cid) | (ids == 0)):
-            return _na("cmg", label, "some centralizer equals beta u Z")
+    if not _exceeds_beta_z(g)[1:].all():
+        return _na("cmg", label, "some centralizer equals beta u Z")
     return _result("cmg", label, _quotient_exponent(g) is not None,
                    witness=(("quotient_histogram", _center_histogram(g)),))
 
@@ -439,8 +475,9 @@ def check_big1(g, label="G") -> CheckResult:
     With p the prime of [G:Z], _p_part_decomposition finds H, the
     p-elements, checked to be a subgroup (so normal), and A, the central
     p'-elements, with H n A = 1 and |H||A| = |G|; as in check_big,
-    (h, a) -> h*a is then an isomorphism H x A -> G, and what is left to
-    measure is H an induced regular p-group.
+    (h, a) -> h*a is then an isomorphism H x A -> G.  H is a p-group, as by
+    Cauchy's theorem any other prime dividing |H| would give it an element
+    of that order, so what is left to measure is H induced regular.
     """
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("big1", label, "not a non-abelian induced regular group")
@@ -453,10 +490,7 @@ def check_big1(g, label="G") -> CheckResult:
     if split is None:
         return _result("big1", label, False, witness=witness)
     h, a = split
-    h_group = h.as_group()
-    if h_group.is_p_group() != p and h_group.order != 1:
-        return _result("big1", label, False, witness=(("p_part_order", h.size),))
-    if analysis.is_induced_regular(h_group) is None:
+    if analysis.is_induced_regular(h.as_group()) is None:
         return _result("big1", label, False,
                        witness=(("p_part_not_induced_regular", h.size),))
     return _result("big1", label, True,
@@ -491,27 +525,12 @@ def scan_conjecture_lco(g, label="G") -> CheckResult:
 
 
 CHECK_IDS: dict[str, Callable] = {
-    "be0": check_be0,
-    "be": check_be,
-    "ba": check_ba,
-    "ereg1": check_ereg1,
-    "ereg2": check_ereg2,
-    "creg": check_creg,
-    "ccreg_c2c2": check_ccreg_c2c2,
-    "ccreg_c2cubed": check_ccreg_c2cubed,
-    "ncen": check_ncen,
-    "preg": check_preg,
-    "bound": check_bound,
-    "big": check_big,
-    "lg": check_lg,
-    "lg1": check_lg1,
-    "lg2": check_lg2,
-    "mg": check_mg,
-    "pq_index": check_pq_index,
-    "cmg": check_cmg,
-    "pp": check_pp,
-    "big1": check_big1,
-    "tconj": scan_conjecture_tconj,
+    "be0": check_be0, "be": check_be, "ba": check_ba, "ereg1": check_ereg1,
+    "ereg2": check_ereg2, "creg": check_creg, "ccreg_c2c2": check_ccreg_c2c2,
+    "ccreg_c2cubed": check_ccreg_c2cubed, "ncen": check_ncen, "preg": check_preg,
+    "bound": check_bound, "big": check_big, "lg": check_lg, "lg1": check_lg1,
+    "lg2": check_lg2, "mg": check_mg, "pq_index": check_pq_index, "cmg": check_cmg,
+    "pp": check_pp, "big1": check_big1, "tconj": scan_conjecture_tconj,
     "lco": scan_conjecture_lco,
 }
 
@@ -537,10 +556,7 @@ def run_suite(groups: Iterable[tuple[str, FiniteGroup]],
         if cid not in CHECK_IDS:
             raise KeyError(f"unknown check id: {cid!r}")
     order_of = {label: g.order for label, g in groups}
-    results = []
-    for label, g in groups:
-        for cid in ids:
-            results.append(CHECK_IDS[cid](g, label))
+    results = [CHECK_IDS[cid](g, label) for label, g in groups for cid in ids]
     results.sort(key=lambda r: (order_of[r.group_label], r.group_label, r.check_id))
     return results
 
@@ -552,16 +568,12 @@ def format_results(results: list[CheckResult]) -> str:
     lines.append(f"-- {len(results)} results, "
                  f"{sum(1 for r in results if r.applicable)} applicable, "
                  f"{len(failures)} failures")
-    for r in failures:
-        lines.append(f"   witness {r.check_id} on {r.group_label}: {r.witness}")
+    lines += [f"   witness {r.check_id} on {r.group_label}: {r.witness}" for r in failures]
     return "\n".join(lines)
 
 
 def results_to_kv(results: list[CheckResult]) -> str:
-    lines = []
-    for r in results:
-        lines.append(
-            f"check={r.check_id} group={r.group_label} "
-            f"applicable={str(r.applicable).lower()} passed={str(r.passed).lower()}"
-            + (f" reason={r.reason!r}" if r.reason else ""))
-    return "\n".join(lines)
+    return "\n".join(
+        f"check={r.check_id} group={r.group_label} "
+        f"applicable={str(r.applicable).lower()} passed={str(r.passed).lower()}"
+        + (f" reason={r.reason!r}" if r.reason else "") for r in results)

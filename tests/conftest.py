@@ -46,6 +46,13 @@ def small_corpus():
 
 
 @pytest.fixture(scope="session")
+def split_corpus(small_corpus, order16_entries, order32_entries, order64_entries):
+    """small_corpus and the shipped groups of order 16, 32 and 64."""
+    entries = list(order16_entries) + list(order32_entries) + list(order64_entries)
+    return list(small_corpus) + [(e.label, e.group()) for e in entries]
+
+
+@pytest.fixture(scope="session")
 def d8_central_product_c8():
     """D8 o C8 (order 32): regular and reduced, though its center is cyclic of
     order 8 and the image of that center in G/G' is a direct summand of order 4."""

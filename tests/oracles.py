@@ -9,8 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from noncent.core import (FiniteGroup, Subgroup, TooLarge, all_subgroups, greedy_generators,
-                          is_prime)
+from noncent import analysis
+from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _na,
+                            _quotient_exponent, _quotient_histogram, _result)
+from noncent.core import (FiniteGroup, Subgroup, TooLarge, _prime_factors, all_subgroups,
+                          greedy_generators, is_prime)
 
 BRUTE_FACTOR_CAP = 64
 ORACLE_CAP = 256
@@ -135,3 +138,156 @@ def is_elementary_p(g: FiniteGroup) -> Optional[int]:
         return None
     p = int(orders[0])
     return p if is_prime(p) and bool((orders == p).all()) else None
+
+
+# --- the theorem-suite checks as they were before their whole-group passes --
+# Bodies kept unchanged, but for the name abelian_embeds (once
+# checks._abelian_embeds): each loops over the beta classes, building a
+# subgroup or reading orders modulo C(x) per class.
+
+
+def abelian_embeds(a_orders: np.ndarray, b_orders: np.ndarray) -> bool:
+    """Whether abelian group A embeds in abelian group B, given the orders of
+    their elements.
+
+    With Omega_k the elements whose order divides p^k, |Omega_k|/|Omega_k-1|
+    is p to the number of cyclic factors of order at least p^k in the Sylow
+    p-subgroup.  A embeds in B exactly when that ratio for A is at most the
+    ratio for B, for every prime p and every k >= 1 (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. II).  Comparing |Omega_k| alone does
+    not suffice: |Omega_k(C4)| <= |Omega_k(C2 x C2)| for every k, yet C4 does
+    not embed in C2 x C2.
+    """
+    for p, e in _prime_factors(int(a_orders.max())).items():
+        omega_a = [np.count_nonzero(p ** k % a_orders == 0) for k in range(e + 1)]
+        omega_b = [np.count_nonzero(p ** k % b_orders == 0) for k in range(e + 1)]
+        if any(omega_a[k] * omega_b[k - 1] > omega_b[k] * omega_a[k - 1]
+               for k in range(1, e + 1)):
+            return False
+    return True
+
+
+def parent_check_ncen(g, label="G") -> CheckResult:
+    """In regular groups every centralizer is normal with G/C embedding in Z.
+
+    C = C(x) is normal with G/C abelian exactly when C contains G' (every
+    subgroup above G' is; an abelian G/C kills every commutator), so one mask
+    test decides both, and C is built only on a failure, to name which one
+    failed.  Orders in G/C are read per element (orders_modulo); each appears
+    |C| times, which scales both sides of every comparison in abelian_embeds
+    alike.
+    """
+    if g.is_abelian or analysis.is_regular(g) is None:
+        return _na("ncen", label, "not a non-abelian regular group")
+    cents = _centralizer_rows(g)
+    derived = g.commutator_subgroup().mask
+    z_orders = g.element_orders()[g.beta_class_ids() == 0]
+    for cid, inside in enumerate(cents[1:], start=1):
+        if not inside[derived].all():
+            normal = g.is_normal(g.centralizer(g.beta_classes()[cid][0]))
+            return _result("ncen", label, False, witness=(
+                ("class", cid), ("quotient_abelian" if normal else "normal", False)))
+        orders = g.orders_modulo(inside)
+        if not abelian_embeds(orders, z_orders):
+            hist = _quotient_histogram(orders, np.count_nonzero(inside))
+            return _result("ncen", label, False,
+                           witness=(("class", cid), ("quotient_histogram", hist)))
+    return _result("ncen", label, True, details={"classes_checked": len(cents) - 1})
+
+
+def parent_p_part_decomposition(g: FiniteGroup, p: int):
+    """Split G as (p-elements) x (central p'-part); None with a witness when
+    the p-elements fail to form a subgroup of the right order."""
+    p_elems = g.p_element_mask(p)
+    h = g.generated_subgroup(np.flatnonzero(p_elems))
+    if not np.array_equal(h.mask, p_elems):
+        return None, ("p_elements_not_closed",)
+    central = g.beta_class_ids() == 0
+    a = g.subgroup(np.flatnonzero(central & (g.element_orders() % p != 0)))
+    if h.size * a.size != g.order:
+        return None, ("sizes", h.size, a.size)
+    if np.count_nonzero(h.mask & a.mask) != 1:
+        return None, ("intersection_nontrivial",)
+    return (h, a), ()
+
+
+def parent_check_lg(g, label="G") -> CheckResult:
+    """beta(x) union Z(G) is a subgroup whenever C(x) is maximal."""
+    if g.is_abelian:
+        return _na("lg", label, "abelian")
+    maximal = g.maximal_class_ids()
+    for cid in maximal:
+        try:
+            analysis.h_subgroup(g, cid)
+        except analysis.NotASubgroup as exc:
+            return _result("lg", label, False, witness=(("class", cid), ("error", str(exc))))
+    return _result("lg", label, True, details={"maximal_classes": len(maximal)})
+
+
+def parent_check_lg1(g, label="G") -> CheckResult:
+    """Induced regular with C(x) strictly above beta(x) u Z: some y in
+    C(x) minus beta(x) has prime coset order."""
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("lg1", label, "not induced regular")
+    ids = g.beta_class_ids()
+    cents = _centralizer_rows(g)
+    strict = [cid for cid in g.maximal_class_ids()
+              if not np.array_equal(cents[cid], (ids == cid) | (ids == 0))]
+    if not strict:
+        return _na("lg1", label, "no maximal centralizer exceeds beta u Z")
+    coset_orders = g.center_coset_orders()
+    found = {}
+    for cid in strict:
+        ys = [y for y in np.flatnonzero(cents[cid] & (ids != cid)).tolist()
+              if is_prime(int(coset_orders[y]))]
+        if not ys:
+            return _result("lg1", label, False, witness=(("class", cid),))
+        found[cid] = ys[0]
+    return _result("lg1", label, True, details={"witnesses": found})
+
+
+def parent_check_lg2(g, label="G") -> CheckResult:
+    """Odd-prime coset-order witness in C(x) minus beta(x) forces
+    (beta(x) u Z)/Z to be an elementary p-group: in G/Z its non-identity
+    elements are the cosets of beta(x), so each member of beta(x) must have
+    coset order p."""
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("lg2", label, "not induced regular")
+    ids = g.beta_class_ids()
+    cents = _centralizer_rows(g)
+    coset_orders = g.center_coset_orders()
+    applicable = False
+    for cid in g.maximal_class_ids():
+        primes = {o for o in coset_orders[cents[cid] & (ids != cid)].tolist()
+                  if o != 2 and is_prime(o)}
+        if not primes:
+            continue
+        applicable = True
+        try:
+            hx = analysis.h_subgroup(g, cid).mask
+        except analysis.NotASubgroup as exc:
+            return _result("lg2", label, False, witness=(("class", cid), ("error", str(exc))))
+        for p in sorted(primes):
+            if (coset_orders[ids == cid] != p).any():
+                hist = _quotient_histogram(coset_orders[hx], len(g.beta_classes()[0]))
+                return _result("lg2", label, False, witness=(
+                    ("class", cid), ("p", p), ("hx_quotient_histogram", hist)))
+    if not applicable:
+        return _na("lg2", label, "no odd-prime coset-order witness")
+    return _result("lg2", label, True)
+
+
+def parent_check_cmg(g, label="G") -> CheckResult:
+    """Odd-order induced regular groups with every C(x) above beta u Z have
+    elementary p-group central quotients."""
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("cmg", label, "not induced regular")
+    if g.order % 2 == 0:
+        return _na("cmg", label, "even order")
+    ids = g.beta_class_ids()
+    comm = g.commuting_matrix()
+    for cid, members in enumerate(g.beta_classes()[1:], start=1):
+        if np.array_equal(comm[members[0]], (ids == cid) | (ids == 0)):
+            return _na("cmg", label, "some centralizer equals beta u Z")
+    return _result("cmg", label, _quotient_exponent(g) is not None,
+                   witness=(("quotient_histogram", _center_histogram(g)),))

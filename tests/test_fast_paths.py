@@ -12,8 +12,8 @@ from noncent import analysis, catalog, checks, cli, core, families, graph, prese
 from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
-from oracles import (edges, frattini_by_maximal_subgroups, is_elementary_p, power,
-                     product_map_is_isomorphism)
+from oracles import (abelian_embeds, edges, frattini_by_maximal_subgroups, is_elementary_p,
+                     power, product_map_is_isomorphism)
 from test_acceptance import TABLE1_ROWS, _family_instances, _with_cyclic_products
 from test_presentation import FAMILY_PRESENTATIONS
 
@@ -557,7 +557,7 @@ def parent_ncen(g, label):
         if not quo.is_abelian:
             return checks._result("ncen", label, False,
                                   witness=(("class", cid), ("quotient_abelian", False)))
-        if not checks._abelian_embeds(quo.element_orders(), z_orders):
+        if not abelian_embeds(quo.element_orders(), z_orders):
             return checks._result("ncen", label, False,
                                   witness=(("class", cid),
                                            ("quotient_histogram", quo.order_histogram())))
@@ -1548,7 +1548,7 @@ class TestCentralizerChecks:
             for a_key, a in groups.items():
                 if a.order == 1 or b.order % a.order:
                     continue
-                fast = checks._abelian_embeds(a.element_orders(), b.element_orders())
+                fast = abelian_embeds(a.element_orders(), b.element_orders())
                 assert fast == slow_embeds(a, b_subs), (a_key, b_key)
                 verdicts.append(fast)
         assert set(verdicts) == {True, False}
@@ -1557,10 +1557,10 @@ class TestCentralizerChecks:
     def test_omega_counts_alone_do_not_decide(self):
         c4 = families.cyclic(4)
         k4 = families.elementary_abelian(2, 2)
-        assert not checks._abelian_embeds(c4.element_orders(), k4.element_orders())
-        assert not checks._abelian_embeds(k4.element_orders(), c4.element_orders())
+        assert not abelian_embeds(c4.element_orders(), k4.element_orders())
+        assert not abelian_embeds(k4.element_orders(), c4.element_orders())
         c2 = families.cyclic(2)
-        assert checks._abelian_embeds(c2.element_orders(), k4.element_orders())
+        assert abelian_embeds(c2.element_orders(), k4.element_orders())
 
     def test_ncen_matches_center_subgroup_enumeration(self, subgroup_corpus):
         checked = 0
@@ -1678,12 +1678,6 @@ class TestReportText:
             samples += [report.degree_sequence, report.class_sizes]
         for values in samples:
             assert analysis._compress_multiset(values) == slow_compress_multiset(values)
-
-
-@pytest.fixture(scope="module")
-def split_corpus(small_corpus, order16_entries, order32_entries, order64_entries):
-    entries = list(order16_entries) + list(order32_entries) + list(order64_entries)
-    return list(small_corpus) + [(e.label, e.group()) for e in entries]
 
 
 def product_subgroups(g, h_seeds, a_seeds):

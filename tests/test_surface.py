@@ -37,7 +37,7 @@ MOVED = {
     graph: ["oracle_graph", "ORACLE_CAP"],
     graph.NonCentralizerGraph: ["edges"],
     core.FiniteGroup: ["frattini_by_maximal_subgroups"],
-    checks: ["_product_map_is_isomorphism"],
+    checks: ["_product_map_is_isomorphism", "_abelian_embeds"],
 }
 
 DELETED = {
@@ -69,5 +69,6 @@ def test_moved_and_deleted_names_stay_out_of_src():
             assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
             assert not set(names) & set(getattr(owner, "__all__", ())), owner.__name__
     for name in ("brute_force_abelian_factor", "oracle_graph", "edges",
-                 "frattini_by_maximal_subgroups", "product_map_is_isomorphism"):
+                 "frattini_by_maximal_subgroups", "product_map_is_isomorphism",
+                 "abelian_embeds"):
         assert callable(getattr(oracles, name)), name
