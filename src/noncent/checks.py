@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import FiniteGroup, Subgroup, _prime_factors, is_prime, is_prime_power
+from .core import FiniteGroup, _prime_factors, is_prime, is_prime_power
 from . import analysis
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
@@ -308,8 +308,8 @@ def check_bound(g, label="G") -> CheckResult:
 
 
 def _p_part_decomposition(g: FiniteGroup, p: int):
-    """Split G as (p-elements) x (central p'-part); None with a witness when
-    the p-elements fail to form a subgroup of the right order.
+    """Split G as (p-elements) x (central p'-part): (|H|, |A|), or None with
+    a witness when the p-elements fail to form a subgroup of the right order.
 
     The p-elements hold the identity, so one gather of their products
     decides whether they form a subgroup H.  A, the p'-elements of the
@@ -320,10 +320,10 @@ def _p_part_decomposition(g: FiniteGroup, p: int):
     h = np.flatnonzero(p_elems)
     if not p_elems[g.table[np.ix_(h, h)]].all():
         return None, ("p_elements_not_closed",)
-    a = np.flatnonzero((g.beta_class_ids() == 0) & (g.element_orders() % p != 0))
-    if h.size * a.size != g.order:
-        return None, ("sizes", h.size, a.size)
-    return (Subgroup(g, tuple(h.tolist())), Subgroup(g, tuple(a.tolist()))), ()
+    a = int(np.count_nonzero((g.beta_class_ids() == 0) & (g.element_orders() % p != 0)))
+    if h.size * a != g.order:
+        return None, ("sizes", h.size, a)
+    return (h.size, a), ()
 
 
 def check_big(g, label="G") -> CheckResult:
@@ -334,20 +334,21 @@ def check_big(g, label="G") -> CheckResult:
     elements of odd order, with H n A = 1 and |H||A| = |G|.  As A is central,
     (h, a) -> h*a is a homomorphism H x A -> G; H n A = 1 makes it
     injective, and |H||A| = |G| onto.  So G = H x A, and |A| is odd: by
-    Cauchy's theorem an even |A| would put an element of order 2 in A.  What
-    is left to measure is H regular.
+    Cauchy's theorem an even |A| would put an element of order 2 in A.  H is
+    regular because G is, so nothing is left to measure: with A central,
+    C_G(ha) = C_H(h) x A, so beta_G(ha) = beta_H(h) x A and Z(G) = Z(H) x A,
+    every class of G has |Z(G)| members exactly when every class of H has
+    |Z(H)|, and deg H = |H| - |Z(H)| = deg G / |A|.
     """
-    if g.is_abelian or analysis.is_regular(g) is None:
+    deg = analysis.is_regular(g)
+    if g.is_abelian or deg is None:
         return _na("big", label, "not a non-abelian regular group")
     split, witness = _p_part_decomposition(g, 2)
     if split is None:
         return _result("big", label, False, witness=witness)
     h, a = split
-    h_deg = analysis.is_regular(h.as_group())
-    if h_deg is None:
-        return _result("big", label, False, witness=(("sylow2_not_regular", h.size),))
     return _result("big", label, True, details={
-        "sylow2_order": h.size, "abelian_order": a.size, "sylow2_degree": h_deg})
+        "sylow2_order": h, "abelian_order": a, "sylow2_degree": deg // a})
 
 
 # --- section 3: the induced graph ----------------------------------------------
@@ -477,7 +478,9 @@ def check_big1(g, label="G") -> CheckResult:
     p'-elements, with H n A = 1 and |H||A| = |G|; as in check_big,
     (h, a) -> h*a is then an isomorphism H x A -> G.  H is a p-group, as by
     Cauchy's theorem any other prime dividing |H| would give it an element
-    of that order, so what is left to measure is H induced regular.
+    of that order.  H is induced regular because G is: as in check_big, the
+    non-central classes of G are the beta_H(h) x A with h outside Z(H), so
+    they share one size exactly when those of H do.
     """
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("big1", label, "not a non-abelian induced regular group")
@@ -490,11 +493,7 @@ def check_big1(g, label="G") -> CheckResult:
     if split is None:
         return _result("big1", label, False, witness=witness)
     h, a = split
-    if analysis.is_induced_regular(h.as_group()) is None:
-        return _result("big1", label, False,
-                       witness=(("p_part_not_induced_regular", h.size),))
-    return _result("big1", label, True,
-                   details={"p": p, "p_part_order": h.size, "abelian_order": a.size})
+    return _result("big1", label, True, details={"p": p, "p_part_order": h, "abelian_order": a})
 
 
 # --- conjecture scans -----------------------------------------------------------

@@ -201,10 +201,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (SourceError, catalog.FormatError, catalog.DuplicateLabel,
-            catalog.OrderMismatch, CosetLimitExceeded, FileNotFoundError,
-            KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CosetLimitExceeded, OSError, KeyError, ValueError) as exc:
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 ISO_ORDER_CAP = 512
+SUBGROUP_CAP = 20_000  # subgroups all_subgroups may find before it raises TooLarge
 TABLE_BYTE_BUDGET = 256 << 20
 """Largest int64 Cayley table built, in bytes: order 5792.  cyclic(2048)
 needs 32 MiB, elementary_abelian(2, 13) would need 512 MiB."""
@@ -547,18 +548,17 @@ def _check_associativity(table: np.ndarray, gens: Iterable[int]) -> None:
     table itself and index 0 is the identity: the g that pass are closed
     under products ((xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)) when
     a and b pass).  Each g is tested before the next is drawn from gens.  Rows
-    x go 64 at a time, so each side of a block is a gather into a small array
+    x go _BLOCK at a time, so each side of a block is a gather into a small array
     that stays in cache, not an n x n temporary.
     """
-    n = len(table)
     for g in gens:
         col = table[:, g].copy()        # y*g for every y
-        for s in range(0, n, 64):
-            rows = table[s:s + 64]
+        for s in _blocks(len(table)):
+            rows = table[s]
             bad = col.take(rows) != rows.take(col, axis=1)  # (x*y)*g != x*(y*g)
             if bad.any():
                 x, y = np.argwhere(bad)[0]
-                raise NotAGroup(f"associativity fails at ({s + int(x)},{int(y)},{g})")
+                raise NotAGroup(f"associativity fails at ({s.start + int(x)},{int(y)},{g})")
 
 
 def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
@@ -602,8 +602,8 @@ def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
         x = int(np.argmin(ok))
         raise NotAGroup(f"column {elements[x]} is not the action of letter {x}")
     table = np.empty((n, n), dtype=np.int32)
-    for s in range(0, n, 64):  # in blocks: one transposing copy is about 5x slower
-        table[:, s:s + 64] = cols[s:s + 64].T
+    for s in _blocks(n):  # one transposing copy is about 5x slower
+        table[:, s] = cols[s].T
     _check_associativity(table, np.unique(elements))
     return table, nodes, tree
 
@@ -650,7 +650,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, labels)
 
 
-def all_subgroups(g: FiniteGroup, limit: int = 20_000) -> list[Subgroup]:
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of g, found by closing seed extensions; sorted by (size, members).
 
     Exponential in the worst case; intended for small groups (catalog scale).
@@ -665,8 +665,8 @@ def all_subgroups(g: FiniteGroup, limit: int = 20_000) -> list[Subgroup]:
             if sub.members not in found:
                 found[sub.members] = sub
                 queue.append(sub)
-                if len(found) > limit:
-                    raise TooLarge(f"subgroup enumeration exceeded {limit} subgroups")
+                if len(found) > SUBGROUP_CAP:
+                    raise TooLarge(f"subgroup enumeration exceeded {SUBGROUP_CAP} subgroups")
     return sorted(found.values(), key=lambda s: (s.size, s.members))
 
 

@@ -10,10 +10,10 @@ from typing import Optional
 import numpy as np
 
 from noncent import analysis
-from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _na,
+from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _index, _na,
                             _quotient_exponent, _quotient_histogram, _result)
 from noncent.core import (FiniteGroup, Subgroup, TooLarge, _prime_factors, all_subgroups,
-                          greedy_generators, is_prime)
+                          greedy_generators, is_prime, is_prime_power)
 
 BRUTE_FACTOR_CAP = 64
 ORACLE_CAP = 256
@@ -141,9 +141,11 @@ def is_elementary_p(g: FiniteGroup) -> Optional[int]:
 
 
 # --- the theorem-suite checks as they were before their whole-group passes --
-# Bodies kept unchanged, but for the name abelian_embeds (once
-# checks._abelian_embeds): each loops over the beta classes, building a
-# subgroup or reading orders modulo C(x) per class.
+# Bodies kept unchanged, but for the names abelian_embeds (once
+# checks._abelian_embeds) and parent_p_part_decomposition: each loops over
+# the beta classes, building a subgroup or reading orders modulo C(x) per
+# class, or, for big and big1, builds H as a group and measures its
+# regularity again.
 
 
 def abelian_embeds(a_orders: np.ndarray, b_orders: np.ndarray) -> bool:
@@ -291,3 +293,55 @@ def parent_check_cmg(g, label="G") -> CheckResult:
             return _na("cmg", label, "some centralizer equals beta u Z")
     return _result("cmg", label, _quotient_exponent(g) is not None,
                    witness=(("quotient_histogram", _center_histogram(g)),))
+
+
+def parent_check_big(g, label="G") -> CheckResult:
+    """Regular groups split as (regular 2-group) x (odd abelian).
+
+    _p_part_decomposition finds H, the 2-elements, checked to be a subgroup
+    (so normal: conjugation keeps element orders), and A, the central
+    elements of odd order, with H n A = 1 and |H||A| = |G|.  As A is central,
+    (h, a) -> h*a is a homomorphism H x A -> G; H n A = 1 makes it
+    injective, and |H||A| = |G| onto.  So G = H x A, and |A| is odd: by
+    Cauchy's theorem an even |A| would put an element of order 2 in A.  What
+    is left to measure is H regular.
+    """
+    if g.is_abelian or analysis.is_regular(g) is None:
+        return _na("big", label, "not a non-abelian regular group")
+    split, witness = parent_p_part_decomposition(g, 2)
+    if split is None:
+        return _result("big", label, False, witness=witness)
+    h, a = split
+    h_deg = analysis.is_regular(h.as_group())
+    if h_deg is None:
+        return _result("big", label, False, witness=(("sylow2_not_regular", h.size),))
+    return _result("big", label, True, details={
+        "sylow2_order": h.size, "abelian_order": a.size, "sylow2_degree": h_deg})
+
+
+def parent_check_big1(g, label="G") -> CheckResult:
+    """Induced regular groups split as (induced regular p-group) x abelian.
+
+    With p the prime of [G:Z], _p_part_decomposition finds H, the
+    p-elements, checked to be a subgroup (so normal), and A, the central
+    p'-elements, with H n A = 1 and |H||A| = |G|; as in check_big,
+    (h, a) -> h*a is then an isomorphism H x A -> G.  H is a p-group, as by
+    Cauchy's theorem any other prime dividing |H| would give it an element
+    of that order, so what is left to measure is H induced regular.
+    """
+    if g.is_abelian or analysis.is_induced_regular(g) is None:
+        return _na("big1", label, "not a non-abelian induced regular group")
+    pk = is_prime_power(_index(g))
+    if pk is None:
+        return _result("big1", label, False,
+                       witness=(("central_quotient_not_p_group", _index(g)),))
+    p = pk[0]
+    split, witness = parent_p_part_decomposition(g, p)
+    if split is None:
+        return _result("big1", label, False, witness=witness)
+    h, a = split
+    if analysis.is_induced_regular(h.as_group()) is None:
+        return _result("big1", label, False,
+                       witness=(("p_part_not_induced_regular", h.size),))
+    return _result("big1", label, True,
+                   details={"p": p, "p_part_order": h.size, "abelian_order": a.size})

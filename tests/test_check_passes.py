@@ -1,16 +1,18 @@
 """The whole-group passes of ncen, lg, lg1, lg2, cmg and the p-part split,
-cross-checked against their per-class bodies (oracles.parent_*): the same
-CheckResult, field for field, on valid groups, under forced hypotheses, and
-with cache entries overwritten so that each failure branch fires."""
+and big and big1, which read H's regularity from G's, cross-checked against
+their earlier bodies (oracles.parent_*): the same CheckResult, field for
+field, on valid groups, under forced hypotheses, and with cache entries
+overwritten so that each failure branch fires."""
 
-from collections import Counter
+import itertools
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 import oracles
 from noncent import analysis, checks, core, families
-from noncent.core import FiniteGroup, from_permutations, from_table
+from noncent.core import FiniteGroup, Subgroup, from_permutations, from_table
 from test_acceptance import _family_instances, _with_cyclic_products
 from test_fast_paths import relabeled
 
@@ -20,16 +22,31 @@ PARENT = {
     "lg1": oracles.parent_check_lg1,
     "lg2": oracles.parent_check_lg2,
     "cmg": oracles.parent_check_cmg,
+    "big": oracles.parent_check_big,
+    "big1": oracles.parent_check_big1,
 }
+
+
+def extraspecial_3_1_4():
+    """3^{1+4} of exponent 3 (order 243): the triples (a, b, c), a and b in
+    F3^2 and c in F3, with (a, b, c)(a', b', c') = (a + a', b + b',
+    c + c' + a.b').  Its center is the c axis and G/Z = C3^4; every C(x) has
+    index 3 and exceeds beta(x) u Z, so lg2 and cmg apply."""
+    e = np.array(list(itertools.product(range(3), repeat=5)))  # (a1, a2, b1, b2, c)
+    a, b, c = e[:, :2], e[:, 2:4], e[:, 4]
+    prod = np.concatenate([(a[:, None] + a[None]) % 3, (b[:, None] + b[None]) % 3,
+                           ((c[:, None] + c[None] + a @ b.T) % 3)[..., None]], axis=2)
+    return from_table(prod @ 3 ** np.arange(4, -1, -1))
 
 
 @pytest.fixture(scope="module")
 def parity_corpus(split_corpus):
-    """split_corpus, a seeded relabeled copy of each of its groups, and the
-    acceptance-5 family groups with their products with C2..C5."""
+    """split_corpus and 3^{1+4}, a seeded relabeled copy of each of them, and
+    the acceptance-5 family groups with their products with C2..C5."""
     rng = np.random.default_rng(18)
-    copies = [(label + "~r", from_table(relabeled(g, rng))) for label, g in split_corpus]
-    return split_corpus + copies + _with_cyclic_products(_family_instances())
+    base = split_corpus + [("3^(1+4)", extraspecial_3_1_4())]
+    copies = [(label + "~r", from_table(relabeled(g, rng))) for label, g in base]
+    return base + copies + _with_cyclic_products(_family_instances())
 
 
 def affine_f9_q8():
@@ -71,16 +88,19 @@ def check_both(cid, g):
 
 class TestParentParity:
     def test_valid_groups(self, parity_corpus):
-        outcomes = Counter()
+        outcomes, applied = Counter(), defaultdict(set)
         for label, g in parity_corpus:
             for cid, parent in PARENT.items():
                 result = checks.CHECK_IDS[cid](g, label)
                 assert result == parent(g, label), (cid, label)
                 outcomes[cid, result.applicable, result.passed] += 1
+                if result.applicable:
+                    applied[cid].add(label)
         assert not [key for key in outcomes if key[1] and not key[2]], outcomes
-        # lg2 and cmg apply to none of these; test_forced_hypotheses runs them
-        for cid in ("ncen", "lg", "lg1"):
+        for cid in ("ncen", "lg", "lg1", "big", "big1"):
             assert outcomes[cid, True, True] > 30, (cid, outcomes)
+        for cid in ("lg2", "cmg"):
+            assert applied[cid] == {"3^(1+4)", "3^(1+4)~r"}, (cid, applied[cid])
 
     def test_forced_hypotheses(self, parity_corpus, monkeypatch):
         # every non-abelian group passes the hypotheses, so classes fail too;
@@ -99,18 +119,23 @@ class TestParentParity:
                 result = checks.CHECK_IDS[cid](g, label)
                 assert result == parent(g, label), (cid, label)
                 if result.applicable and not result.passed:
-                    witnesses[cid, result.witness[-1][0]] += 1
+                    last = result.witness[-1]  # a split witness is flat: ("sizes", |H|, |A|)
+                    witnesses[cid, last[0] if isinstance(last, tuple) else result.witness[0]] += 1
         for kind in ("normal", "quotient_abelian", "quotient_histogram"):
             assert witnesses["ncen", kind], witnesses
         assert witnesses["lg2", "hx_quotient_histogram"], witnesses
+        for kind in ("p_elements_not_closed", "sizes"):
+            assert witnesses["big", kind], witnesses
 
     def test_p_part_decomposition(self, parity_corpus):
         outcomes = Counter()
         for label, g in parity_corpus:
             for p in core._prime_factors(g.order):
-                split = checks._p_part_decomposition(g, p)
-                assert split == oracles.parent_p_part_decomposition(g, p), (label, p)
-                outcomes[split[1][:1]] += 1
+                orders, witness = checks._p_part_decomposition(g, p)
+                parent, parent_witness = oracles.parent_p_part_decomposition(g, p)
+                assert witness == parent_witness, (label, p)
+                assert orders == (parent and (parent[0].size, parent[1].size)), (label, p)
+                outcomes[witness[:1]] += 1
         assert set(outcomes) == {(), ("p_elements_not_closed",), ("sizes",)}, outcomes
 
 
@@ -185,9 +210,10 @@ def test_suite_builds_no_subgroup_and_no_orders_modulo(monkeypatch, order8_entri
     expected = checks.run_suite(groups)  # fills the caches the checks read
 
     def refuse(*args):
-        raise AssertionError("a check built a subgroup or read orders modulo C(x)")
+        raise AssertionError("a check built a subgroup or group or read orders modulo C(x)")
 
     for owner, name in ((FiniteGroup, "subgroup"), (FiniteGroup, "generated_subgroup"),
-                        (FiniteGroup, "orders_modulo"), (analysis, "h_subgroup")):
+                        (FiniteGroup, "orders_modulo"), (analysis, "h_subgroup"),
+                        (Subgroup, "as_group")):
         monkeypatch.setattr(owner, name, refuse)
     assert checks.run_suite(groups) == expected

@@ -175,7 +175,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--catalog",
                                catalog.shipped_path("order8.cat"),
                                "--checks", "nonsense")
-        assert code == 2
+        assert code == 2 and err == "error: unknown check id: 'nonsense'\n"
+
+    def test_directory_as_catalog(self, capsys, tmp_path):
+        for argv in (["verify", "--catalog", str(tmp_path)], ["analyze", str(tmp_path)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_empty_check_selection(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", ",", "--catalog",

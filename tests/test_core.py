@@ -397,6 +397,11 @@ class TestAllSubgroups:
         for s in all_subgroups(g):
             assert g.order % s.size == 0
 
+    def test_cap_raises_too_large(self, monkeypatch):
+        monkeypatch.setattr(core, "SUBGROUP_CAP", 9)  # D8 has 10
+        with pytest.raises(TooLarge, match="subgroup enumeration exceeded 9 subgroups"):
+            all_subgroups(families.dihedral(4))
+
 
 class TestSubgroupType:
     def test_validation(self):

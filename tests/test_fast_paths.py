@@ -1686,11 +1686,19 @@ def product_subgroups(g, h_seeds, a_seeds):
     return h, a, core.direct_product(h.as_group(), a.as_group())
 
 
+def p_part_subgroups(g, p):
+    """H, the p-elements, and A, the central p'-elements, as subgroups of g
+    built from their masks."""
+    central_prime = (g.beta_class_ids() == 0) & (g.element_orders() % p != 0)
+    return (g.subgroup(np.flatnonzero(g.p_element_mask(p))),
+            g.subgroup(np.flatnonzero(central_prime)))
+
+
 class TestProductMapConfirmation:
     """Wherever check_big or check_big1 passes, _p_part_decomposition has
-    proved G = H x A.  For direct_product(H, A) rebuilt there, the product
-    map (oracles.product_map_is_isomorphism) and the isomorphism search both
-    confirm it."""
+    proved G = H x A.  For direct_product(H, A) rebuilt from the masks of H
+    and A, the product map (oracles.product_map_is_isomorphism) and the
+    isomorphism search both confirm it."""
 
     def test_matches_isomorphism_search_where_big_and_big1_confirm(self, split_corpus):
         corpus = split_corpus + [  # D8xC3 is in small_corpus
@@ -1703,7 +1711,9 @@ class TestProductMapConfirmation:
                 if not r.applicable:
                     continue
                 assert r.passed, (cid, label, r.witness)
-                (h, a), _ = checks._p_part_decomposition(g, r.details.get("p", 2))
+                p = r.details.get("p", 2)
+                h, a = p_part_subgroups(g, p)
+                assert (h.size, a.size) == checks._p_part_decomposition(g, p)[0], (cid, label)
                 rebuilt = core.direct_product(h.as_group(), a.as_group())
                 assert product_map_is_isomorphism(g, h, a, rebuilt), (cid, label)
                 assert core.is_isomorphic(rebuilt, g), (cid, label)
