@@ -319,10 +319,10 @@ def _p_part_decomposition(g: FiniteGroup, p: int):
     p_elems = g.p_element_mask(p)
     h = np.flatnonzero(p_elems)
     if not p_elems[g.table[np.ix_(h, h)]].all():
-        return None, ("p_elements_not_closed",)
+        return None, (("p_elements_closed", False),)
     a = int(np.count_nonzero((g.beta_class_ids() == 0) & (g.element_orders() % p != 0)))
     if h.size * a != g.order:
-        return None, ("sizes", h.size, a)
+        return None, (("sizes", (h.size, a)),)
     return (h.size, a), ()
 
 

@@ -604,7 +604,12 @@ def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
     table = np.empty((n, n), dtype=np.int32)
     for s in _blocks(n):  # one transposing copy is about 5x slower
         table[:, s] = cols[s].T
-    _check_associativity(table, np.unique(elements))
+    # y*g = 0 for a tested g puts y on 0's cycle under column g: a power of g, it passes
+    gens: list[int] = []
+    for y in np.unique(elements).tolist():
+        if not (table[y, gens] == 0).any():
+            gens.append(y)
+    _check_associativity(table, gens)
     return table, nodes, tree
 
 

@@ -19,9 +19,10 @@ Enumeration is plain HLT with a single lookahead pass at the coset cap.
 Coincidences merge through a union-find that only the coincidence routine
 and the final compaction consult: it leaves no live row pointing at a dead
 coset (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-section 5.1), so relator scans follow row entries directly.  The final table
-is renumbered to BFS discovery order so identical input text always yields an
-identical group.
+section 5.1), so relator scans follow row entries directly, and a power
+relator closed on a loop of live cosets stays closed: it is not scanned again
+on that loop until compaction.  The final table is renumbered to BFS
+discovery order so identical input text always yields an identical group.
 """
 
 from __future__ import annotations
@@ -215,14 +216,24 @@ class _CosetTable:
     """Coset table plus union-find over coset numbers; the smaller number
     survives a merge, so coset 0 stays live.  Each entry is set with its
     inverse, and coincidence() clears the inverse of every entry of a dead
-    row, so between calls no live row points at a dead coset."""
+    row, so between calls no live row points at a dead coset.  A relator is
+    (letters, last index, root, done): letters = root^k, root primitive, if
+    k > 2 (marking a two-coset loop costs what rescanning it does), else root
+    is empty; done holds cosets where, while live, a scan changes nothing."""
 
-    def __init__(self, ngens: int, max_cosets: int):
+    def __init__(self, ngens: int, max_cosets: int, relators: list[list[int]]):
         self.width = 2 * ngens
         self.max_cosets = max_cosets
         self.rows: list[list] = [[None] * self.width]
         self.p = [0]
         self.queue: list[int] = []
+        self.relators = []
+        for w in relators:  # root: w's shortest rotation equal to w; k > 2 repeats w[0] 3 times
+            m = len(w)
+            if w and w.count(w[0]) > 2:
+                s = "".join(map(chr, w))
+                m = (s + s).find(s, 1)
+            self.relators.append((w, len(w) - 1, w[:m] if 2 * m < len(w) else [], set()))
 
     def rep(self, k: int) -> int:
         while self.p[k] != k:
@@ -266,13 +277,15 @@ class _CosetTable:
                     rows[nu][x ^ 1] = mu
         self.queue.clear()
 
-    def scan_relators(self, alpha: int, rel_letters: list[list[int]], fill: bool = True) -> bool:
-        """Scan every relator at the live coset alpha, defining cosets to
-        complete each scan when fill is set; False once alpha has died."""
+    def scan_relators(self, alpha: int, fill: bool = True) -> bool:
+        """Scan each relator not yet closed at the live coset alpha, defining
+        cosets to complete each scan when fill is set; False once alpha has died."""
         rows, p = self.rows, self.p
-        for letters in rel_letters:
+        for letters, last, root, done in self.relators:
+            if root and alpha in done:
+                continue
             f, i = alpha, 0
-            b, j = alpha, len(letters) - 1
+            b, j = alpha, last
             while True:
                 while i <= j and (nxt := rows[f][letters[i]]) is not None:
                     f = nxt
@@ -280,19 +293,26 @@ class _CosetTable:
                 while j >= i and (nxt := rows[b][letters[j] ^ 1]) is not None:
                     b = nxt
                     j -= 1
-                if j < i:
-                    if f != b:
-                        self.coincidence(f, b)
-                    break
+                if j > i:
+                    if not fill:
+                        break
+                    self.define(f, letters[i])
+                    continue
                 if j == i:
                     rows[f][letters[i]] = b
                     rows[b][letters[i] ^ 1] = f
+                elif f != b:
+                    self.coincidence(f, b)
+                    if p[alpha] != alpha:
+                        return False
                     break
-                if not fill:
-                    break
-                self.define(f, letters[i])
-            if p[alpha] != alpha:
-                return False
+                # alpha * v^k = alpha, so v^k closes at each alpha * v^t too
+                beta = alpha
+                while root and beta not in done:
+                    done.add(beta)
+                    for x in root:
+                        beta = rows[beta][x]
+                break
         return True
 
     def compact(self):
@@ -306,6 +326,7 @@ class _CosetTable:
         self.rows = new_rows
         self.p = list(range(len(live)))
         self.queue.clear()
+        self.relators = [(w, last, root, set()) for w, last, root, _ in self.relators]
 
 
 def enumerate_presentation(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:
@@ -319,8 +340,7 @@ def enumerate_presentation(pres: Presentation, max_cosets: int | None = None) ->
     """
     if max_cosets is None:
         max_cosets = int(os.environ.get("NONCENT_MAX_COSETS", DEFAULT_MAX_COSETS))
-    rel_letters = [_letters(w) for w in pres.relators]
-    ct = _CosetTable(len(pres.generators), max_cosets)
+    ct = _CosetTable(len(pres.generators), max_cosets, [_letters(w) for w in pres.relators])
     tried_lookahead = False
 
     alpha = 0
@@ -329,8 +349,7 @@ def enumerate_presentation(pres: Presentation, max_cosets: int | None = None) ->
             alpha += 1
             continue
         try:
-            if ct.scan_relators(alpha, rel_letters):
-                row = ct.rows[alpha]
+            if ct.scan_relators(alpha) and None in (row := ct.rows[alpha]):
                 for x in range(ct.width):
                     if row[x] is None:
                         ct.define(alpha, x)
@@ -338,7 +357,7 @@ def enumerate_presentation(pres: Presentation, max_cosets: int | None = None) ->
             if tried_lookahead:
                 raise
             tried_lookahead = True
-            _lookahead(ct, rel_letters)
+            _lookahead(ct)
             ct.compact()
             if len(ct.rows) >= ct.max_cosets:
                 raise
@@ -349,12 +368,12 @@ def enumerate_presentation(pres: Presentation, max_cosets: int | None = None) ->
     return _table_to_group(ct, pres)
 
 
-def _lookahead(ct: _CosetTable, rel_letters: list[list[int]]):
+def _lookahead(ct: _CosetTable):
     """Scan every live coset against every relator without defining, to flush
     coincidences before giving up."""
     for alpha in range(len(ct.rows)):
         if ct.p[alpha] == alpha:
-            ct.scan_relators(alpha, rel_letters, fill=False)
+            ct.scan_relators(alpha, fill=False)
 
 
 def _table_to_group(ct: _CosetTable, pres: Presentation) -> FiniteGroup:

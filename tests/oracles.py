@@ -345,3 +345,34 @@ def parent_check_big1(g, label="G") -> CheckResult:
                        witness=(("p_part_not_induced_regular", h.size),))
     return _result("big1", label, True,
                    details={"p": p, "p_part_order": h.size, "abelian_order": a.size})
+
+
+def parent_scan_relators(ct, alpha: int, rel_letters: list[list[int]], fill: bool = True) -> bool:
+    """presentation._CosetTable.scan_relators before closed power-relator
+    loops were skipped: every relator is walked in full at alpha, defining
+    cosets to complete each scan when fill is set; False once alpha has died."""
+    rows, p = ct.rows, ct.p
+    for letters in rel_letters:
+        f, i = alpha, 0
+        b, j = alpha, len(letters) - 1
+        while True:
+            while i <= j and (nxt := rows[f][letters[i]]) is not None:
+                f = nxt
+                i += 1
+            while j >= i and (nxt := rows[b][letters[j] ^ 1]) is not None:
+                b = nxt
+                j -= 1
+            if j < i:
+                if f != b:
+                    ct.coincidence(f, b)
+                break
+            if j == i:
+                rows[f][letters[i]] = b
+                rows[b][letters[i] ^ 1] = f
+                break
+            if not fill:
+                break
+            ct.define(f, letters[i])
+        if p[alpha] != alpha:
+            return False
+    return True

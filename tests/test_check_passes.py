@@ -4,6 +4,7 @@ their earlier bodies (oracles.parent_*): the same CheckResult, field for
 field, on valid groups, under forced hypotheses, and with cache entries
 overwritten so that each failure branch fires."""
 
+import dataclasses
 import itertools
 from collections import Counter, defaultdict
 
@@ -16,14 +17,32 @@ from noncent.core import FiniteGroup, Subgroup, from_permutations, from_table
 from test_acceptance import _family_instances, _with_cyclic_products
 from test_fast_paths import relabeled
 
+
+def paired(witness):
+    """A parent split witness, ("p_elements_not_closed",) or ("sizes", |H|,
+    |A|), as the (name, value) pairs that every check returns."""
+    if witness == ("p_elements_not_closed",):
+        return (("p_elements_closed", False),)
+    if witness[:1] == ("sizes",):
+        return (("sizes", witness[1:]),)
+    return witness
+
+
+def with_paired_witness(parent):
+    def check(g, label="G"):
+        result = parent(g, label)
+        return dataclasses.replace(result, witness=paired(result.witness))
+    return check
+
+
 PARENT = {
     "ncen": oracles.parent_check_ncen,
     "lg": oracles.parent_check_lg,
     "lg1": oracles.parent_check_lg1,
     "lg2": oracles.parent_check_lg2,
     "cmg": oracles.parent_check_cmg,
-    "big": oracles.parent_check_big,
-    "big1": oracles.parent_check_big1,
+    "big": with_paired_witness(oracles.parent_check_big),
+    "big1": with_paired_witness(oracles.parent_check_big1),
 }
 
 
@@ -119,12 +138,11 @@ class TestParentParity:
                 result = checks.CHECK_IDS[cid](g, label)
                 assert result == parent(g, label), (cid, label)
                 if result.applicable and not result.passed:
-                    last = result.witness[-1]  # a split witness is flat: ("sizes", |H|, |A|)
-                    witnesses[cid, last[0] if isinstance(last, tuple) else result.witness[0]] += 1
+                    witnesses[cid, list(dict(result.witness))[-1]] += 1  # (name, value) pairs
         for kind in ("normal", "quotient_abelian", "quotient_histogram"):
             assert witnesses["ncen", kind], witnesses
         assert witnesses["lg2", "hx_quotient_histogram"], witnesses
-        for kind in ("p_elements_not_closed", "sizes"):
+        for kind in ("p_elements_closed", "sizes"):
             assert witnesses["big", kind], witnesses
 
     def test_p_part_decomposition(self, parity_corpus):
@@ -133,10 +151,10 @@ class TestParentParity:
             for p in core._prime_factors(g.order):
                 orders, witness = checks._p_part_decomposition(g, p)
                 parent, parent_witness = oracles.parent_p_part_decomposition(g, p)
-                assert witness == parent_witness, (label, p)
+                assert witness == paired(parent_witness), (label, p)
                 assert orders == (parent and (parent[0].size, parent[1].size)), (label, p)
-                outcomes[witness[:1]] += 1
-        assert set(outcomes) == {(), ("p_elements_not_closed",), ("sizes",)}, outcomes
+                outcomes[tuple(dict(witness))] += 1
+        assert set(outcomes) == {(), ("p_elements_closed",), ("sizes",)}, outcomes
 
 
 class TestFaultInjection:
@@ -197,9 +215,10 @@ class TestFaultInjection:
         x = int(np.flatnonzero(orders == 12)[0])  # (r, c), not central
         orders[x] = 4
         g = with_cache(d8xc3, element_orders=orders)
-        assert checks._p_part_decomposition(g, 2) == oracles.parent_p_part_decomposition(g, 2) \
-            == (None, ("p_elements_not_closed",))
-        assert checks.check_big(g).witness == ("p_elements_not_closed",)
+        parent_split, parent_witness = oracles.parent_p_part_decomposition(g, 2)
+        assert parent_split is None and parent_witness == ("p_elements_not_closed",)
+        assert checks._p_part_decomposition(g, 2) == (None, paired(parent_witness))
+        assert dict(checks.check_big(g).witness) == {"p_elements_closed": False}
 
 
 def test_suite_builds_no_subgroup_and_no_orders_modulo(monkeypatch, order8_entries,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,18 @@ class TestVerify:
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == ""
             assert err == f"error: S8: {size} MiB table, over the 256 MiB budget\n"
+
+    def test_long_power_relator_over_table_budget(self, capsys, tmp_path):
+        # 20000 cosets fit under the coset cap, and the table build stops at
+        # the budget; each coset closes a^20000 by one walk around its loop
+        path = tmp_path / "c8.cat"
+        path.write_text("name: C8\nkind: presentation\norder: 8\npres: < a | a^20000 >\n")
+        for argv in (["verify", "--catalog", str(path)], ["analyze", str(path)]):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 5
+            assert code == 2 and out == ""
+            assert err == "error: C8: order 5793 needs a 257 MiB table, over the 256 MiB budget\n"
 
     def test_unknown_check_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--catalog",

@@ -1,6 +1,7 @@
 """Array kernels cross-checked against the slow reference implementations
 they replaced, which are kept here as test-only oracles."""
 
+import copy
 import random
 import re
 from collections import Counter
@@ -13,7 +14,7 @@ from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
 from oracles import (abelian_embeds, edges, frattini_by_maximal_subgroups, is_elementary_p,
-                     power, product_map_is_isomorphism)
+                     parent_scan_relators, power, product_map_is_isomorphism)
 from test_acceptance import TABLE1_ROWS, _family_instances, _with_cyclic_products
 from test_presentation import FAMILY_PRESENTATIONS
 
@@ -1135,9 +1136,9 @@ class TestTableBuilders:
             seen.append(slow_coset_table(ct, pres))
             return fast(ct, pres)
 
-        def counted(ct, rel_letters):
+        def counted(ct):
             caps.append(len(ct.rows))
-            lookahead(ct, rel_letters)
+            lookahead(ct)
 
         monkeypatch.setattr(presentation, "_table_to_group", spy)
         monkeypatch.setattr(presentation, "_lookahead", counted)
@@ -1180,6 +1181,88 @@ class TestTableBuilders:
     def test_family_tables_match_double_loop(self, ctor, oracle, args):
         for a in args:
             assert (ctor(a).table == oracle(a)).all(), a
+
+
+def random_power_relators(rng, count):
+    """Presentations on a and b: two or three relators v^k, v a cyclically
+    reduced word of 1-3 letters and k from 2 to 64, then a commutator, the
+    dihedral b^2, (a*b)^2 or nothing, so that some are finite."""
+    names = ["a", "a^-1", "b", "b^-1"]
+    texts = []
+    for _ in range(count):
+        rels = []
+        for _ in range(rng.randint(2, 3)):
+            v = [rng.randrange(4)]
+            while len(v) < rng.randint(1, 3):
+                v.append(rng.choice([x for x in range(4) if x != v[-1] ^ 1]))
+            if len(v) > 1 and v[0] == v[-1] ^ 1:
+                v.pop()
+            rels.append(f"({'*'.join(names[x] for x in v)})^{rng.randint(2, 64)}")
+        extra = rng.choice(["", ", a*b = b*a", ", b^2, (a*b)^2"])
+        texts.append(f"< a, b | {', '.join(rels)}{extra} >")
+    return texts
+
+
+class TestScanSkip:
+    """A power relator closed on a loop of live cosets is not scanned again on
+    it.  Skipped scans are those that would change nothing, so after every
+    scan the coset table and union-find equal those that the full scan
+    (oracles.parent_scan_relators) makes from the same table."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        fast, compact = presentation._CosetTable.scan_relators, presentation._CosetTable.compact
+        stats = Counter()
+
+        def outcome(scan, *args):
+            try:
+                return scan(*args)
+            except CosetLimitExceeded:  # the cap is hit at the same definition
+                return CosetLimitExceeded
+
+        def checked(ct, alpha, fill=True):
+            twin = copy.copy(ct)
+            twin.rows, twin.p, twin.queue = [row[:] for row in ct.rows], ct.p[:], []
+            rel_letters = [letters for letters, *_ in ct.relators]
+            expected = outcome(parent_scan_relators, twin, alpha, rel_letters, fill)
+            stats["skipped"] += sum(alpha in done for *_, done in ct.relators)
+            assert outcome(fast, ct, alpha, fill) == expected
+            assert ct.rows == twin.rows and ct.p == twin.p, alpha
+            stats["scans"] += 1
+            if expected is CosetLimitExceeded:
+                raise CosetLimitExceeded(ct.max_cosets)
+            return expected
+
+        def cleared(ct):
+            stats["marks before compact"] += sum(len(done) for *_, done in ct.relators)
+            compact(ct)
+            assert not any(done for *_, done in ct.relators)
+
+        monkeypatch.setattr(presentation._CosetTable, "scan_relators", checked)
+        monkeypatch.setattr(presentation._CosetTable, "compact", cleared)
+        return stats
+
+    def test_shipped_family_and_dihedral_presentations(self, shipped_presentations, scans):
+        texts = shipped_presentations + [text for text, _, _ in FAMILY_PRESENTATIONS]
+        texts += ["< r, s | r^256, s^2, s*r*s*r >", "< r,s | r^512, s^2, s*r*s^-1 = r^-1 >"]
+        orders = [enumerate_presentation(parse(text)).order for text in texts]
+        assert orders[-2:] == [512, 1024]
+        assert scans["skipped"] > scans["scans"] // 2, scans
+
+    @pytest.mark.parametrize("text, cap", LOOKAHEAD_CASES)
+    def test_marks_cleared_by_compaction(self, text, cap, scans):
+        assert enumerate_presentation(parse(text), max_cosets=cap).order == {65: 60, 241: 168}[cap]
+        assert scans["marks before compact"] > 0 and scans["skipped"] > 0, scans
+
+    def test_random_power_relators(self, scans):
+        outcomes = Counter()
+        for text in random_power_relators(random.Random(20), 40):
+            try:
+                outcomes[enumerate_presentation(parse(text), max_cosets=300).order > 1] += 1
+            except CosetLimitExceeded:
+                outcomes["cap"] += 1
+        assert outcomes.keys() == {True, False, "cap"}, outcomes
+        assert scans["skipped"] > 0 and scans["marks before compact"] > 0, scans
 
 
 class TestEdgeCases:
@@ -1273,6 +1356,57 @@ class TestActionTables:
                     enumerate_presentation(parse(text))
                 messages.add(str(info.value).split()[0])
         assert messages == {"letter", "column", "associativity"}
+
+    def test_light_trim_matches_every_letter(self, shipped_presentations, monkeypatch):
+        # Light's test skips a letter's element y with y*g = 0 for an already
+        # tested g; on intact and corrupted coset tables it fails exactly
+        # when the test on every letter's element fails, with the same message
+        rng = np.random.default_rng(41)
+        fast, light = presentation._table_to_group, core._check_associativity
+        outcomes, row0 = [], []
+
+        def message(table, gens):
+            try:
+                light(table, gens)
+            except NotAGroup as exc:
+                return str(exc)
+
+        def corrupt(ct, pres):
+            live = [k for k in range(len(ct.rows)) if ct.p[k] == k]
+            a, b = rng.choice(live, size=2, replace=False)
+            x = int(rng.integers(ct.width))
+            if mode == "swap":
+                ct.rows[a][x], ct.rows[b][x] = ct.rows[b][x], ct.rows[a][x]
+            elif mode == "move":
+                ct.rows[a][x] = ct.rows[b][x]
+            row0[:] = ct.rows[0]
+            return fast(ct, pres)
+
+        def both(table, gens):
+            index = {0: 0}  # BFS numbers the cosets of row 0 first
+            every = np.unique([index.setdefault(c, len(index)) for c in row0])
+            outcomes.append((len(gens) < len(every), message(table, gens), message(table, every)))
+            light(table, gens)
+
+        monkeypatch.setattr(presentation, "_table_to_group", corrupt)
+        monkeypatch.setattr(core, "_check_associativity", both)
+        for text in shipped_presentations:
+            for mode in ("intact", "move", "swap"):
+                try:
+                    enumerate_presentation(parse(text))
+                except NotAGroup:
+                    pass
+        # Cm x S3 on m x 3 points, by c -> c + 1, c -> c - 1, a 3-cycle and a
+        # transposition: the central first letter passes, a later one fails
+        for m in (2, 3, 4):
+            rows = np.array([[3 * ((c + 1) % m) + y, 3 * ((c - 1) % m) + y,
+                              3 * c + (y + 1) % 3, 3 * c + 2 - y] for c in range(m) for y in range(3)])
+            row0[:] = rows[0].tolist()
+            with pytest.raises(NotAGroup, match="associativity fails at"):
+                action_table(rows)
+        assert all(trimmed == every for _, trimmed, every in outcomes)
+        kinds = Counter((skipped, trimmed is None) for skipped, trimmed, _ in outcomes)
+        assert kinds[True, True] and kinds[True, False], kinds
 
     def test_from_table_oracle(self, shipped_presentations, order8_entries, order16_entries,
                                order32_entries, order64_entries):

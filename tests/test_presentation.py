@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,28 @@ class TestEnumerate:
         # relators force a = b and the whole group down to C2
         g = enumerate_presentation(parse("< a,b | a*b^-1, a^2 >"))
         assert g.order == 2
+
+
+class TestLongPowerRelators:
+    """A power relator is walked once around each closed loop of cosets, not
+    once at every coset on it, so < a | a^k > costs about k letter steps."""
+
+    def test_past_table_budget_promptly(self):
+        start = time.perf_counter()
+        with pytest.raises(core.TooLarge):
+            enumerate_presentation(parse("< a | a^8000 >"))
+        assert time.perf_counter() - start < 1
+
+    def test_enumerates_promptly(self):
+        start = time.perf_counter()
+        g = enumerate_presentation(parse("< a | a^4000 >"))
+        assert time.perf_counter() - start < 1
+        assert g.order == 4000 and g.labels[:3] == ("e", "a", "a^-1")
+
+    def test_huge_power_collapses_to_trivial(self):
+        # a^2 and a^1000001 leave a = 1; the cap is hit once before a^2 is read
+        g = enumerate_presentation(parse("< a | a^1000001, a^2 >"))
+        assert g.order == 1 and g.labels == ("e",)
 
 
 FAMILY_PRESENTATIONS = [
