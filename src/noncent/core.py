@@ -41,8 +41,8 @@ __all__ = [
 ISO_ORDER_CAP = 512
 SUBGROUP_CAP = 20_000  # subgroups all_subgroups may find before it raises TooLarge
 TABLE_BYTE_BUDGET = 256 << 20
-"""Largest int64 Cayley table built, in bytes: order 5792.  cyclic(2048)
-needs 32 MiB, elementary_abelian(2, 13) would need 512 MiB."""
+"""Budget for a group's n x n work, counted at 8 bytes an entry (the table
+is int32, half that): order 5792.  cyclic(2048) counts 32 MiB, E(2^13) 512."""
 
 TRIVIAL = "trivial"
 """Marker returned by is_p_group for the order-1 group (a p-group for every p)."""
@@ -61,9 +61,9 @@ class TooLarge(ValueError):
 
 
 def check_table_budget(n: int) -> None:
-    """Raise TooLarge when an n x n int64 table would exceed TABLE_BYTE_BUDGET,
-    naming its size in MiB rounded up; called before the table, or anything
-    else of size n x n, is allocated."""
+    """Raise TooLarge when n x n entries at 8 bytes each would exceed
+    TABLE_BYTE_BUDGET, naming that size in MiB rounded up; called before the
+    table, or anything else of size n x n, is allocated."""
     if 8 * n * n > TABLE_BYTE_BUDGET:
         raise TooLarge(f"order {n} needs a {-(-8 * n * n >> 20)} MiB table, over the "
                        f"{TABLE_BYTE_BUDGET >> 20} MiB budget")
@@ -199,8 +199,9 @@ class FiniteGroup:
     """A finite group on elements 0..n-1 given by its multiplication table.
 
     table[i, j] is the index of (element i) * (element j).  The raw
-    constructor trusts its input.  from_table, which the family constructors
-    use, validates the axioms; from_permutations and enumerate_presentation
+    constructor trusts its input and keeps a C-contiguous int32 table as is,
+    read-only (any other is copied to one).  from_table and the family
+    constructors validate the axioms; from_permutations and enumerate_presentation
     check the table they build from an action with the action's own letters;
     direct_product, Subgroup.as_group and quotient build tables that are
     correct by construction.
@@ -447,27 +448,35 @@ def _find_identity(table: np.ndarray) -> int:
 def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> FiniteGroup:
     """Build a validated FiniteGroup from a multiplication table.
 
-    Checks, in order: square, non-empty, entries in range, a two-sided
-    identity (relocated to index 0 by relabeling), the label count, exact
-    associativity by Light's test on a generating set, two-sided inverses;
-    NotAGroup names the first that fails.  A table passing them all is a group
-    and so a Latin square: the Latin-square check runs only on a rejected
-    table, whose first row, then column, that is not a permutation is named
-    instead.  Rejecting costs O(n^2 log n): Light's test stops past log2(n)
-    generators, which no group needs.  A sized input over the table budget
-    raises TooLarge before it is converted.
+    Checks square, non-empty and entries in range on the input as given, so
+    that no entry wraps when narrowed, then those of _adopt_table on one int32
+    copy; the caller's array is left alone.  A sized input over the table
+    budget raises TooLarge before it is converted.
     """
     if hasattr(rows, "__len__"):
         check_table_budget(len(rows))
-    table = np.ascontiguousarray(rows, dtype=np.int64)
+    table = np.asarray(rows)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("table is not square")
     n = table.shape[0]
     if n == 0:
         raise NotAGroup("empty table")
-    if table.min() < 0 or table.max() >= n:
+    if not (table.min() >= 0 and table.max() < n):  # false for NaN too
         raise NotAGroup("table entries out of range")
+    return _adopt_table(table.astype(np.int32, order="C"), labels)
 
+
+def _adopt_table(table: np.ndarray, labels: Optional[Sequence[str]]) -> FiniteGroup:
+    """The group on a square C-contiguous int32 table with entries in 0..n-1,
+    which becomes its read-only table, not copied, once these checks pass in
+    order: a two-sided identity (relocated to index 0 by relabeling), the
+    label count, exact associativity by Light's test on a generating set,
+    two-sided inverses; NotAGroup names the first that fails.  A table passing
+    them all is a group and so a Latin square: the Latin-square check runs
+    only on a rejected table, whose first row, then column, that is not a
+    permutation is named instead.  Rejecting costs O(n^2 log n): Light's test
+    stops past log2(n) generators, which no group needs."""
+    n = table.shape[0]
     try:
         e = _find_identity(table)
         labels = [f"g{i}" for i in range(n)] if labels is None else list(labels)
@@ -476,7 +485,7 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
         group = table
         if e != 0:
             # swap indices 0 and e; the swap is its own inverse
-            perm = np.arange(n)
+            perm = np.arange(n, dtype=np.int32)
             perm[e], perm[0] = 0, e
             group = perm[table[np.ix_(perm, perm)]]
             labels[0], labels[e] = labels[e], labels[0]
@@ -533,10 +542,11 @@ def _greedy_sequence(table: np.ndarray, rank: Optional[np.ndarray] = None) -> It
 
 def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
     """Mark in place every element reached from the marked ones by right
-    multiplication with gens."""
+    multiplication with gens.  The images are cast to intp once, not at each
+    of the three index operations that read them (int32 tables)."""
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        img = table[frontier[:, None], gens].ravel()
+        img = table[frontier[:, None], gens].ravel().astype(np.intp, copy=False)
         frontier = np.unique(img[~reached[img]])
         reached[frontier] = True
 
@@ -648,9 +658,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, ordered a-major: index = i_a * |B| + i_b."""
     na, nb = a.order, b.order
     check_table_budget(na * nb)
-    ta = np.asarray(a.table, dtype=np.int64)
-    tb = np.asarray(b.table, dtype=np.int64)
-    table = (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(na * nb, na * nb)
+    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(na * nb, na * nb)
     labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
     return FiniteGroup(table, labels)
 

@@ -1,14 +1,16 @@
 """Direct table constructors for the standard small-group families.
 
 These are built straight from normal forms (not via coset enumeration), so
-they double as independent oracles for the presentation machinery.
+they double as independent oracles for the presentation machinery.  Each is
+computed in one int32 buffer, which from_table's checks validate in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FiniteGroup, check_table_budget, from_table, direct_product, is_prime
+from .core import FiniteGroup, _adopt_table, check_table_budget, direct_product, is_prime
 
 __all__ = [
     "cyclic",
@@ -21,15 +23,13 @@ __all__ = [
 
 
 def cyclic(n: int) -> FiniteGroup:
-    """C_n as addition mod n."""
+    """C_n as addition mod n: row i is the window i..i+n-1 of (0..2n-2) mod n."""
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
     check_table_budget(n)
-    idx = np.arange(n)
-    table = idx[:, None] + idx
-    table[table >= n] -= n
+    table = sliding_window_view(np.arange(2 * n - 1, dtype=np.int32) % n, n).copy()
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
-    return from_table(table, labels[:n])
+    return _adopt_table(table, labels[:n])
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -45,11 +45,20 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     return g
 
 
-def _split_grid(n: int, m: int):
-    """(fa, ia, fb, ib) with divmod(a, m) = (fa, ia) down the rows and
-    divmod(b, m) = (fb, ib) across the columns of an n x n grid."""
-    f, i = np.divmod(np.arange(n), m)
-    return f[:, None], i[:, None], f[None, :], i[None, :]
+def _cyclic_by_c2(m: int, twist: int, b_square: int = 0) -> np.ndarray:
+    """int32 table of <a, b | a^m, b^2 = a^b_square, a b = b a^twist> on the
+    elements b^f a^i, indexed f*m + i: (b^fx a^ix)(b^fy a^iy) is
+    b^(fx^fy) a^(ix*twist^fy + iy + b_square*fx*fy), built in place."""
+    i = np.arange(2 * m, dtype=np.int32) % m
+    k = np.ones(2 * m, dtype=np.int32)
+    k[m:] = twist
+    table = np.multiply.outer(i, k)
+    table += i
+    table[m:, m:] += b_square
+    table %= m
+    table[:m, m:] += m
+    table[m:, :m] += m
+    return table
 
 
 def dihedral(m: int) -> FiniteGroup:
@@ -60,12 +69,9 @@ def dihedral(m: int) -> FiniteGroup:
     if m < 2:
         raise ValueError("dihedral needs m >= 2")
     check_table_budget(2 * m)
-    fa, ia, fb, ib = _split_grid(2 * m, m)
-    # (s^fa r^ia)(s^fb r^ib): pushing r^ia past s flips its sign
-    table = (fa ^ fb) * m + np.where(fb == 1, ib - ia, ia + ib) % m
     labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, m)]
     labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, m)]
-    return from_table(table, labels)
+    return _adopt_table(_cyclic_by_c2(m, -1), labels)
 
 
 def generalized_quaternion(order: int) -> FiniteGroup:
@@ -78,13 +84,9 @@ def generalized_quaternion(order: int) -> FiniteGroup:
         raise ValueError("generalized quaternion is defined for orders 2^k, k >= 3")
     check_table_budget(order)
     m = order // 2
-    half = m // 2  # b^2 = a^half
-    fa, ia, fb, ib = _split_grid(order, m)
-    # as in the dihedral case, plus b^2 = a^half when both factors carry b
-    table = (fa ^ fb) * m + np.where(fb == 1, ib - ia + half * fa, ia + ib) % m
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
     labels += ["b"] + [f"ba{i}" if i > 1 else "ba" for i in range(1, m)]
-    return from_table(table, labels)
+    return _adopt_table(_cyclic_by_c2(m, -1, m // 2), labels)
 
 
 def modular_M(order: int) -> FiniteGroup:
@@ -96,13 +98,9 @@ def modular_M(order: int) -> FiniteGroup:
         raise ValueError("modular_M is defined for orders 2^k, k >= 3")
     check_table_budget(order)
     m = order // 2
-    t = m // 2 + 1  # b a b = a^t
-    fa, ia, fb, ib = _split_grid(order, m)
-    # a^ia b = b a^{ia*t}, so (b^fa a^ia)(b a^ib) = b^{fa+1} a^{ia*t+ib}
-    table = (fa ^ fb) * m + (np.where(fb == 1, ia * t, ia) + ib) % m
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
     labels += ["b"] + [f"ba{i}" if i > 1 else "ba" for i in range(1, m)]
-    return from_table(table, labels)
+    return _adopt_table(_cyclic_by_c2(m, m // 2 + 1), labels)
 
 
 def heisenberg(p: int) -> FiniteGroup:
@@ -116,10 +114,14 @@ def heisenberg(p: int) -> FiniteGroup:
         raise ValueError("heisenberg needs an odd prime")
     n = p ** 3
     check_table_budget(n)
-    a, r = np.divmod(np.arange(n), p * p)
-    b, c = np.divmod(r, p)
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    table = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+    a, b = np.divmod(np.arange(p * p, dtype=np.int32), p)  # u = a*p + b
+    c = b[:p]
+    # the table on axes (u1, c1, u2, c2): c1 + c2 + a1*b2 mod p, then the
+    # (a, b) part adds as in C_p x C_p
+    table = np.empty((p * p, p, p * p, p), dtype=np.int32)
+    np.add(np.multiply.outer(a, b)[:, None, :, None], np.add.outer(c, c)[None, :, None, :],
+           out=table)
+    table %= p
+    table += (np.add.outer(a, a) % p * p + np.add.outer(b, b) % p)[:, None, :, None] * p
     labels = [f"t({x // (p * p)},{(x // p) % p},{x % p})" for x in range(n)]
-    return from_table(table, labels)
+    return _adopt_table(table.reshape(n, n), labels)

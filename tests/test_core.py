@@ -48,6 +48,29 @@ class TestFromTable:
         with pytest.raises(NotAGroup):
             from_table([[0, 2], [2, 0]])
 
+    @pytest.mark.parametrize("big", [2 ** 31, 2 ** 32 + 1])
+    def test_entries_past_int32_do_not_wrap(self, big):
+        # narrowed to int32, 2**31 would read -2**31 and 2**32 + 1 would read
+        # 1, which makes this C2
+        rows = [[0, 1], [big, 0]]
+        for table in (rows, np.array(rows, dtype=np.int64)):
+            with pytest.raises(NotAGroup, match="^table entries out of range$"):
+                from_table(table)
+
+    def test_negative_int32_entry(self):
+        with pytest.raises(NotAGroup, match="^table entries out of range$"):
+            from_table(np.array([[0, 1], [1, -1]], dtype=np.int32))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_caller_array_stays_its_own(self, dtype):
+        c4 = families.cyclic(4).table
+        rows = np.array(c4, dtype=dtype)
+        g = from_table(rows)
+        assert rows.flags.writeable
+        rows[:] = 0
+        assert (g.table == c4).all()
+        assert g.table.dtype == np.int32 and not g.table.flags.writeable
+
     def test_no_identity(self):
         # Latin square whose only identity-like row fails on the column side
         with pytest.raises(NotAGroup, match="identity"):
@@ -284,7 +307,7 @@ class TestTableBudget:
     def test_raises_before_any_table_is_allocated(self, small_budget):
         n = self.N
         c32 = families.cyclic(32)
-        narrow = np.zeros((n, n), dtype=np.int32)  # from_table would widen it to int64
+        narrow = np.zeros((n, n), dtype=np.int32)  # from_table would copy it to validate
         pres = presentation.parse(f"< a | a^{n} >")
         sites = {
             "from_permutations": lambda: from_permutations(6, [(1, 2, 3, 4, 5, 0),

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from noncent import analysis, core, families, graph
 from oracles import degree_sequence, is_elementary_p
 
@@ -137,3 +140,56 @@ class TestFingerprintCollision:
         assert len(d8.beta_classes()) == len(q8.beta_classes())
         assert degree_sequence(graph.build_graph(d8)) == degree_sequence(graph.build_graph(q8))
         assert not core.is_isomorphic(d8, q8)
+
+
+# (family, its int64 constructor from tests/oracles.py, argument tuples)
+INT64_ORACLES = {
+    "cyclic": (families.cyclic, oracles.parent_cyclic, [(n,) for n in [*range(1, 131), 1024]]),
+    "dihedral": (families.dihedral, oracles.parent_dihedral, [(m,) for m in [*range(2, 65), 512]]),
+    "generalized_quaternion": (families.generalized_quaternion,
+                               oracles.parent_generalized_quaternion,
+                               [(1 << k,) for k in range(3, 11)]),
+    "modular_M": (families.modular_M, oracles.parent_modular_M, [(1 << k,) for k in range(3, 11)]),
+    "heisenberg": (families.heisenberg, oracles.parent_heisenberg, [(3,), (5,), (7,), (11,)]),
+    "elementary_abelian": (families.elementary_abelian, oracles.parent_elementary_abelian,
+                           [(2, k) for k in range(1, 10)] + [(3, k) for k in range(1, 6)]),
+    "direct_product": (lambda: core.direct_product(families.dihedral(64), families.cyclic(5)),
+                       lambda: oracles.parent_direct_product(oracles.parent_dihedral(64),
+                                                             oracles.parent_cyclic(5)),
+                       [()]),
+}
+
+PEAK_BUILDS = {
+    "cyclic(1024)": lambda: families.cyclic(1024),
+    "dihedral(512)": lambda: families.dihedral(512),
+    "modular_M(512)": lambda: families.modular_M(512),
+    "heisenberg(7)": lambda: families.heisenberg(7),
+    "elementary_abelian(2, 9)": lambda: families.elementary_abelian(2, 9),
+    "dihedral(64) x cyclic(5)": lambda: core.direct_product(families.dihedral(64),
+                                                            families.cyclic(5)),
+}
+
+
+class TestInt32Tables:
+    @pytest.mark.parametrize("family", list(INT64_ORACLES))
+    def test_match_the_int64_constructors(self, family):
+        build, oracle, cases = INT64_ORACLES[family]
+        for args in cases:
+            g, ref = build(*args), oracle(*args)
+            assert (g.table == ref.table).all() and g.labels == ref.labels, args
+            t = g.table
+            assert t.dtype == np.int32 and t.flags.c_contiguous and not t.flags.writeable, args
+            again = core.from_table(t.tolist(), g.labels)
+            assert (again.table == t).all() and again.labels == g.labels, args
+
+    @pytest.mark.parametrize("name", list(PEAK_BUILDS))
+    def test_construction_peak_memory(self, name):
+        # the finished table, at most one n x n int32 buffer beside it, and
+        # n^2 bytes of boolean scratch
+        tracemalloc.start()
+        try:
+            g = PEAK_BUILDS[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * g.table.nbytes + g.order ** 2, (name, peak)
