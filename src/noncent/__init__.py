@@ -10,7 +10,7 @@ from .families import (cyclic, elementary_abelian, dihedral,
 from .presentation import (Presentation, ParseError, UndeclaredGenerator,
                            CosetLimitExceeded, parse, enumerate_presentation)
 from .analysis import (RegularityReport, AbelianGroup, NotMaximal,
-                       NotASubgroup, NotRegular2Group, beta_partition,
+                       NotASubgroup, beta_partition,
                        is_regular, is_induced_regular, maximal_centralizers,
                        h_subgroup, is_reduced_regular, build_report)
 from .graph import NonCentralizerGraph, UnknownFormat, build_graph, export

@@ -16,7 +16,7 @@ import numpy as np
 from .core import FiniteGroup, Subgroup
 
 __all__ = [
-    "AbelianGroup", "NotMaximal", "NotASubgroup", "NotRegular2Group", "RegularityReport",
+    "AbelianGroup", "NotMaximal", "NotASubgroup", "RegularityReport",
     "beta_partition", "is_regular", "is_induced_regular", "maximal_centralizers",
     "h_subgroup", "is_reduced_regular", "build_report",
 ]
@@ -38,10 +38,6 @@ class NotASubgroup(RuntimeError):
     """
 
 
-class NotRegular2Group(ValueError):
-    """Reduced-regularity is defined only for regular non-abelian 2-groups."""
-
-
 def beta_partition(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """The members of each class of elements with identical centralizers:
     g.beta_classes(), cached on g.  Class 0 is the center; g.beta_class_ids()
@@ -52,34 +48,27 @@ def beta_partition(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def is_regular(g: FiniteGroup) -> Optional[int]:
     """Degree of the non-centralizer graph when it is regular, else None.
 
-    Abelian groups are 0-regular (single-part, edgeless graph).  A non-abelian
-    group is regular exactly when every class is a single center coset, giving
-    degree |G| - |Z(G)|.
+    The graph is regular exactly when every class has |Z(G)| members, that
+    is when every class is a single center coset, giving degree |G| - |Z(G)|;
+    an abelian group is one class, so 0-regular (single-part, edgeless graph).
     """
-    if g.is_abelian:
-        return 0
-    classes = g.beta_classes()
-    z = len(classes[0])
-    if all(len(c) == z for c in classes):
-        return g.order - z
-    return None
+    sizes = g.beta_class_sizes().tolist()
+    if sizes.count(sizes[0]) != len(sizes):
+        return None
+    return g.order - sizes[0]
 
 
 def is_induced_regular(g: FiniteGroup) -> Optional[int]:
     """Degree of the induced graph (non-central vertices) when regular.
 
-    Abelian groups are vacuously induced regular (empty vertex set, degree 0).
-    Otherwise all non-center classes must share one size s and the degree is
-    (|G| - |Z(G)|) - s.
+    All non-center classes must share one size s and the degree is
+    (|G| - |Z(G)|) - s.  Abelian groups, with no such class, are vacuously
+    induced regular (empty vertex set, degree 0).
     """
-    if g.is_abelian:
-        return 0
-    classes = g.beta_classes()
-    sizes = {len(c) for c in classes[1:]}
-    if len(sizes) != 1:
+    z, *rest = g.beta_class_sizes().tolist()
+    if len(set(rest)) > 1:
         return None
-    s = sizes.pop()
-    return (g.order - len(classes[0])) - s
+    return g.order - z - max(rest, default=0)
 
 
 def maximal_centralizers(g: FiniteGroup) -> list[tuple[int, Subgroup]]:
@@ -129,9 +118,10 @@ def _pure_cyclic(g: FiniteGroup, z: np.ndarray) -> np.ndarray:
     return pure
 
 
-def is_reduced_regular(g: FiniteGroup) -> bool:
+def is_reduced_regular(g: FiniteGroup) -> Optional[bool]:
     """True iff a regular non-abelian 2-group admits no decomposition
-    H x A with A a non-trivial abelian group.
+    H x A with A a non-trivial abelian group; None off that domain (abelian,
+    not a 2-group, or not regular).
 
     Any such decomposition yields a central cyclic direct factor, and a
     central <z> of order m splits off G exactly when its image in
@@ -146,7 +136,7 @@ def is_reduced_regular(g: FiniteGroup) -> bool:
     homomorphism search and brute_force_abelian_factor (tests/oracles.py).
     """
     if g.is_abelian or g.is_p_group() != 2 or is_regular(g) is None:
-        raise NotRegular2Group("reduced-regularity needs a regular non-abelian 2-group")
+        return None
     return not _pure_cyclic(g, np.asarray(g.center().members[1:])).any()
 
 
@@ -223,14 +213,10 @@ def _compress_multiset(values: tuple[int, ...]) -> str:
 
 def build_report(g: FiniteGroup, label: str) -> RegularityReport:
     """Compute the full regularity report for one group."""
-    ids = g.beta_class_ids()
-    sizes = np.bincount(ids)
+    ids, sizes = g.beta_class_ids(), g.beta_class_sizes()
     z = int(sizes[0])
     reg = is_regular(g)
     ind = is_induced_regular(g)
-    reduced: Optional[bool] = None
-    if not g.is_abelian and reg is not None and g.is_p_group() == 2:
-        reduced = is_reduced_regular(g)
     return RegularityReport(
         label=label,
         order=g.order,
@@ -242,6 +228,6 @@ def build_report(g: FiniteGroup, label: str) -> RegularityReport:
         regular_degree=reg,
         is_induced_regular=ind is not None,
         induced_degree=ind,
-        is_reduced=reduced,
+        is_reduced=is_reduced_regular(g),
         class_sizes=tuple(sizes.tolist()),
     )

@@ -243,11 +243,6 @@ def table1_search(entries: Iterable[CatalogEntry]) -> list[tuple[int, list[str]]
     rows: dict[int, list[str]] = {}
     for e in entries:
         g = e.group()
-        if g.is_abelian or g.is_p_group() != 2:
-            continue
-        degree = is_regular(g)
-        if degree is None:
-            continue
         if is_reduced_regular(g):
-            rows.setdefault(degree, []).append(e.label)
+            rows.setdefault(is_regular(g), []).append(e.label)
     return [(n, sorted(labels, key=label_sort_key)) for n, labels in sorted(rows.items())]

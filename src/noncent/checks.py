@@ -54,7 +54,7 @@ def _result(cid, label, passed, witness=(), details=None, reason="") -> CheckRes
 
 def _index(g: FiniteGroup) -> int:
     """[G:Z(G)]."""
-    return g.order // len(g.beta_classes()[0])
+    return g.order // int(g.beta_class_sizes()[0])
 
 
 def _centralizer_rows(g: FiniteGroup) -> np.ndarray:
@@ -80,12 +80,12 @@ def _quotient_histogram(orders: np.ndarray, size: int) -> tuple[tuple[int, int],
     """order_histogram of G/N, or of a subset of it, from the per-element
     orders modulo N with |N| = size: each coset's order appears size times."""
     vals, counts = np.unique(orders, return_counts=True)
-    return tuple((int(v), int(c) // size) for v, c in zip(vals, counts))
+    return tuple((int(v), int(c // size)) for v, c in zip(vals, counts))
 
 
 def _center_histogram(g: FiniteGroup) -> tuple[tuple[int, int], ...]:
     """order_histogram of G/Z(G)."""
-    return _quotient_histogram(g.center_coset_orders(), len(g.beta_classes()[0]))
+    return _quotient_histogram(g.center_coset_orders(), g.beta_class_sizes()[0])
 
 
 def _embeds_in_center(g: FiniteGroup, cents: np.ndarray) -> np.ndarray:
@@ -120,8 +120,9 @@ def _first_open(g: FiniteGroup, cids: list[int]) -> Optional[tuple[int, str]]:
     """The first class in cids whose beta(x) u Z(G) is not a subgroup, with
     h_subgroup's message, or None; one gather per class size (see check_lg)."""
     ids, classes, found = g.beta_class_ids(), g.beta_classes(), []
-    for size in sorted({len(classes[c]) for c in cids}):
-        same = np.array([c for c in cids if len(classes[c]) == size])
+    sizes = g.beta_class_sizes().tolist()
+    for size in sorted({sizes[c] for c in cids}):
+        same = np.array([c for c in cids if sizes[c] == size])
         members = np.array([classes[c] for c in same])
         prod = ids[g.table[members[:, :, None], members[:, None, :]]]
         found += same[((prod != same[:, None, None]) & (prod != 0)).any(axis=(1, 2))].tolist()
@@ -231,7 +232,7 @@ def check_ccreg_c2c2(g, label="G") -> CheckResult:
         return _na("ccreg_c2c2", label, "G/Z not C2 x C2")
     deg = analysis.is_regular(g)
     return _result("ccreg_c2c2", label, deg is not None,
-                   witness=(("class_sizes", tuple(map(len, g.beta_classes()))),),
+                   witness=(("class_sizes", tuple(g.beta_class_sizes().tolist())),),
                    details={"degree": deg})
 
 
@@ -409,7 +410,7 @@ def check_lg2(g, label="G") -> CheckResult:
         for p in np.unique(coset_orders[row]).tolist():
             if (coset_orders[ids == cid] != p).any():
                 hist = _quotient_histogram(coset_orders[(ids == cid) | (ids == 0)],
-                                           len(g.beta_classes()[0]))
+                                           g.beta_class_sizes()[0])
                 return _result("lg2", label, False, witness=(
                     ("class", cid), ("p", p), ("hx_quotient_histogram", hist)))
     return _result("lg2", label, True)
@@ -435,12 +436,11 @@ def check_pq_index(g, label="G") -> CheckResult:
         return _na("pq_index", label, "[G:Z] not p^q with q prime")
     p, _ = pk
     elem_ok = _quotient_exponent(g) == p
-    classes = g.beta_classes()
-    zsize = len(classes[0])
-    sizes = {len(c) for c in classes[1:]}
-    sizes_ok = sizes == {(p - 1) * zsize}
+    zsize, *rest = g.beta_class_sizes().tolist()
+    sizes = tuple(sorted(set(rest)))
+    sizes_ok = sizes == ((p - 1) * zsize,)
     return _result("pq_index", label, elem_ok and sizes_ok,
-                   witness=(("elementary", elem_ok), ("class_sizes", tuple(sorted(sizes)))),
+                   witness=(("elementary", elem_ok), ("class_sizes", sizes)),
                    details={"p": p, "expected_class_size": (p - 1) * zsize})
 
 
@@ -466,7 +466,7 @@ def check_pp(g, label="G") -> CheckResult:
         return _na("pp", label, "G/Z not of shape Cp x Cp")
     deg = analysis.is_induced_regular(g)
     return _result("pp", label, deg is not None,
-                   witness=(("class_sizes", tuple(map(len, g.beta_classes()))),),
+                   witness=(("class_sizes", tuple(g.beta_class_sizes().tolist())),),
                    details={"p": p, "induced_degree": deg})
 
 

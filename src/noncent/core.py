@@ -207,12 +207,12 @@ class FiniteGroup:
     correct by construction.
 
     Derived structure is computed once and kept in the group's one cache
-    (inverses, commuting matrix, beta classes and the maximal ones, element
-    orders and the orders of the center cosets, conjugacy classes, element
-    keys, fingerprint).  The cache holds read-only arrays, tuples and bools,
-    never a group, so nothing in it refers back to this one: dropping the last
-    reference to a group frees its table at once instead of leaving a
-    reference cycle for the collector.
+    (inverses, commuting matrix, beta classes, their beta_class_sizes() and
+    the maximal ones, element orders and the orders of the center cosets,
+    conjugacy classes, element keys, fingerprint).  The cache holds read-only
+    arrays, tuples and bools, never a group, so nothing in it refers back to
+    this one: dropping the last reference to a group frees its table at once
+    instead of leaving a reference cycle for the collector.
     """
 
     __slots__ = ("order", "table", "labels", "_cache")
@@ -231,10 +231,7 @@ class FiniteGroup:
 
     @_cached
     def inverses(self) -> np.ndarray:
-        inv = np.empty(self.order, dtype=np.int32)
-        rows, cols = np.nonzero(self.table == 0)
-        inv[rows] = cols
-        return inv
+        return _inverses(self.table).astype(np.int32)
 
     @_cached
     def commuting_matrix(self) -> np.ndarray:
@@ -257,6 +254,11 @@ class FiniteGroup:
     def beta_classes(self) -> tuple[tuple[int, ...], ...]:
         """Members of each beta class, indexed by class id."""
         return _split_by_id(self.beta_class_ids())
+
+    @_cached
+    def beta_class_sizes(self) -> np.ndarray:
+        """Size of each beta class, indexed by class id: entry 0 is |Z(G)|."""
+        return np.bincount(self.beta_class_ids())
 
     @_cached
     def maximal_class_ids(self) -> tuple[int, ...]:
@@ -336,7 +338,7 @@ class FiniteGroup:
         ids = self.beta_class_ids()
         return np.column_stack([
             orders, orders[squares], self.commuting_matrix().sum(axis=1),
-            class_size, np.bincount(ids)[ids],
+            class_size, self.beta_class_sizes()[ids],
             np.bincount(squares, minlength=self.order)]).astype(np.int64)
 
     def subgroup(self, members: Iterable[int]) -> Subgroup:
@@ -469,42 +471,45 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
 def _adopt_table(table: np.ndarray, labels: Optional[Sequence[str]]) -> FiniteGroup:
     """The group on a square C-contiguous int32 table with entries in 0..n-1,
     which becomes its read-only table, not copied, once these checks pass in
-    order: a two-sided identity (relocated to index 0 by relabeling), the
-    label count, exact associativity by Light's test on a generating set,
+    order: a two-sided identity (moved to index 0 by relabeling in place),
+    the label count, exact associativity by Light's test on a generating set,
     two-sided inverses; NotAGroup names the first that fails.  A table passing
     them all is a group and so a Latin square: the Latin-square check runs
-    only on a rejected table, whose first row, then column, that is not a
-    permutation is named instead.  Rejecting costs O(n^2 log n): Light's test
-    stops past log2(n) generators, which no group needs."""
-    n = table.shape[0]
+    only on a rejected table, whose first input row, then column, that is not
+    a permutation is named instead.  Rejecting costs O(n^2 log n): Light's
+    test stops past log2(n) generators, which no group needs."""
+    n, moved = table.shape[0], 0  # the input index of element 0
     try:
         e = _find_identity(table)
         labels = [f"g{i}" for i in range(n)] if labels is None else list(labels)
         if len(labels) != n:
             raise NotAGroup("label count does not match order")
-        group = table
         if e != 0:
-            # swap indices 0 and e; the swap is its own inverse
-            perm = np.arange(n, dtype=np.int32)
-            perm[e], perm[0] = 0, e
-            group = perm[table[np.ix_(perm, perm)]]
+            # swap indices 0 and e in place: rows, columns, then values
+            moved, swap = e, np.arange(n, dtype=np.int32)
+            swap[[0, e]] = e, 0
+            table[[0, e]] = table[[e, 0]]
+            table[:, [0, e]] = table[:, [e, 0]]
+            for s in _blocks(n):
+                table[s] = swap[table[s]]
             labels[0], labels[e] = labels[e], labels[0]
         # Light's test on the greedy sequence, drawn one generator at a time,
         # so its closures run only over generators (and powers) that passed.
         # In a Latin square k that passed generate a subsquare of at least 2^k
         # elements, all n once 2^k > n/2: one more names a bad row or column.
-        gens = _greedy_sequence(group)
-        _check_associativity(group, islice(gens, n.bit_length() - 1))
+        gens = _greedy_sequence(table)
+        _check_associativity(table, islice(gens, n.bit_length() - 1))
         if next(gens, None) is not None:
             raise NotAGroup(f"more than {n.bit_length() - 1} greedy generators")
-        _check_inverses(group)
+        _inverses(table)
     except NotAGroup:
         for name, t in (("row", table), ("column", table.T)):
             ok = (np.sort(t, axis=1) == np.arange(n)).all(axis=1)
+            ok[[0, moved]] = ok[[moved, 0]]  # by input index: the swap permutes lines
             if not ok.all():
                 raise NotAGroup(f"{name} {int(np.argmin(ok))} is not a permutation of 0..{n - 1}")
         raise
-    return FiniteGroup(group, labels)
+    return FiniteGroup(table, labels)
 
 
 def greedy_generators(table: np.ndarray, rank: Optional[np.ndarray] = None) -> list[int]:
@@ -623,11 +628,15 @@ def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
     return table, nodes, tree
 
 
-def _check_inverses(table: np.ndarray) -> None:
-    n = table.shape[0]
-    right = np.argmin(table != 0, axis=1)
-    if not (table[np.arange(n), right] == 0).all() or not (table[right, np.arange(n)] == 0).all():
+def _inverses(table: np.ndarray) -> np.ndarray:
+    """Each element's inverse, the column of its row's first 0 (entries must
+    be non-negative; argmin goes _BLOCK rows at a time, as it copies a
+    read-only operand whole); NotAGroup when one is not two-sided."""
+    n = len(table)
+    inv = np.concatenate([table[s].argmin(axis=1) for s in _blocks(n)])
+    if not ((table[np.arange(n), inv] == 0) & (table[inv, np.arange(n)] == 0)).all():
         raise NotAGroup("an element lacks a two-sided inverse")
+    return inv
 
 
 def from_permutations(degree: int, generators: Sequence[Sequence[int]]) -> FiniteGroup:

@@ -5,16 +5,19 @@ None of this is library API: nothing in src/, tools/ or perfbench/ imports
 it.  Tests import it as `oracles` (pytest puts tests/ on sys.path).
 """
 
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from noncent import analysis
+from noncent.catalog import label_sort_key
 from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _index, _na,
                             _quotient_exponent, _quotient_histogram, _result)
-from noncent.core import (FiniteGroup, Subgroup, TooLarge, _prime_factors, all_subgroups,
-                          check_table_budget, from_table, greedy_generators, is_prime,
-                          is_prime_power)
+from noncent.core import (FiniteGroup, NotAGroup, Subgroup, TooLarge, _check_associativity,
+                          _find_identity, _inverses, _greedy_sequence, _prime_factors,
+                          all_subgroups, check_table_budget, from_table, greedy_generators,
+                          is_prime, is_prime_power)
 
 BRUTE_FACTOR_CAP = 64
 ORACLE_CAP = 256
@@ -498,3 +501,99 @@ def parent_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     table = (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(na * nb, na * nb)
     labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
     return FiniteGroup(table, labels)
+
+
+# --- the regularity tests before they read FiniteGroup.beta_class_sizes(),
+# is_reduced_regular and the Table-1 search before it returned None off its
+# domain, and from_table's checks before the identity moved in place
+
+
+class NotRegular2Group(ValueError):
+    """Reduced-regularity is defined only for regular non-abelian 2-groups."""
+
+
+def parent_is_regular(g: FiniteGroup) -> Optional[int]:
+    """Degree of the non-centralizer graph when it is regular, else None.
+
+    Abelian groups are 0-regular (single-part, edgeless graph).  A non-abelian
+    group is regular exactly when every class is a single center coset, giving
+    degree |G| - |Z(G)|.
+    """
+    if g.is_abelian:
+        return 0
+    classes = g.beta_classes()
+    z = len(classes[0])
+    if all(len(c) == z for c in classes):
+        return g.order - z
+    return None
+
+
+def parent_is_induced_regular(g: FiniteGroup) -> Optional[int]:
+    """Degree of the induced graph (non-central vertices) when regular.
+
+    Abelian groups are vacuously induced regular (empty vertex set, degree 0).
+    Otherwise all non-center classes must share one size s and the degree is
+    (|G| - |Z(G)|) - s.
+    """
+    if g.is_abelian:
+        return 0
+    classes = g.beta_classes()
+    sizes = {len(c) for c in classes[1:]}
+    if len(sizes) != 1:
+        return None
+    s = sizes.pop()
+    return (g.order - len(classes[0])) - s
+
+
+def parent_is_reduced_regular(g: FiniteGroup) -> bool:
+    """True iff a regular non-abelian 2-group admits no decomposition
+    H x A with A a non-trivial abelian group; raises NotRegular2Group off
+    that domain."""
+    if g.is_abelian or g.is_p_group() != 2 or parent_is_regular(g) is None:
+        raise NotRegular2Group("reduced-regularity needs a regular non-abelian 2-group")
+    return not analysis._pure_cyclic(g, np.asarray(g.center().members[1:])).any()
+
+
+def parent_table1_search(entries) -> list[tuple[int, list[str]]]:
+    """Rows (n, labels) of reduced n-regular 2-groups found in the entries."""
+    rows: dict[int, list[str]] = {}
+    for e in entries:
+        g = e.group()
+        if g.is_abelian or g.is_p_group() != 2:
+            continue
+        degree = parent_is_regular(g)
+        if degree is None:
+            continue
+        if parent_is_reduced_regular(g):
+            rows.setdefault(degree, []).append(e.label)
+    return [(n, sorted(labels, key=label_sort_key)) for n, labels in sorted(rows.items())]
+
+
+def parent_adopt_table(table: np.ndarray, labels=None) -> FiniteGroup:
+    """from_table's checks on an int32 copy, with an identity that is not at
+    index 0 relocated by the out-of-place relabeling perm[table[ix(perm, perm)]]."""
+    n = table.shape[0]
+    try:
+        e = _find_identity(table)
+        labels = [f"g{i}" for i in range(n)] if labels is None else list(labels)
+        if len(labels) != n:
+            raise NotAGroup("label count does not match order")
+        group = table
+        if e != 0:
+            # swap indices 0 and e; the swap is its own inverse
+            perm = np.arange(n, dtype=np.int32)
+            perm[e], perm[0] = 0, e
+            group = perm[table[np.ix_(perm, perm)]]
+            labels[0], labels[e] = labels[e], labels[0]
+        gens = _greedy_sequence(group)
+        _check_associativity(group, islice(gens, n.bit_length() - 1))
+        if next(gens, None) is not None:
+            raise NotAGroup(f"more than {n.bit_length() - 1} greedy generators")
+        _inverses(group)
+    except NotAGroup:
+        for name, t in (("row", table), ("column", table.T)):
+            ok = (np.sort(t, axis=1) == np.arange(n)).all(axis=1)
+            if not ok.all():
+                raise NotAGroup(f"{name} {int(np.argmin(ok))} is not a permutation of 0..{n - 1}")
+        raise
+    return FiniteGroup(group, labels)

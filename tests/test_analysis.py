@@ -1,12 +1,18 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from noncent import analysis, core, families
-from noncent.analysis import (AbelianGroup, NotMaximal, NotRegular2Group,
+import oracles
+from noncent import analysis, catalog, core, families
+from noncent.analysis import (AbelianGroup, NotMaximal,
                               beta_partition, build_report, h_subgroup,
                               is_induced_regular, is_reduced_regular,
                               is_regular, maximal_centralizers)
 from noncent.core import TooLarge, direct_product
 from oracles import brute_force_abelian_factor
+from test_acceptance import _family_instances, _with_cyclic_products
+from test_fast_paths import relabeled
 
 class TestBetaPartition:
     def test_abelian_single_class(self):
@@ -187,14 +193,12 @@ class TestReducedRegular:
         assert is_reduced_regular(g)
 
     def test_rejects_non_regular(self):
-        with pytest.raises(NotRegular2Group):
-            is_reduced_regular(families.dihedral(8))
+        # off its domain the test has no verdict
+        assert is_reduced_regular(families.dihedral(8)) is None
 
     def test_rejects_abelian_and_odd(self):
-        with pytest.raises(NotRegular2Group):
-            is_reduced_regular(families.cyclic(8))
-        with pytest.raises(NotRegular2Group):
-            is_reduced_regular(families.heisenberg(3))
+        assert is_reduced_regular(families.cyclic(8)) is None
+        assert is_reduced_regular(families.heisenberg(3)) is None
 
 
 class TestBruteForceFactor:
@@ -263,3 +267,43 @@ class TestReport:
             degs = [g.order - len(classes[g.beta_class_ids()[x]])
                     for x in range(g.order)]
             assert rep.degree_sequence == tuple(sorted(degs)), label
+
+
+class TestParentParity:
+    """The regularity verdicts read from beta_class_sizes(), and
+    is_reduced_regular with its domain test, against their earlier bodies
+    (oracles.parent_*)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, order8_entries, order16_entries, order32_entries, order64_entries,
+               split_corpus):
+        """The shipped catalogs, split_corpus and the acceptance-5 groups,
+        with a seeded relabeled copy of each."""
+        entries = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+        base = ([(e.label, e.group()) for e in entries] + split_corpus
+                + _with_cyclic_products(_family_instances()))
+        rng = np.random.default_rng(22)
+        return base + [(label + "~r", core.from_table(relabeled(g, rng))) for label, g in base]
+
+    def test_degrees_and_reduced_verdicts(self, corpus):
+        outcomes = set()
+        for label, g in corpus:
+            assert is_regular(g) == oracles.parent_is_regular(g), label
+            assert is_induced_regular(g) == oracles.parent_is_induced_regular(g), label
+            try:
+                expected = oracles.parent_is_reduced_regular(g)
+            except oracles.NotRegular2Group:
+                expected = None
+            assert is_reduced_regular(g) is expected, label
+            outcomes.add((is_regular(g) is None, expected))
+        # regular and not, reduced and not, and off the domain
+        assert outcomes >= {(True, None), (False, None), (False, True), (False, False)}
+
+    def test_table1_search(self, corpus, order8_entries, order16_entries, order32_entries,
+                           order64_entries):
+        shipped = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+        assert catalog.table1_search(shipped) == oracles.parent_table1_search(shipped)
+        entries = [SimpleNamespace(label=label, group=lambda g=g: g) for label, g in corpus]
+        rows = catalog.table1_search(entries)
+        assert rows == oracles.parent_table1_search(entries)
+        assert [n for n, _ in rows] == [6, 12, 24, 30, 48, 56, 60]

@@ -209,6 +209,28 @@ class TestFaultInjection:
         result = check_both("lg1", g)
         assert not result.passed and [kind for kind, _ in result.witness] == ["class"]
 
+    def test_regularity_verdict_flipped(self, parity_corpus, monkeypatch):
+        # ereg1, ereg2 and ccreg_c2cubed decide their right-hand sides without
+        # is_regular: flipped, every applicable result fails, and its witness
+        # still reads the true verdict
+        truth = {label: analysis.is_regular(g) is not None for label, g in parity_corpus}
+        is_regular = analysis.is_regular
+        monkeypatch.setattr(analysis, "is_regular",
+                            lambda g: None if is_regular(g) is not None else g.order)
+        rhs = {"ereg1": lambda w: w["all_classes_are_cosets"],
+               "ereg2": lambda w: w["cent_count"] == w["index"],
+               "ccreg_c2cubed": lambda w: w["indices"] == (4,)}
+        failed = Counter()
+        for label, g in parity_corpus:
+            for cid, read in rhs.items():
+                result = checks.CHECK_IDS[cid](g, label)
+                if result.applicable:
+                    witness = dict(result.witness)
+                    assert not result.passed and witness["regular"] != truth[label], (cid, label)
+                    assert read(witness) == truth[label], (cid, label)
+                    failed[cid, truth[label]] += 1
+        assert all(failed[cid, flag] for cid in rhs for flag in (True, False)), failed
+
     def test_p_elements_not_closed(self):
         d8xc3 = core.direct_product(families.dihedral(4), families.cyclic(3))
         orders = d8xc3.element_orders().copy()

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,16 @@ from noncent.core import (TRIVIAL, NotAGroup, NotNormal,
                           TooLarge, all_subgroups,
                           direct_product, from_permutations, from_table,
                           is_isomorphic)
+import oracles
 from oracles import frattini_by_maximal_subgroups, is_elementary_p, power
+
+
+# smallest non-associative loop: (1*1)*2 = 2 but 1*(1*2) = 4
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 3, 4, 0, 1],
+         [3, 4, 1, 2, 0],
+         [4, 2, 0, 1, 3]]
 
 
 def brute_closure(degree, gens):
@@ -89,14 +99,70 @@ class TestFromTable:
         assert is_isomorphic(g, families.cyclic(3))
 
     def test_associativity_failure(self):
-        # smallest non-associative loop: (1*1)*2 = 2 but 1*(1*2) = 4
-        loop = [[0, 1, 2, 3, 4],
-                [1, 0, 3, 4, 2],
-                [2, 3, 4, 0, 1],
-                [3, 4, 1, 2, 0],
-                [4, 2, 0, 1, 3]]
         with pytest.raises(NotAGroup, match="associativity"):
-            from_table(loop)
+            from_table(LOOP5)
+
+    def test_relocation_matches_out_of_place_relabeling(self):
+        # the identity moved to a random index e, in tables that are accepted
+        # or rejected: the table, labels or message of the parent's relabeling
+        rng = np.random.default_rng(21)
+        s4 = from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+        loop = np.array(LOOP5)
+        kinds = Counter()
+        for t0 in [g.table for g in (families.dihedral(4), families.generalized_quaternion(16),
+                                     families.heisenberg(3), families.cyclic(12), s4)] + [loop]:
+            n = len(t0)
+            for _ in range(4):
+                e = int(rng.integers(1, n - 1))
+                table = np.empty((n, n), dtype=np.int64)
+                perm = np.concatenate([[e], rng.permutation(np.delete(np.arange(n), e))])
+                table[np.ix_(perm, perm)] = perm[t0]
+                c1, c2 = rng.choice(np.delete(np.arange(n), e), size=2, replace=False)
+                one, swapped, two_rows = table.copy(), table.copy(), table.copy()
+                one[c1, c2] = (one[c1, c2] + 1) % n             # row c1 repeats an entry
+                swapped[e - 1, [c1, c2]] = table[e - 1, [c2, c1]]  # columns c1 and c2 do
+                two_rows[[0, -1], c1] = (table[[0, -1], c1] + 1) % n
+                for case in (table, one, swapped, two_rows):
+                    labels = [f"x{i}" for i in range(n)]
+                    try:
+                        want = oracles.parent_adopt_table(case.astype(np.int32), labels)
+                    except NotAGroup as exc:
+                        with pytest.raises(NotAGroup) as got:
+                            from_table(case, labels)
+                        assert str(got.value) == str(exc), (n, e)
+                        kinds[str(exc).split()[0]] += 1
+                    else:
+                        g = from_table(case, labels)
+                        assert (g.table == want.table).all() and g.labels == want.labels, (n, e)
+                        kinds["accepted"] += 1
+        assert set(kinds) == {"accepted", "row", "column", "associativity"}, kinds
+
+    def test_validation_peak_memory(self):
+        # the int32 copy and Light's test's blocked scratch, but no n x n
+        # boolean beside them and no relabeled copy when the identity moves
+        c = families.cyclic(1024)
+        moved = np.empty((1024, 1024), dtype=np.int64)
+        perm = np.arange(1024)
+        perm[[0, 5]] = perm[[5, 0]]
+        moved[np.ix_(perm, perm)] = perm[c.table]
+        for name, table in (("identity at 0", c.table), ("identity at 5", moved)):
+            tracemalloc.start()
+            try:
+                g = from_table(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (g.table == c.table).all(), name
+            assert peak < c.table.nbytes * 5 // 4, (name, peak)
+        fresh = families.cyclic(1024)
+        tracemalloc.start()
+        try:
+            inv = fresh.inverses()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (inv == -np.arange(1024) % 1024).all()
+        assert peak < c.table.nbytes // 8, peak
 
 
 class TestFromPermutations:

@@ -67,7 +67,7 @@ def test_cache_holds_read_only_arrays_and_no_group():
         checks.run_suite([("G", g)])
         analysis.build_report(g, "G")
         core.fingerprint(g)
-        assert {"inverses", "center_coset_orders", "conjugacy_classes",
+        assert {"inverses", "beta_class_sizes", "center_coset_orders", "conjugacy_classes",
                 "fingerprint"} <= set(g._cache)
         for key, value in g._cache.items():
             assert not isinstance(value, core.FiniteGroup), key
@@ -81,6 +81,10 @@ def test_cached_values_cannot_be_changed_in_place():
         g.inverses()[1] = 0
     with pytest.raises(ValueError):
         g.center_coset_orders()[1] = 5
+    sizes = g.beta_class_sizes()
+    with pytest.raises(ValueError):
+        sizes[0] = 1
+    assert g.beta_class_sizes() is sizes and sizes.tolist() == [2, 4, 2, 2, 2]
     classes = g.conjugacy_classes()
     assert isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)
     assert g.conjugacy_classes() is classes

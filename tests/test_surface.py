@@ -19,8 +19,7 @@ EXPORTED = {
     "Presentation", "ParseError", "UndeclaredGenerator", "CosetLimitExceeded", "parse",
     "enumerate_presentation",
     # analysis
-    "RegularityReport", "AbelianGroup", "NotMaximal", "NotASubgroup", "NotRegular2Group",
-    "beta_partition", "is_regular", "is_induced_regular", "maximal_centralizers",
+    "RegularityReport", "AbelianGroup", "NotMaximal", "NotASubgroup", "beta_partition", "is_regular", "is_induced_regular", "maximal_centralizers",
     "h_subgroup", "is_reduced_regular", "build_report",
     # graph
     "NonCentralizerGraph", "UnknownFormat", "build_graph", "export",
@@ -45,7 +44,7 @@ DELETED = {
     core.FiniteGroup: ["mul", "inv", "power", "element_order", "is_elementary_p",
                        "is_elementary_abelian"],
     core.Subgroup: ["member_set"],
-    analysis: ["cent_count"],
+    analysis: ["cent_count", "NotRegular2Group"],
     graph: ["degree_sequence"],
     graph.NonCentralizerGraph: ["edge_count"],
     checks: ["direct_product"],

@@ -529,11 +529,8 @@ def assign_labels(classes: list[FiniteGroup], order: int,
         def is_c23_quotient(g):  # G/Z = C2^3; exponent 2 makes G/Z abelian
             return g.order // g.center().size == 8 and g.center_coset_orders().max() == 2
 
-        def is_reduced24(g):
-            return (not g.is_abelian and analysis.is_regular(g) == 24
-                    and analysis.is_reduced_regular(g))
-
-        take([24], lambda g: is_reduced24(g) and min_generators(g) == 3)
+        take([24], lambda g: (analysis.is_reduced_regular(g) and analysis.is_regular(g) == 24
+                              and min_generators(g) == 3))
         take([27, 28, 29, 30, 31, 32, 33, 35], is_c23_quotient)
         take([6, 7, 8, 9, 10, 11, 13, 14, 15], lambda g: min_generators(g) == 2)
         take([42, 43, 44], lambda g: min_generators(g) == 3)
@@ -691,10 +688,8 @@ def main():
     # Table 1 sanity before writing anything
     t1 = {}
     for label, g in {**labels8, **labels16, **labels32}.items():
-        if not g.is_abelian and g.is_p_group() == 2:
-            deg = analysis.is_regular(g)
-            if deg and analysis.is_reduced_regular(g):
-                t1.setdefault(deg, []).append(label)
+        if analysis.is_reduced_regular(g):
+            t1.setdefault(analysis.is_regular(g), []).append(label)
     for deg in sorted(t1):
         print(f"  reduced {deg}-regular: {sorted(t1[deg])}")
     expect(sorted(t1[6]) == ["[8,3]", "[8,4]"], "Table 1 row n=6")
@@ -858,7 +853,7 @@ def write_catalogs(labels8, labels16, labels32, labels64, refs8, refs16, refs32)
         blocks.append(pres_entry(label, 64, text))
     for name, text, comment in CONTROLS64:
         g = enumerate_presentation(parse(text))
-        if g.order != 64 or analysis.is_regular(g) is None or analysis.is_reduced_regular(g):
+        if g.order != 64 or analysis.is_reduced_regular(g) is not False:
             raise RuntimeError(f"control {name} is not a regular non-reduced order-64 group")
         blocks.append(pres_entry(name, 64, text, comment))
     (OUT_DIR / "order64.cat").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
