@@ -537,9 +537,7 @@ CONJECTURE_IDS = frozenset({"tconj", "lco"})
 
 
 def run_check(check_id: str, g: FiniteGroup, label: str = "G") -> CheckResult:
-    if check_id not in CHECK_IDS:
-        raise KeyError(f"unknown check id: {check_id!r}")
-    return CHECK_IDS[check_id](g, label)
+    return run_suite([(label, g)], [check_id])[0]
 
 
 def run_suite(groups: Iterable[tuple[str, FiniteGroup]],

@@ -1,15 +1,21 @@
 """The array helpers of tools/gen_catalogs.py cross-checked against the
-per-element loops they replaced, which are kept here as test-only oracles."""
+per-element loops they replaced, which are kept here as test-only oracles,
+and its labeling routine checked against the shipped catalogs and its rules."""
 
 import ast
 import importlib.util
 import itertools
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "gen_catalogs.py"
+from noncent import catalog, families
+from noncent.core import is_isomorphic
+
+_ROOT = Path(__file__).resolve().parent.parent
+_TOOL = _ROOT / "tools" / "gen_catalogs.py"
 _spec = importlib.util.spec_from_file_location("gen_catalogs", _TOOL)
 gen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen)
@@ -67,6 +73,18 @@ def slow_eval_square(cpairs, qvals, zadd, k, m):
             if m >> j & 1:
                 acc = int(zadd[acc, cpairs[(j, i)]])
     return acc
+
+
+def slow_build_extension(tq, f):
+    """The extension table with the cocycle matrix read one bit at a time."""
+    n = tq.shape[0]
+    fmat = np.zeros((n, n), dtype=np.int64)
+    for a in range(1, n):
+        for b in range(1, n):
+            fmat[a, b] = (f >> ((a - 1) * (n - 1) + (b - 1))) & 1
+    tq2 = np.kron(tq, np.ones((2, 2), dtype=np.int64))
+    return 2 * tq2 + (np.tile(np.array([[0, 1], [1, 0]]), (n, n))
+                      ^ np.kron(fmat, np.ones((2, 2), dtype=np.int64)))
 
 
 def slow_gl_matrices(k):
@@ -140,10 +158,90 @@ def test_commutator_form_and_squares_match_per_pair_loops():
                                         for m in monomials], (cpairs, qvals)
 
 
+def test_build_extension_matches_bitwise_cocycle_read():
+    rng = random.Random(7)
+    for q in (families.cyclic(4), families.dihedral(4), families.modular_M(16)):
+        tq = np.asarray(q.table, dtype=np.int64)
+        bits = (q.order - 1) ** 2
+        cocycles = gen.cocycle_reps(tq) if q.order < 16 else []
+        for f in cocycles + [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(3)]:
+            assert np.array_equal(gen.build_extension(tq, f), slow_build_extension(tq, f)), (q.order, f)
+
+
+def test_perm_entry_lists_generator_rows():
+    g = families.dihedral(4)
+    gens = gen.core.greedy_generators(g.table)
+    assert gen.perm_entry("[8,3]", g).splitlines() == (
+        ["name: [8,3]", "kind: perm", "order: 8", "degree: 8"]
+        + ["gen: " + " ".join(str(int(g.table[x, j])) for j in range(8)) for x in gens])
+
+
 def test_checks_raise_instead_of_asserting():
-    # python -O strips assert statements; the tool's checks must survive it
-    tree = ast.parse(_TOOL.read_text(encoding="utf-8"))
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    # python -O strips assert statements; the tool's and the library's checks must survive it
+    for path in [_TOOL, *sorted((_ROOT / "src" / "noncent").glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path
     gen.expect(True, "holds")
     with pytest.raises(RuntimeError, match="check failed: 51 groups"):
         gen.expect(False, "51 groups")
+
+
+def test_orders_8_and_16_label_as_shipped():
+    c2 = families.cyclic(2)
+    order8 = gen.classify_order([families.cyclic(4), gen.dp(c2, c2)])
+    order16 = gen.classify_order(order8)
+    refs8, refs16, _ = gen.build_references()
+    for order, classes, refs in ((8, order8, refs8), (16, order16, refs16)):
+        labels = gen.assign_labels(classes, order, refs)
+        shipped = {e.label: e.group()
+                   for e in catalog.load(catalog.shipped_path(f"order{order}.cat"))}
+        assert list(labels) == list(shipped)
+        for label, g in labels.items():
+            assert is_isomorphic(g, shipped[label]), label
+
+
+def _order8():
+    c2, c4 = families.cyclic(2), families.cyclic(4)
+    return [families.cyclic(8), gen.dp(c4, c2), families.dihedral(4),
+            families.generalized_quaternion(8), families.elementary_abelian(2, 3)]
+
+
+def _abelian(g):
+    return g.is_abelian
+
+
+def _non_abelian(g):
+    return not g.is_abelian
+
+
+def test_label_blocks_fill_in_fingerprint_order_ties_in_enumeration_order():
+    classes = _order8()
+    labels = gen.assign_labels(classes, 8, {"[8,1]": families.cyclic(8)},
+                               [([5, 2], _abelian), ([4, 3], _non_abelian)])
+    assert list(labels) == ["[8,1]", "[8,2]", "[8,3]", "[8,4]", "[8,5]"]
+    for ids in (("[8,5]", "[8,2]"), ("[8,4]", "[8,3]")):
+        fps = [gen.fingerprint(labels[label]) for label in ids]
+        assert fps[0] < fps[1], ids
+    twins = [families.cyclic(8), families.cyclic(8)]
+    for pair in (twins, twins[::-1]):
+        labels = gen.assign_labels(pair, 8, {}, [([1, 2], _abelian)])
+        assert list(labels.values()) == pair
+
+
+@pytest.mark.parametrize("refs, blocks, message", [
+    ({}, [([1, 2], _abelian)], r"block \[1, 2\] takes 2 classes, not 3"),
+    ({"[8,1]": families.cyclic(8)}, [([3, 4], _non_abelian)], "every class has a label"),
+    ({"[8,1]": families.cyclic(8)}, [([1, 5], _abelian)], r"\[8,1\] is given once"),
+    ({}, [([1, 2, 3], _abelian), ([3, 4], _non_abelian)], r"\[8,3\] is given once"),
+    ({"[8,1]": families.cyclic(8), "[8,2]": families.cyclic(8)}, [],
+     "each reference pins its own class"),
+    ({"[16,1]": families.cyclic(16)}, [], "a reference matches one class, not 0"),
+])
+def test_label_rules_raise(refs, blocks, message):
+    with pytest.raises(RuntimeError, match=message):
+        gen.assign_labels(_order8(), 8, refs, blocks)
+
+
+def test_reference_matching_two_classes_raises():
+    with pytest.raises(RuntimeError, match="a reference matches one class, not 2"):
+        gen.assign_labels(_order8() + [families.cyclic(8)], 8, {"[8,1]": families.cyclic(8)})

@@ -9,14 +9,15 @@ Regenerates the shipped .cat files from first principles:
   an exact alternating commutator pairing c on G/Z = C2^k with values in the
   2-torsion of Z, and a squaring map q determined by its basis values mod 2Z.
 
-Labels follow the standard small-group numbering.  Structurally forced
-identifications (abelian types, maximal-class families, extraspecial groups,
-named products) are pinned by explicit reference constructions; remaining
-labels within a structure block are assigned in the order of the isomorphism
-invariant `noncent.core.fingerprint`.  The sort is stable and the invariant
-does not separate every block: groups with equal fingerprints, such as
-[32,27]/[32,28], [32,8]/[32,9]/[32,10], [64,73]-[64,80] and [64,232]/[64,233],
-keep the order in which the extension enumeration found them.
+Labels follow the standard small-group numbering, given by one routine,
+`assign_labels`.  Structurally forced identifications (abelian types,
+maximal-class families, named products) are pinned by explicit reference
+constructions; remaining labels within a structure block (the extraspecial
+pair, generator rank, regularity degree, quotient shape) are assigned in the
+order of the isomorphism invariant `noncent.core.fingerprint`.  The sort is
+stable and the invariant does not separate every block: groups with equal
+fingerprints, such as [32,27]/[32,28], [32,8]/[32,9]/[32,10], [64,73]-[64,80]
+and [64,232]/[64,233], keep the order in which the enumeration found them.
 
 Usage: python tools/gen_catalogs.py
 """
@@ -34,6 +35,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from noncent import analysis, core, families
+from noncent.catalog import label_sort_key
 from noncent.core import FiniteGroup, fingerprint, from_table, direct_product, is_isomorphic
 from noncent.presentation import enumerate_presentation, parse
 
@@ -148,9 +150,8 @@ def build_extension(tq: np.ndarray, f: int) -> np.ndarray:
     n = tq.shape[0]
     m = n - 1
     fmat = np.zeros((n, n), dtype=np.int64)
-    for a in range(1, n):
-        for b in range(1, n):
-            fmat[a, b] = (f >> ((a - 1) * m + (b - 1))) & 1
+    fbits = np.frombuffer(f.to_bytes(m * m // 8 + 1, "little"), dtype=np.uint8)
+    fmat[1:, 1:] = np.unpackbits(fbits, bitorder="little")[:m * m].reshape(m, m)
     tq2 = np.kron(tq, np.ones((2, 2), dtype=np.int64))
     f2 = np.kron(fmat, np.ones((2, 2), dtype=np.int64))
     u = np.tile(np.array([[0, 1], [1, 0]]), (n, n))
@@ -163,12 +164,10 @@ class Store:
     def __init__(self):
         self.buckets: dict[tuple, list[FiniteGroup]] = {}
         self.classes: list[FiniteGroup] = []
-        self.iso_calls = 0
 
     def add(self, g: FiniteGroup) -> bool:
         fp = fingerprint(g)
         for other in self.buckets.get(fp, ()):
-            self.iso_calls += 1
             if is_isomorphic(g, other):
                 return False
         self.buckets.setdefault(fp, []).append(g)
@@ -413,318 +412,35 @@ def min_generators(g: FiniteGroup) -> int:
 
 
 def match_label(classes: list[FiniteGroup], ref: FiniteGroup) -> int:
-    hits = [i for i, g in enumerate(classes)
-            if g.order == ref.order and is_isomorphic(g, ref)]
-    if len(hits) != 1:
-        raise RuntimeError(f"reference matched {len(hits)} classes")
+    """Index of the one class isomorphic to ref."""
+    hits = [i for i, g in enumerate(classes) if is_isomorphic(g, ref)]
+    expect(len(hits) == 1, f"a reference matches one class, not {len(hits)}")
     return hits[0]
 
 
-# --- reference constructions for pinned labels --------------------------------
+def assign_labels(classes: list[FiniteGroup], order: int, refs: dict[str, FiniteGroup],
+                  blocks=()) -> dict[str, FiniteGroup]:
+    """Name every class [order,id]; returns {label: class} in id order.
 
-def pauli16() -> FiniteGroup:
-    # central product D8 o C4 (= Q8 o C4)
-    return pres("< a,b,c | a^4, b^2, b*a*b = a^-1, c^2 = a^2, a*c = c*a, b*c = c*b >")
-
-
-def build_references():
-    c2 = families.cyclic(2)
-    c4 = families.cyclic(4)
-    refs8 = {
-        "[8,1]": families.cyclic(8),
-        "[8,2]": dp(c4, c2),
-        "[8,3]": families.dihedral(4),
-        "[8,4]": families.generalized_quaternion(8),
-        "[8,5]": families.elementary_abelian(2, 3),
-    }
-    refs16 = {
-        "[16,1]": families.cyclic(16),
-        "[16,2]": dp(c4, c4),
-        "[16,3]": pres("< a,b,c | a^4, b^2, c^2, a*b = b*a, c*a*c = a*b, c*b*c = b >"),
-        "[16,4]": pres("< a,b | a^4, b^4, b*a*b^-1 = a^-1 >"),
-        "[16,5]": dp(families.cyclic(8), c2),
-        "[16,6]": families.modular_M(16),
-        "[16,7]": families.dihedral(8),
-        "[16,8]": semidihedral(16),
-        "[16,9]": families.generalized_quaternion(16),
-        "[16,10]": dp(c4, c2, c2),
-        "[16,11]": dp(families.dihedral(4), c2),
-        "[16,12]": dp(families.generalized_quaternion(8), c2),
-        "[16,13]": pauli16(),
-        "[16,14]": families.elementary_abelian(2, 4),
-    }
-    # Pins for order 32.  Structurally forced: abelians, maximal-class trio,
-    # modular group, extraspecials, direct/central products of order-16
-    # groups.  The two-generator reduced block {2,4,5,12} and the products at
-    # 22/23/25/26/37/39/40/41 follow the standard numbering as published.
-    refs32 = {
-        "[32,1]": families.cyclic(32),
-        "[32,2]": pres("< a,b | a^4, b^4, (a^-1*b^-1*a*b)^2, "
-                       "a^-1*b^-1*a*b*a = a*(a^-1*b^-1*a*b), "
-                       "a^-1*b^-1*a*b*b = b*(a^-1*b^-1*a*b) >"),
-        "[32,3]": dp(families.cyclic(8), c4),
-        "[32,4]": pres("< a,b | a^8, b^4, b*a*b^-1 = a^5 >"),
-        "[32,5]": pres("< a,c | a^2, c^8, (c*a*c^-1)*a = a*(c*a*c^-1), "
-                       "c^2*a = a*c^2 >"),
-        "[32,12]": pres("< a,b | a^4, b^8, b*a*b^-1 = a^-1 >"),
-        "[32,16]": dp(families.cyclic(16), c2),
-        "[32,17]": families.modular_M(32),
-        "[32,18]": families.dihedral(16),
-        "[32,19]": semidihedral(32),
-        "[32,20]": families.generalized_quaternion(32),
-        "[32,21]": dp(c4, c4, c2),
-        "[32,22]": dp(pres("< a,b,c | a^4, b^2, c^2, a*b = b*a, c*a*c = a*b, c*b*c = b >"), c2),
-        "[32,23]": dp(pres("< a,b | a^4, b^4, b*a*b^-1 = a^-1 >"), c2),
-        "[32,25]": dp(families.dihedral(4), c4),
-        "[32,26]": dp(families.generalized_quaternion(8), c4),
-        "[32,34]": pres("< a,b,c | a^4, b^4, a*b = b*a, c^2, c*a*c = a^-1, c*b*c = b^-1 >"),
-        "[32,36]": dp(families.cyclic(8), c2, c2),
-        "[32,37]": dp(families.modular_M(16), c2),
-        "[32,38]": pres("< a,b,c | a^4, b^2, b*a*b = a^-1, c^8, c^4 = a^2, "
-                        "a*c = c*a, b*c = c*b >"),
-        "[32,39]": dp(families.dihedral(8), c2),
-        "[32,40]": dp(semidihedral(16), c2),
-        "[32,41]": dp(families.generalized_quaternion(16), c2),
-        "[32,45]": dp(c4, c2, c2, c2),
-        "[32,46]": dp(families.dihedral(4), c2, c2),
-        "[32,47]": dp(families.generalized_quaternion(8), c2, c2),
-        "[32,48]": dp(pauli16(), c2),
-        "[32,51]": families.elementary_abelian(2, 5),
-    }
-    return refs8, refs16, refs32
+    Each reference pins the one class isomorphic to it.  Then each block
+    (ids, pick) takes the remaining classes that pick accepts, exactly
+    len(ids) of them, in fingerprint order with ties in enumeration order
+    (see the module docstring).  Every class must end with exactly one label.
+    """
+    taken = {label: match_label(classes, ref) for label, ref in refs.items()}
+    expect(len(set(taken.values())) == len(taken), "each reference pins its own class")
+    for ids, pick in blocks:
+        free = [i for i in range(len(classes)) if i not in taken.values() and pick(classes[i])]
+        expect(len(free) == len(ids), f"block {ids} takes {len(ids)} classes, not {len(free)}")
+        for gid, i in zip(ids, sorted(free, key=lambda i: fingerprint(classes[i]))):
+            expect(f"[{order},{gid}]" not in taken, f"[{order},{gid}] is given once")
+            taken[f"[{order},{gid}]"] = i
+    left = [i for i in range(len(classes)) if i not in taken.values()]
+    expect(not left, f"every class has a label; classes {left} have none")
+    return {label: classes[taken[label]] for label in sorted(taken, key=label_sort_key)}
 
 
-def assign_labels(classes: list[FiniteGroup], order: int,
-                  refs: dict[str, FiniteGroup]) -> dict[str, FiniteGroup]:
-    """Pin reference labels, then fill remaining ids deterministically within
-    structure blocks (generator rank, special quotient shape)."""
-    n_ids = {8: 5, 16: 14, 32: 51}[order]
-    assigned: dict[int, FiniteGroup] = {}
-    used = set()
-    for label, ref in refs.items():
-        gid = int(label.strip("[]").split(",")[1])
-        idx = match_label(classes, ref)
-        if idx in used:
-            raise RuntimeError(f"{label}: class already pinned")
-        assigned[gid] = classes[idx]
-        used.add(idx)
-    if order == 32:
-        # extraspecial pair: plus type has 19 involutions, minus type 11
-        es = [i for i, g in enumerate(classes)
-              if i not in used and g.center().size == 2 and min_generators(g) == 4]
-        es.sort(key=lambda i: -dict(classes[i].order_histogram()).get(2, 0))
-        assigned[49], assigned[50] = classes[es[0]], classes[es[1]]
-        used.update(es)
-        remaining = [i for i in range(len(classes)) if i not in used]
-
-        def take(ids: list[int], pick):
-            chosen = sorted((i for i in remaining if pick(classes[i])),
-                            key=lambda i: fingerprint(classes[i]))
-            if len(chosen) != len(ids):
-                raise RuntimeError(f"block {ids}: {len(chosen)} classes")
-            for gid, i in zip(ids, chosen):
-                assigned[gid] = classes[i]
-                remaining.remove(i)
-
-        def is_c23_quotient(g):  # G/Z = C2^3; exponent 2 makes G/Z abelian
-            return g.order // g.center().size == 8 and g.center_coset_orders().max() == 2
-
-        take([24], lambda g: (analysis.is_reduced_regular(g) and analysis.is_regular(g) == 24
-                              and min_generators(g) == 3))
-        take([27, 28, 29, 30, 31, 32, 33, 35], is_c23_quotient)
-        take([6, 7, 8, 9, 10, 11, 13, 14, 15], lambda g: min_generators(g) == 2)
-        take([42, 43, 44], lambda g: min_generators(g) == 3)
-        if remaining:
-            raise RuntimeError(f"unassigned classes: {remaining}")
-    else:
-        if len(used) != len(classes):
-            raise RuntimeError("orders 8/16 must be fully pinned")
-    if set(assigned) != set(range(1, n_ids + 1)):
-        raise RuntimeError(f"label set incomplete: {sorted(assigned)}")
-    return {f"[{order},{gid}]": assigned[gid] for gid in sorted(assigned)}
-
-
-# --- order-64 rows -------------------------------------------------------------
-
-Z_TYPES = {
-    16: [(16,), (8, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2)],
-    8: [(8,), (4, 2), (2, 2, 2)],
-    4: [(4,), (2, 2)],
-}
-
-
-def order64_rows():
-    """Reduced regular order-64 groups grouped by degree, with class-2 data."""
-    rows: dict[int, list[tuple[FiniteGroup, tuple, dict, list]]] = {48: [], 56: [], 60: []}
-    for zsize, k, degree in ((16, 2, 48), (8, 3, 56), (4, 4, 60)):
-        store = Store()
-        for factors in Z_TYPES[zsize]:
-            for g, cpairs, qvals in class2_groups(factors, k, require_regular=True):
-                if store.add(g):
-                    expect(analysis.is_regular(g) == degree, f"{factors}: not {degree}-regular")
-                    if analysis.is_reduced_regular(g):
-                        rows[degree].append((g, factors, cpairs, qvals))
-    return rows
-
-
-def assign_labels64(rows) -> dict[str, tuple]:
-    """Names for the Table-1 order-64 rows.
-
-    The modular group M(64) is pinned; remaining ids fill their generator-rank
-    blocks in fingerprint order, ties in enumeration order (see the module
-    docstring)."""
-    id_blocks = {
-        48: {2: [3, 17, 27, 29, 44, 51], 3: [57, 86, 112, 185]},
-        56: {3: [73, 74, 75, 76, 77, 78, 79, 80, 81, 82]},
-        60: {4: [199, 200, 201, 226, 227, 228, 229, 230, 231, 232, 233, 234,
-                 235, 236, 237, 238, 239, 240, 249], 5: [266]},
-    }
-    m64 = families.modular_M(64)
-    out: dict[str, tuple] = {}
-    for degree, entries in rows.items():
-        by_rank: dict[int, list[tuple]] = {}
-        pinned = None
-        for e in entries:
-            g = e[0]
-            if degree == 48 and is_isomorphic(g, m64):
-                pinned = e
-                continue
-            by_rank.setdefault(min_generators(g), []).append(e)
-        blocks = id_blocks[degree]
-        expected = {r: len(ids) for r, ids in blocks.items()}
-        if pinned is not None:
-            expected[2] -= 1
-        got = {r: len(v) for r, v in by_rank.items()}
-        if got != {r: c for r, c in expected.items() if c}:
-            raise RuntimeError(f"degree {degree}: rank counts {got} != expected {expected}")
-        for rank, ids in blocks.items():
-            ids = list(ids)
-            if pinned is not None and rank == 2:
-                out["[64,51]"] = pinned
-                ids.remove(51)
-            for gid, e in zip(ids, sorted(by_rank.get(rank, []),
-                                          key=lambda e: fingerprint(e[0]))):
-                out[f"[64,{gid}]"] = e
-    return out
-
-
-# --- catalog emission ----------------------------------------------------------
-
-def perm_entry(label: str, g: FiniteGroup, comment: str = "") -> str:
-    gens = core.greedy_generators(g.table)
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines += [f"name: {label}", "kind: perm", f"order: {g.order}",
-              f"degree: {g.order}"]
-    for x in gens:
-        images = " ".join(str(int(g.table[x, j])) for j in range(g.order))
-        lines.append(f"gen: {images}")
-    return "\n".join(lines)
-
-
-def pres_entry(label: str, g_order: int, text: str, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines += [f"name: {label}", "kind: presentation", f"order: {g_order}",
-              f"pres: {text}"]
-    return "\n".join(lines)
-
-
-def class2_presentation(factors: tuple[int, ...], k: int,
-                        cpairs: dict, qvals: list[int]) -> str:
-    """Presentation of the class-2 group from its (Z, c, q) data."""
-    znames = [f"z{i+1}" for i in range(len(factors))]
-    xnames = [f"x{i+1}" for i in range(k)]
-
-    def zword(idx: int) -> str:
-        parts = [f"{nm}^{e}" if e > 1 else nm
-                 for nm, e in zip(znames, np.unravel_index(idx, factors)) if e]
-        return "*".join(parts) if parts else "1"
-
-    rels = [f"{nm}^{o}" for nm, o in zip(znames, factors)]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            rels.append(f"{znames[i]}*{znames[j]} = {znames[j]}*{znames[i]}")
-    for xn in xnames:
-        for zn in znames:
-            rels.append(f"{xn}*{zn} = {zn}*{xn}")
-    for i, xn in enumerate(xnames):
-        rels.append(f"{xn}^2 = {zword(qvals[i])}")
-    for j in range(k):
-        for i in range(j + 1, k):
-            # x_i x_j = x_j x_i [x_i, x_j] with [x_i, x_j] = c[(j, i)]
-            com = zword(cpairs[(j, i)])
-            rhs = f"{xnames[j]}*{xnames[i]}"
-            if com != "1":
-                rhs += f"*{com}"
-            rels.append(f"{xnames[i]}*{xnames[j]} = {rhs}")
-    return f"< {', '.join(znames + xnames)} | {', '.join(rels)} >"
-
-
-def main():
-    t0 = time.time()
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-
-    c2 = families.cyclic(2)
-    order4 = [families.cyclic(4), dp(c2, c2)]
-    order8 = classify_order(order4)
-    print(f"order 8: {len(order8)} classes ({time.time() - t0:.1f}s)")
-    expect(len(order8) == 5, "5 groups of order 8")
-    order16 = classify_order(order8)
-    print(f"order 16: {len(order16)} classes ({time.time() - t0:.1f}s)")
-    expect(len(order16) == 14, "14 groups of order 16")
-    order32 = classify_order(order16)
-    print(f"order 32: {len(order32)} classes ({time.time() - t0:.1f}s)")
-    expect(len(order32) == 51, "51 groups of order 32")
-
-    refs8, refs16, refs32 = build_references()
-    labels8 = assign_labels(order8, 8, refs8)
-    labels16 = assign_labels(order16, 16, refs16)
-    labels32 = assign_labels(order32, 32, refs32)
-    print(f"labels assigned ({time.time() - t0:.1f}s)")
-
-    # Table 1 sanity before writing anything
-    t1 = {}
-    for label, g in {**labels8, **labels16, **labels32}.items():
-        if analysis.is_reduced_regular(g):
-            t1.setdefault(analysis.is_regular(g), []).append(label)
-    for deg in sorted(t1):
-        print(f"  reduced {deg}-regular: {sorted(t1[deg])}")
-    expect(sorted(t1[6]) == ["[8,3]", "[8,4]"], "Table 1 row n=6")
-    expect(sorted(t1[12]) == ["[16,13]", "[16,3]", "[16,4]", "[16,6]"], "Table 1 row n=12")
-    expect(len(t1[24]) == 7 and len(t1[30]) == 2, "Table 1 rows n=24, n=30 sizes")
-    expect(sorted(int(l.strip("[]").split(",")[1]) for l in t1[24]) == [2, 4, 5, 12, 17, 24, 38],
-           "Table 1 row n=24")
-    expect(sorted(int(l.strip("[]").split(",")[1]) for l in t1[30]) == [49, 50], "Table 1 row n=30")
-
-    # cross-validate the class-2 machinery against the cocycle-based
-    # classification at order 32 before trusting it for order 64
-    reg32 = []
-    for factors in ((8,), (4, 2), (2, 2, 2)):
-        reg32.extend(g for g, _, _ in class2_groups(factors, 2, require_regular=True))
-    es32 = [g for g, _, _ in class2_groups((2,), 4, require_regular=True)]
-    ref24 = [g for g in order32 if analysis.is_regular(g) == 24]
-    ref30 = [g for g in order32 if analysis.is_regular(g) == 30]
-    expect(len(reg32) == len(ref24) == 15, "15 class-2 24-regular groups of order 32")
-    expect(len(es32) == len(ref30) == 2, "2 class-2 30-regular groups of order 32")
-    for g in reg32:
-        expect(sum(1 for h in ref24 if is_isomorphic(g, h)) == 1, "class-2 group matches one 24-regular class")
-    for g in es32:
-        expect(sum(1 for h in ref30 if is_isomorphic(g, h)) == 1, "class-2 group matches one 30-regular class")
-    print(f"class-2 machinery cross-validated at order 32 ({time.time() - t0:.1f}s)")
-
-    rows = order64_rows()
-    print(f"order-64 rows: { {d: len(v) for d, v in rows.items()} } ({time.time() - t0:.1f}s)")
-    expect(len(rows[48]) == 10 and len(rows[56]) == 10 and len(rows[60]) == 20,
-           "order-64 rows of 10, 10 and 20 groups")
-    labels64 = assign_labels64(rows)
-    print(f"order-64 labels assigned ({time.time() - t0:.1f}s)")
-
-    write_catalogs(labels8, labels16, labels32, labels64, refs8, refs16, refs32)
-    print(f"catalogs written to {OUT_DIR} ({time.time() - t0:.1f}s)")
-
+# --- presentations, reference constructions and id blocks ----------------------
 
 PRES8 = {
     "[8,1]": "< a | a^8 >",
@@ -792,6 +508,174 @@ PRES32 = {
                "a*e = e*a, b*c = c*b, b*d = d*b, b*e = e*b, c*d = d*c, c*e = e*c, d*e = e*d >",
 }
 
+
+def build_references():
+    """Reference groups that pin labels at orders 8, 16 and 32.
+
+    Order 32 pins the structurally forced labels: abelians, maximal-class
+    trio, modular group, direct/central products of order-16 groups.  The two-generator reduced block {2,4,5,12} and the products at
+    22/23/25/26/37/39/40/41 follow the standard numbering as published.
+    """
+    c2 = families.cyclic(2)
+    c4 = families.cyclic(4)
+    refs8 = {
+        "[8,1]": families.cyclic(8),
+        "[8,2]": dp(c4, c2),
+        "[8,3]": families.dihedral(4),
+        "[8,4]": families.generalized_quaternion(8),
+        "[8,5]": families.elementary_abelian(2, 3),
+    }
+    refs16 = {
+        "[16,1]": families.cyclic(16),
+        "[16,2]": dp(c4, c4),
+        "[16,3]": pres(PRES16["[16,3]"]),
+        "[16,4]": pres(PRES16["[16,4]"]),
+        "[16,5]": dp(families.cyclic(8), c2),
+        "[16,6]": families.modular_M(16),
+        "[16,7]": families.dihedral(8),
+        "[16,8]": semidihedral(16),
+        "[16,9]": families.generalized_quaternion(16),
+        "[16,10]": dp(c4, c2, c2),
+        "[16,11]": dp(families.dihedral(4), c2),
+        "[16,12]": dp(families.generalized_quaternion(8), c2),
+        "[16,13]": pres(PRES16["[16,13]"]),  # central product D8 o C4 (= Q8 o C4)
+        "[16,14]": families.elementary_abelian(2, 4),
+    }
+    refs32 = {
+        "[32,1]": families.cyclic(32),
+        "[32,2]": pres(PRES32["[32,2]"]),
+        "[32,3]": dp(families.cyclic(8), c4),
+        "[32,4]": pres(PRES32["[32,4]"]),
+        "[32,5]": pres(PRES32["[32,5]"]),
+        "[32,12]": pres(PRES32["[32,12]"]),
+        "[32,16]": dp(families.cyclic(16), c2),
+        "[32,17]": families.modular_M(32),
+        "[32,18]": families.dihedral(16),
+        "[32,19]": semidihedral(32),
+        "[32,20]": families.generalized_quaternion(32),
+        "[32,21]": dp(c4, c4, c2),
+        "[32,22]": dp(refs16["[16,3]"], c2),
+        "[32,23]": dp(refs16["[16,4]"], c2),
+        "[32,25]": dp(families.dihedral(4), c4),
+        "[32,26]": dp(families.generalized_quaternion(8), c4),
+        "[32,34]": pres(PRES32["[32,34]"]),
+        "[32,36]": dp(families.cyclic(8), c2, c2),
+        "[32,37]": dp(families.modular_M(16), c2),
+        "[32,38]": pres(PRES32["[32,38]"]),
+        "[32,39]": dp(families.dihedral(8), c2),
+        "[32,40]": dp(semidihedral(16), c2),
+        "[32,41]": dp(families.generalized_quaternion(16), c2),
+        "[32,45]": dp(c4, c2, c2, c2),
+        "[32,46]": dp(families.dihedral(4), c2, c2),
+        "[32,47]": dp(families.generalized_quaternion(8), c2, c2),
+        "[32,48]": dp(refs16["[16,13]"], c2),
+        "[32,51]": families.elementary_abelian(2, 5),
+    }
+    return refs8, refs16, refs32
+
+
+# Order-32 ids that no reference pins.  Fingerprint order puts the minus-type
+# extraspecial group (11 involutions) before the plus type (19).
+BLOCKS32 = [
+    ([50, 49], lambda g: g.center().size == 2 and min_generators(g) == 4),
+    ([24], lambda g: (analysis.is_reduced_regular(g) and analysis.is_regular(g) == 24
+                      and min_generators(g) == 3)),
+    # G/Z = C2^3; exponent 2 makes G/Z abelian
+    ([27, 28, 29, 30, 31, 32, 33, 35],
+     lambda g: g.order // g.center().size == 8 and g.center_coset_orders().max() == 2),
+    ([6, 7, 8, 9, 10, 11, 13, 14, 15], lambda g: min_generators(g) == 2),
+    ([42, 43, 44], lambda g: min_generators(g) == 3),
+]
+
+
+def degree_and_rank(degree: int, rank: int):
+    return lambda g: analysis.is_regular(g) == degree and min_generators(g) == rank
+
+
+# Order-64 Table-1 ids by (regularity degree, generator rank); [64,51] is
+# M(64), pinned by reference.
+BLOCKS64 = [
+    ([3, 17, 27, 29, 44], degree_and_rank(48, 2)),
+    ([57, 86, 112, 185], degree_and_rank(48, 3)),
+    ([73, 74, 75, 76, 77, 78, 79, 80, 81, 82], degree_and_rank(56, 3)),
+    ([199, 200, 201, 226, 227, 228, 229, 230, 231, 232, 233, 234,
+      235, 236, 237, 238, 239, 240, 249], degree_and_rank(60, 4)),
+    ([266], degree_and_rank(60, 5)),
+]
+
+
+# --- order-64 rows -------------------------------------------------------------
+
+Z_TYPES = {
+    16: [(16,), (8, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2)],
+    8: [(8,), (4, 2), (2, 2, 2)],
+    4: [(4,), (2, 2)],
+}
+
+
+def order64_rows() -> dict[FiniteGroup, str]:
+    """Reduced regular order-64 groups of degree 48, 56 and 60, each with the
+    presentation read from its class-2 data."""
+    rows: dict[FiniteGroup, str] = {}
+    for zsize, k, degree in ((16, 2, 48), (8, 3, 56), (4, 4, 60)):
+        store = Store()
+        for factors in Z_TYPES[zsize]:
+            for g, cpairs, qvals in class2_groups(factors, k, require_regular=True):
+                if store.add(g):
+                    expect(analysis.is_regular(g) == degree, f"{factors}: not {degree}-regular")
+                    if analysis.is_reduced_regular(g):
+                        rows[g] = class2_presentation(factors, k, cpairs, qvals)
+    return rows
+
+
+# --- catalog emission ----------------------------------------------------------
+
+def perm_entry(label: str, g: FiniteGroup) -> str:
+    gens = g.table[core.greedy_generators(g.table)].tolist()
+    return "\n".join([f"name: {label}", "kind: perm", f"order: {g.order}",
+                      f"degree: {g.order}", *(f"gen: {' '.join(map(str, row))}" for row in gens)])
+
+
+def pres_entry(label: str, g_order: int, text: str, comment: str = "") -> str:
+    lines = []
+    if comment:
+        lines.append(f"# {comment}")
+    lines += [f"name: {label}", "kind: presentation", f"order: {g_order}",
+              f"pres: {text}"]
+    return "\n".join(lines)
+
+
+def class2_presentation(factors: tuple[int, ...], k: int,
+                        cpairs: dict, qvals: list[int]) -> str:
+    """Presentation of the class-2 group from its (Z, c, q) data."""
+    znames = [f"z{i+1}" for i in range(len(factors))]
+    xnames = [f"x{i+1}" for i in range(k)]
+
+    def zword(idx: int) -> str:
+        parts = [f"{nm}^{e}" if e > 1 else nm
+                 for nm, e in zip(znames, np.unravel_index(idx, factors)) if e]
+        return "*".join(parts) if parts else "1"
+
+    rels = [f"{nm}^{o}" for nm, o in zip(znames, factors)]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            rels.append(f"{znames[i]}*{znames[j]} = {znames[j]}*{znames[i]}")
+    for xn in xnames:
+        for zn in znames:
+            rels.append(f"{xn}*{zn} = {zn}*{xn}")
+    for i, xn in enumerate(xnames):
+        rels.append(f"{xn}^2 = {zword(qvals[i])}")
+    for j in range(k):
+        for i in range(j + 1, k):
+            # x_i x_j = x_j x_i [x_i, x_j] with [x_i, x_j] = c[(j, i)]
+            com = zword(cpairs[(j, i)])
+            rhs = f"{xnames[j]}*{xnames[i]}"
+            if com != "1":
+                rhs += f"*{com}"
+            rels.append(f"{xnames[i]}*{xnames[j]} = {rhs}")
+    return f"< {', '.join(znames + xnames)} | {', '.join(rels)} >"
+
+
 CONTROLS64 = [
     ("D8xC8", "< a,b,c | a^4, b^2, b*a*b = a^-1, c^8, a*c = c*a, b*c = c*b >",
      "regular control: direct product of a regular group and C8; not reduced"),
@@ -810,54 +694,108 @@ CONTROLS64 = [
 ]
 
 
-def write_catalogs(labels8, labels16, labels32, labels64, refs8, refs16, refs32):
-    header = "# generated by tools/gen_catalogs.py; do not edit by hand\n"
+def write_catalogs(labels8, labels16, labels32, labels64, pres64):
+    """Write the four .cat files, each label in the order given: as its
+    presentation where one is known, checked against the class, and otherwise
+    as its regular permutation representation."""
 
-    def verify_pres(label, text, g):
-        h = enumerate_presentation(parse(text))
-        if not is_isomorphic(h, g):
-            raise RuntimeError(f"{label}: presentation does not match class")
-
-    for order, labels, presmap, fname in (
-            (8, labels8, PRES8, "order8.cat"),
-            (16, labels16, PRES16, "order16.cat"),
-            (32, labels32, PRES32, "order32.cat")):
-        blocks = [header.rstrip()]
-        blocks.append(f"# all {len(labels)} groups of order {order}, one entry per "
-                      "isomorphism class")
-        if order == 32:
-            blocks.append("# label pairing: abelian types, maximal-class and modular "
-                          "groups, extraspecial\n# groups, and named products are "
-                          "structurally pinned; remaining ids fill their\n# generator-rank "
-                          "blocks in a deterministic invariant order")
-        for label in sorted(labels, key=lambda l: int(l.strip("[]").split(",")[1])):
-            g = labels[label]
+    def write(fname, notes, labels, presmap, extra=()):
+        blocks = ["# generated by tools/gen_catalogs.py; do not edit by hand", *notes]
+        for label, g in labels.items():
             if label in presmap:
-                verify_pres(label, presmap[label], g)
+                expect(is_isomorphic(pres(presmap[label]), g),
+                       f"{label}: presentation matches its class")
                 blocks.append(pres_entry(label, g.order, presmap[label]))
             else:
                 blocks.append(perm_entry(label, g))
-        (OUT_DIR / fname).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        (OUT_DIR / fname).write_text("\n\n".join([*blocks, *extra]) + "\n", encoding="utf-8")
         print(f"  wrote {fname}")
 
-    blocks = [header.rstrip()]
-    blocks.append("# order-64 groups named in the reduced-regular table rows "
-                  "n=48, n=56, n=60,\n# plus five regular-but-not-reduced controls. "
-                  "The n=56 row is read as the ten\n# groups [64,73]..[64,82]. "
-                  "M(64) is pinned to [64,51]; other ids fill their\n# generator-rank "
-                  "blocks in a deterministic invariant order")
-    for label in sorted(labels64, key=lambda l: int(l.strip("[]").split(",")[1])):
-        g, factors, cpairs, qvals = labels64[label]
-        text = class2_presentation(factors, len(qvals), cpairs, qvals)
-        verify_pres(label, text, g)
-        blocks.append(pres_entry(label, 64, text))
+    for order, labels, presmap in ((8, labels8, PRES8), (16, labels16, PRES16),
+                                   (32, labels32, PRES32)):
+        notes = [f"# all {len(labels)} groups of order {order}, one entry per isomorphism class"]
+        if order == 32:
+            notes.append("# label pairing: abelian types, maximal-class and modular "
+                         "groups, extraspecial\n# groups, and named products are "
+                         "structurally pinned; remaining ids fill their\n# generator-rank "
+                         "blocks in a deterministic invariant order")
+        write(f"order{order}.cat", notes, labels, presmap)
+    controls = []
     for name, text, comment in CONTROLS64:
-        g = enumerate_presentation(parse(text))
-        if g.order != 64 or analysis.is_reduced_regular(g) is not False:
-            raise RuntimeError(f"control {name} is not a regular non-reduced order-64 group")
-        blocks.append(pres_entry(name, 64, text, comment))
-    (OUT_DIR / "order64.cat").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-    print("  wrote order64.cat")
+        g = pres(text)
+        expect(g.order == 64 and analysis.is_reduced_regular(g) is False,
+               f"control {name} is a regular non-reduced order-64 group")
+        controls.append(pres_entry(name, 64, text, comment))
+    write("order64.cat", ["# order-64 groups named in the reduced-regular table rows "
+                          "n=48, n=56, n=60,\n# plus five regular-but-not-reduced controls. "
+                          "The n=56 row is read as the ten\n# groups [64,73]..[64,82]. "
+                          "M(64) is pinned to [64,51]; other ids fill their\n# generator-rank "
+                          "blocks in a deterministic invariant order"],
+          labels64, pres64, controls)
+
+
+def main():
+    t0 = time.time()
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+
+    c2 = families.cyclic(2)
+    order8 = classify_order([families.cyclic(4), dp(c2, c2)])
+    print(f"order 8: {len(order8)} classes ({time.time() - t0:.1f}s)")
+    expect(len(order8) == 5, "5 groups of order 8")
+    order16 = classify_order(order8)
+    print(f"order 16: {len(order16)} classes ({time.time() - t0:.1f}s)")
+    expect(len(order16) == 14, "14 groups of order 16")
+    order32 = classify_order(order16)
+    print(f"order 32: {len(order32)} classes ({time.time() - t0:.1f}s)")
+    expect(len(order32) == 51, "51 groups of order 32")
+
+    refs8, refs16, refs32 = build_references()
+    labels8 = assign_labels(order8, 8, refs8)
+    labels16 = assign_labels(order16, 16, refs16)
+    labels32 = assign_labels(order32, 32, refs32, BLOCKS32)
+    for order, labels in ((8, labels8), (16, labels16), (32, labels32)):
+        expect(list(labels) == [f"[{order},{i}]" for i in range(1, len(labels) + 1)],
+               f"the order-{order} ids are 1..{len(labels)}")
+    print(f"labels assigned ({time.time() - t0:.1f}s)")
+
+    # Table 1 sanity before writing anything
+    t1 = {}
+    for label, g in {**labels8, **labels16, **labels32}.items():
+        if analysis.is_reduced_regular(g):
+            t1.setdefault(analysis.is_regular(g), []).append(label)
+    for deg in sorted(t1):
+        print(f"  reduced {deg}-regular: {t1[deg]}")
+    expect(t1.get(6) == ["[8,3]", "[8,4]"], "Table 1 row n=6")
+    expect(t1.get(12) == ["[16,3]", "[16,4]", "[16,6]", "[16,13]"], "Table 1 row n=12")
+    expect(t1.get(24) == [f"[32,{i}]" for i in (2, 4, 5, 12, 17, 24, 38)], "Table 1 row n=24")
+    expect(t1.get(30) == ["[32,49]", "[32,50]"], "Table 1 row n=30")
+
+    # cross-validate the class-2 machinery against the cocycle-based
+    # classification at order 32 before trusting it for order 64
+    reg32 = []
+    for factors in ((8,), (4, 2), (2, 2, 2)):
+        reg32.extend(g for g, _, _ in class2_groups(factors, 2, require_regular=True))
+    es32 = [g for g, _, _ in class2_groups((2,), 4, require_regular=True)]
+    ref24 = [g for g in order32 if analysis.is_regular(g) == 24]
+    ref30 = [g for g in order32 if analysis.is_regular(g) == 30]
+    expect(len(reg32) == len(ref24) == 15, "15 class-2 24-regular groups of order 32")
+    expect(len(es32) == len(ref30) == 2, "2 class-2 30-regular groups of order 32")
+    for g in reg32:
+        expect(sum(1 for h in ref24 if is_isomorphic(g, h)) == 1, "class-2 group matches one 24-regular class")
+    for g in es32:
+        expect(sum(1 for h in ref30 if is_isomorphic(g, h)) == 1, "class-2 group matches one 30-regular class")
+    print(f"class-2 machinery cross-validated at order 32 ({time.time() - t0:.1f}s)")
+
+    rows = order64_rows()
+    degrees = {d: sum(analysis.is_regular(g) == d for g in rows) for d in (48, 56, 60)}
+    print(f"order-64 rows: {degrees} ({time.time() - t0:.1f}s)")
+    expect(degrees == {48: 10, 56: 10, 60: 20}, "order-64 rows of 10, 10 and 20 groups")
+    labels64 = assign_labels(list(rows), 64, {"[64,51]": families.modular_M(64)}, BLOCKS64)
+    print(f"order-64 labels assigned ({time.time() - t0:.1f}s)")
+
+    write_catalogs(labels8, labels16, labels32, labels64,
+                   {label: rows[g] for label, g in labels64.items()})
+    print(f"catalogs written to {OUT_DIR} ({time.time() - t0:.1f}s)")
 
 
 if __name__ == "__main__":
