@@ -20,7 +20,7 @@ from . import analysis
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
            "scan_conjecture_tconj", "scan_conjecture_lco",
-           "format_results", "results_to_kv"]
+           "failures", "format_results", "results_to_kv"]
 
 
 @dataclass(frozen=True)
@@ -558,14 +558,19 @@ def run_suite(groups: Iterable[tuple[str, FiniteGroup]],
     return results
 
 
+def failures(results: list[CheckResult]) -> list[CheckResult]:
+    """The applicable results that did not pass, conjecture scans excepted."""
+    return [r for r in results if r.applicable and not r.passed
+            and r.check_id not in CONJECTURE_IDS]
+
+
 def format_results(results: list[CheckResult]) -> str:
     lines = [r.line() for r in results]
-    failures = [r for r in results if r.applicable and not r.passed
-                and r.check_id not in CONJECTURE_IDS]
+    failed = failures(results)
     lines.append(f"-- {len(results)} results, "
                  f"{sum(1 for r in results if r.applicable)} applicable, "
-                 f"{len(failures)} failures")
-    lines += [f"   witness {r.check_id} on {r.group_label}: {r.witness}" for r in failures]
+                 f"{len(failed)} failures")
+    lines += [f"   witness {r.check_id} on {r.group_label}: {r.witness}" for r in failed]
     return "\n".join(lines)
 
 

@@ -663,13 +663,17 @@ def from_permutations(degree: int, generators: Sequence[Sequence[int]]) -> Finit
     return FiniteGroup(table, [sep.join(map(str, el)) + sep for el in elems])
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, ordered a-major: index = i_a * |B| + i_b."""
-    na, nb = a.order, b.order
-    check_table_budget(na * nb)
-    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(na * nb, na * nb)
-    labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
-    return FiniteGroup(table, labels)
+def direct_product(a: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
+    """Componentwise product on pairs, folded from the left over the factors
+    (one factor is returned as is); each step is ordered a-major:
+    index = i_a * |B| + i_b."""
+    for b in others:
+        na, nb = a.order, b.order
+        check_table_budget(na * nb)
+        table = a.table[:, None, :, None] * nb + b.table[None, :, None, :]
+        table = table.reshape(na * nb, na * nb)
+        a = FiniteGroup(table, [f"({la},{lb})" for la in a.labels for lb in b.labels])
+    return a
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:

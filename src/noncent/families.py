@@ -39,10 +39,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 1:
         raise ValueError("need k >= 1")
     check_table_budget(p ** k)
-    g = cyclic(p)
-    for _ in range(k - 1):
-        g = direct_product(g, cyclic(p))
-    return g
+    return direct_product(*[cyclic(p)] * k)
 
 
 def _cyclic_by_c2(m: int, twist: int, b_square: int = 0) -> np.ndarray:

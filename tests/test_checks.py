@@ -1,7 +1,7 @@
 import pytest
 
 from noncent import checks, core, families
-from noncent.checks import CHECK_IDS, run_check, run_suite
+from noncent.checks import CHECK_IDS, CheckResult, run_check, run_suite
 from noncent.core import direct_product
 from noncent.presentation import enumerate_presentation, parse
 
@@ -180,6 +180,13 @@ class TestRunSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(KeyError):
             run_suite([("D8", families.dihedral(4))], ["be0", "bogus"])
+
+    def test_failures_skip_passes_inapplicable_and_conjectures(self):
+        res = [CheckResult("be0", "A", True, True), CheckResult("be0", "B", False, False),
+               CheckResult("tconj", "C", True, False), CheckResult("lg", "D", True, False)]
+        assert checks.failures(res) == [res[3]]
+        summary = "4 results, 3 applicable, 1 failures\n   witness lg on D"
+        assert summary in checks.format_results(res)
 
     def test_format_contains_summary(self):
         res = run_suite([("D8", families.dihedral(4))], ["be0"])

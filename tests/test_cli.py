@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import noncent
-from noncent import catalog
+from noncent import catalog, checks
 from noncent.cli import main
 
 
@@ -133,6 +133,14 @@ class TestVerify:
                                "--checks", "creg,be0")
         assert code == 0
         assert "0 failures" in out
+
+    @pytest.mark.parametrize("check_id, code, summary", [
+        ("lg", 1, "1 failures"), ("tconj", 0, "0 failures")])
+    def test_exit_code_follows_printed_failures(self, capsys, monkeypatch, check_id, code, summary):
+        failed = checks.CheckResult(check_id, "[8,3]", True, False)
+        monkeypatch.setattr(checks, "run_suite", lambda pairs, ids: [failed])
+        got, out, _ = run_cli(capsys, "verify", "--catalog", catalog.shipped_path("order8.cat"))
+        assert got == code and summary in out
 
     def test_kv_mode(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--kv", "--catalog",

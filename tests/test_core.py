@@ -344,6 +344,19 @@ class TestDirectProduct:
         assert g.order == 24
         assert g.center().size == 6
 
+    def test_folds_from_the_left(self):
+        c2, d8 = families.cyclic(2), families.dihedral(4)
+        assert direct_product(d8) is d8
+        for factors in ((c2, d8, families.cyclic(3)), (d8, c2, c2, c2)):
+            nested = factors[0]
+            for b in factors[1:]:
+                nested = direct_product(nested, b)
+            folded = direct_product(*factors)
+            assert np.array_equal(folded.table, nested.table)
+            assert folded.labels == nested.labels
+        with pytest.raises(TypeError):
+            direct_product()
+
     def test_center_multiplies(self, small_corpus):
         a = families.dihedral(4)
         for label, b in small_corpus:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from noncent import catalog, families
-from noncent.core import is_isomorphic
+from noncent.core import direct_product, from_table, is_isomorphic
 
 _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "gen_catalogs.py"
@@ -85,6 +85,67 @@ def slow_build_extension(tq, f):
     tq2 = np.kron(tq, np.ones((2, 2), dtype=np.int64))
     return 2 * tq2 + (np.tile(np.array([[0, 1], [1, 0]]), (n, n))
                       ^ np.kron(fmat, np.ones((2, 2), dtype=np.int64)))
+
+
+def parent_reduce_vec(v, pivots):
+    """Fully reduce v against RREF pivot rows (one downward bit scan)."""
+    b = v.bit_length() - 1
+    while b >= 0:
+        if (v >> b) & 1 and b in pivots:
+            v ^= pivots[b]
+        b -= 1
+    return v
+
+
+def parent_cocycle_reps(tq):
+    """Representatives of H^2(Q, C2) as normalized cocycle bitmasks, with the
+    equations built in a triple loop over Q^3 (run it with gen.reduce_vec
+    replaced by parent_reduce_vec)."""
+    n = tq.shape[0]
+    if n == 1:
+        return [0]
+    m = n - 1
+
+    def vid(a, b):
+        return (a - 1) * m + (b - 1)
+
+    eqs = []
+    for a in range(1, n):
+        for b in range(1, n):
+            ab = int(tq[a, b])
+            base = 1 << vid(a, b)
+            for c in range(1, n):
+                bc = int(tq[b, c])
+                mask = base ^ (1 << vid(b, c))
+                if ab != 0:
+                    mask ^= 1 << vid(ab, c)
+                if bc != 0:
+                    mask ^= 1 << vid(a, bc)
+                if mask:
+                    eqs.append(mask)
+    z_basis = gen.nullspace(eqs, m * m)
+
+    b_vecs = []
+    for q0 in range(1, n):
+        mask = 0
+        for a in range(1, n):
+            for b in range(1, n):
+                if ((a == q0) ^ (b == q0) ^ (int(tq[a, b]) == q0)):
+                    mask |= 1 << vid(a, b)
+        b_vecs.append(mask)
+    b_pivots = gen.rref(b_vecs)
+
+    quot = []
+    acc = dict(b_pivots)
+    for v in z_basis:
+        r = gen.rref_insert(acc, v)
+        if r:
+            quot.append(r)
+
+    reps = [0]
+    for qv in quot:
+        reps = reps + [r ^ qv for r in reps]
+    return reps
 
 
 def slow_gl_matrices(k):
@@ -168,6 +229,63 @@ def test_build_extension_matches_bitwise_cocycle_read():
             assert np.array_equal(gen.build_extension(tq, f), slow_build_extension(tq, f)), (q.order, f)
 
 
+def _relabeled(tq, rng):
+    """tq under a random relabeling that keeps the identity at 0."""
+    perm = np.concatenate([[0], 1 + rng.permutation(len(tq) - 1)])
+    out = np.empty_like(tq)
+    out[np.ix_(perm, perm)] = perm[tq]
+    return out
+
+
+@pytest.fixture(scope="module")
+def quotients():
+    """The 23 quotient tables the tool extends (trivial, C2, C4, C2^2 and the
+    classes of order 8 and 16 as it enumerates them), then a seeded relabeled
+    copy of each order-8 class."""
+    c2 = families.cyclic(2)
+    groups = [families.cyclic(1), c2, families.cyclic(4), direct_product(c2, c2)]
+    order8 = gen.classify_order(groups[2:])
+    tables = [np.asarray(g.table, dtype=np.int64) for g in groups + order8
+              + gen.classify_order(order8)]
+    rng = np.random.default_rng(24)
+    return tables, [_relabeled(tq, rng) for tq in tables[4:9]]
+
+
+def test_reduce_vec_matches_parent_bit_scan():
+    rng = random.Random(24)
+    for _ in range(200):
+        pivots = gen.rref([rng.getrandbits(60) for _ in range(rng.randrange(1, 40))])
+        v = rng.getrandbits(64)
+        assert gen.reduce_vec(v, pivots) == parent_reduce_vec(v, pivots)
+
+
+def test_cocycle_reps_list_equal_to_parent(quotients, monkeypatch):
+    # enumeration order decides which extension represents each class
+    tables, relabeled = quotients
+    assert [len(tq) for tq in tables] == [1, 2, 4, 4] + [8] * 5 + [16] * 14
+    new = [gen.cocycle_reps(tq) for tq in tables + relabeled]
+    monkeypatch.setattr(gen, "reduce_vec", parent_reduce_vec)
+    old = [parent_cocycle_reps(tq) for tq in tables + relabeled]
+    for i, (a, b) in enumerate(zip(new, old)):
+        assert a == b, i
+
+
+def test_cocycle_class_counts_are_second_cohomology_orders():
+    # |H^2(Q; F2)| for Q = 1, C2, C4, C2^2, C8, C4xC2, D8, Q8, C2^3
+    c2, c4 = families.cyclic(2), families.cyclic(4)
+    groups = [families.cyclic(1), c2, c4, direct_product(c2, c2), families.cyclic(8),
+              direct_product(c4, c2), families.dihedral(4),
+              families.generalized_quaternion(8), families.elementary_abelian(2, 3)]
+    counts = []
+    for q in groups:
+        tq = np.asarray(q.table, dtype=np.int64)
+        reps = gen.cocycle_reps(tq)
+        counts.append(len(reps))
+        for f in reps:  # from_table rejects a table that is not a group
+            assert from_table(gen.build_extension(tq, f)).order == 2 * q.order
+    assert counts == [1, 2, 2, 8, 2, 8, 8, 4, 64]
+
+
 def test_perm_entry_lists_generator_rows():
     g = families.dihedral(4)
     gens = gen.core.greedy_generators(g.table)
@@ -188,7 +306,7 @@ def test_checks_raise_instead_of_asserting():
 
 def test_orders_8_and_16_label_as_shipped():
     c2 = families.cyclic(2)
-    order8 = gen.classify_order([families.cyclic(4), gen.dp(c2, c2)])
+    order8 = gen.classify_order([families.cyclic(4), direct_product(c2, c2)])
     order16 = gen.classify_order(order8)
     refs8, refs16, _ = gen.build_references()
     for order, classes, refs in ((8, order8, refs8), (16, order16, refs16)):
@@ -202,7 +320,7 @@ def test_orders_8_and_16_label_as_shipped():
 
 def _order8():
     c2, c4 = families.cyclic(2), families.cyclic(4)
-    return [families.cyclic(8), gen.dp(c4, c2), families.dihedral(4),
+    return [families.cyclic(8), direct_product(c4, c2), families.dihedral(4),
             families.generalized_quaternion(8), families.elementary_abelian(2, 3)]
 
 
