@@ -548,7 +548,7 @@ def run_suite(groups: Iterable[tuple[str, FiniteGroup]],
     evaluation order.
     """
     groups = list(groups)
-    ids = list(CHECK_IDS) if check_ids is None else list(check_ids)
+    ids = list(CHECK_IDS) if check_ids is None else list(dict.fromkeys(check_ids))
     for cid in ids:
         if cid not in CHECK_IDS:
             raise KeyError(f"unknown check id: {cid!r}")

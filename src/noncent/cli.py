@@ -69,7 +69,7 @@ def _split_product(text: str) -> list[str]:
         else:
             cur.append(t)
     if not cur:
-        raise SourceError("empty group source")
+        raise SourceError("misplaced 'x' in group source" if out else "empty group source")
     out.append(" ".join(cur))
     return out
 

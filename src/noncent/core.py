@@ -35,6 +35,7 @@ __all__ = [
     "check_table_budget",
     "fingerprint",
     "is_isomorphic",
+    "generator_maps",
     "all_subgroups",
 ]
 
@@ -736,74 +737,72 @@ def fingerprint(g: FiniteGroup) -> tuple:
     )
 
 
-def _extend_map(a: FiniteGroup, b: FiniteGroup, fmap: dict, used: set,
-                gen: int, image: int) -> Optional[tuple[dict, set]]:
-    """Extend a partial isomorphism domain-closed under products, or fail."""
-    fmap = dict(fmap)
-    used = set(used)
-    if image in used:
-        return None
-    fmap[gen] = image
-    used.add(image)
-    frontier = [gen]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(fmap.keys()):
-                for p, q in (((int(a.table[x, y])), int(b.table[fmap[x], fmap[y]])),
-                             ((int(a.table[y, x])), int(b.table[fmap[y], fmap[x]]))):
-                    if p in fmap:
-                        if fmap[p] != q:
-                            return None
-                    else:
-                        if q in used:
-                            return None
-                        fmap[p] = q
-                        used.add(q)
-                        nxt.append(p)
-        frontier = nxt
-    return fmap, used
+def generator_maps(a: FiniteGroup, b: FiniteGroup, gens: Sequence[int],
+                   cands: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
+    """Each injective homomorphism f: a -> b with f(gens[i]) in cands[i], as
+    the images of a's elements, depth first in candidate order; gens must
+    generate a.
+
+    a's elements are listed once in closure order: those of <gens[:i+1]> come
+    first, in breadth-first layers, each an earlier element times one
+    generator.  Level i extends every candidate for gens[i] along those words
+    at once.  A row survives when f(x*s) = f(x)*f(s) for every listed x and
+    generator s so far, checked by one gather (a map built along words that
+    passes is a homomorphism), and only the identity maps to the identity.
+    """
+    pos = np.full(a.order, -1)
+    pos[0] = 0
+    elems, levels = np.zeros(1, dtype=np.intp), []
+    for i in range(len(gens)):
+        layers, frontier = [], np.arange(elems.size)  # (positions, factor positions, gen indices)
+        while frontier.size:
+            prod = a.table[elems[frontier][:, None], gens[:i + 1]].ravel()
+            fresh = np.flatnonzero(pos[prod] < 0)
+            new, k = np.unique(prod[fresh], return_index=True)
+            pos[new] = np.arange(elems.size, elems.size + new.size)
+            layers.append((pos[new], frontier[fresh[k] // (i + 1)], fresh[k] % (i + 1)))
+            frontier, elems = pos[new], np.append(elems, new)
+        levels.append((layers, elems.size))
+    right, bt = pos[a.table[elems[:, None], gens]], b.table  # right[x, j]: position of x*gens[j]
+
+    def extend(i: int, f: np.ndarray) -> Iterator[np.ndarray]:
+        if i == len(gens):
+            yield f[pos]
+            return
+        layers, stop = levels[i]
+        imgs = np.column_stack([np.tile(f[pos[gens[:i]]], (len(cands[i]), 1)), cands[i]])
+        rows = np.empty((len(imgs), stop), dtype=bt.dtype)
+        rows[:, :f.size] = f
+        for at, prev, step in layers:
+            rows[:, at] = bt[rows[:, prev], imgs[:, step]]
+        ok = (rows[:, right[:stop, :i + 1]] == bt[rows[:, :, None], imgs[:, None, :]]).all(axis=(1, 2))
+        for row in rows[ok & rows[:, 1:].all(axis=1)]:
+            yield from extend(i + 1, row)
+
+    yield from extend(0, np.zeros(1, dtype=bt.dtype))
 
 
 def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Decide isomorphism by invariants plus backtracking generator mapping.
-
-    Deterministic regardless of element ordering.  Orders above ISO_ORDER_CAP
-    raise TooLarge.
-    """
+    """Decide isomorphism by invariants, then by the first map generator_maps
+    finds from a's rarest-key greedy generators to elements of b with equal
+    element keys.  Deterministic regardless of element ordering.  Orders
+    above ISO_ORDER_CAP raise TooLarge."""
     if a.order != b.order:
         return False
     if a.order > ISO_ORDER_CAP:
         raise TooLarge(f"isomorphism testing capped at order {ISO_ORDER_CAP}")
     if fingerprint(a) != fingerprint(b):
         return False
-    if a.order == 1:
-        return True
     if a.is_abelian:
-        # equal order histograms classify finite abelian groups
+        # equal order histograms classify finite abelian groups (order 1 too)
         return True
 
-    rows_a, kind_a, count_a = np.unique(a.element_keys(), axis=0,
-                                        return_inverse=True, return_counts=True)
-    rows_b, kind_b, count_b = np.unique(b.element_keys(), axis=0,
-                                        return_inverse=True, return_counts=True)
+    (rows_a, kind_a, count_a), (rows_b, kind_b, count_b) = (
+        np.unique(g.element_keys(), axis=0, return_inverse=True, return_counts=True) for g in (a, b))
     if not (np.array_equal(rows_a, rows_b) and np.array_equal(count_a, count_b)):
         return False
     kind_a, kind_b = kind_a.ravel(), kind_b.ravel()
     # rarest key first, ties by index
     gens = greedy_generators(a.table, count_a[kind_a] * a.order + np.arange(a.order))
-
-    def search(i: int, fmap: dict, used: set) -> bool:
-        if i == len(gens):
-            return len(fmap) == a.order
-        gen = gens[i]
-        if gen in fmap:
-            return search(i + 1, fmap, used)
-        for cand in np.flatnonzero(kind_b == kind_a[gen]).tolist():
-            ext = _extend_map(a, b, fmap, used, gen, cand)
-            if ext is not None:
-                if search(i + 1, ext[0], ext[1]):
-                    return True
-        return False
-
-    return search(0, {0: 0}, {0})
+    cands = [np.flatnonzero(kind_b == kind_a[s]) for s in gens]
+    return next(generator_maps(a, b, gens, cands), None) is not None

@@ -228,7 +228,8 @@ class _CosetTable:
         self.p = [0]
         self.queue: list[int] = []
         self.relators = []
-        for w in relators:  # root: w's shortest rotation equal to w; k > 2 repeats w[0] 3 times
+        for w in sorted(relators, key=len):  # stable, shortest first: short ones collapse early
+            # root: w's shortest rotation equal to w; k > 2 repeats w[0] 3 times
             m = len(w)
             if w and w.count(w[0]) > 2:
                 s = "".join(map(chr, w))

@@ -14,10 +14,10 @@ from noncent import analysis
 from noncent.catalog import label_sort_key
 from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _index, _na,
                             _quotient_exponent, _quotient_histogram, _result)
-from noncent.core import (FiniteGroup, NotAGroup, Subgroup, TooLarge, _check_associativity,
-                          _find_identity, _inverses, _greedy_sequence, _prime_factors,
-                          all_subgroups, check_table_budget, from_table, greedy_generators,
-                          is_prime, is_prime_power)
+from noncent.core import (ISO_ORDER_CAP, FiniteGroup, NotAGroup, Subgroup, TooLarge,
+                          _check_associativity, _find_identity, _inverses, _greedy_sequence,
+                          _prime_factors, all_subgroups, check_table_budget, fingerprint,
+                          from_table, greedy_generators, is_prime, is_prime_power)
 
 BRUTE_FACTOR_CAP = 64
 ORACLE_CAP = 256
@@ -597,3 +597,74 @@ def parent_adopt_table(table: np.ndarray, labels=None) -> FiniteGroup:
                 raise NotAGroup(f"{name} {int(np.argmin(ok))} is not a permutation of 0..{n - 1}")
         raise
     return FiniteGroup(group, labels)
+
+
+def _extend_map(a: FiniteGroup, b: FiniteGroup, fmap: dict, used: set,
+                gen: int, image: int) -> Optional[tuple[dict, set]]:
+    """Extend a partial isomorphism domain-closed under products, or fail."""
+    fmap = dict(fmap)
+    used = set(used)
+    if image in used:
+        return None
+    fmap[gen] = image
+    used.add(image)
+    frontier = [gen]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(fmap.keys()):
+                for p, q in (((int(a.table[x, y])), int(b.table[fmap[x], fmap[y]])),
+                             ((int(a.table[y, x])), int(b.table[fmap[y], fmap[x]]))):
+                    if p in fmap:
+                        if fmap[p] != q:
+                            return None
+                    else:
+                        if q in used:
+                            return None
+                        fmap[p] = q
+                        used.add(q)
+                        nxt.append(p)
+        frontier = nxt
+    return fmap, used
+
+
+def parent_is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """core.is_isomorphic before core.generator_maps: the same screens, then a
+    backtracking search that extends a partial map one generator image at a
+    time, closing its domain under products element by element (_extend_map)."""
+    if a.order != b.order:
+        return False
+    if a.order > ISO_ORDER_CAP:
+        raise TooLarge(f"isomorphism testing capped at order {ISO_ORDER_CAP}")
+    if fingerprint(a) != fingerprint(b):
+        return False
+    if a.order == 1:
+        return True
+    if a.is_abelian:
+        # equal order histograms classify finite abelian groups
+        return True
+
+    rows_a, kind_a, count_a = np.unique(a.element_keys(), axis=0,
+                                        return_inverse=True, return_counts=True)
+    rows_b, kind_b, count_b = np.unique(b.element_keys(), axis=0,
+                                        return_inverse=True, return_counts=True)
+    if not (np.array_equal(rows_a, rows_b) and np.array_equal(count_a, count_b)):
+        return False
+    kind_a, kind_b = kind_a.ravel(), kind_b.ravel()
+    # rarest key first, ties by index
+    gens = greedy_generators(a.table, count_a[kind_a] * a.order + np.arange(a.order))
+
+    def search(i: int, fmap: dict, used: set) -> bool:
+        if i == len(gens):
+            return len(fmap) == a.order
+        gen = gens[i]
+        if gen in fmap:
+            return search(i + 1, fmap, used)
+        for cand in np.flatnonzero(kind_b == kind_a[gen]).tolist():
+            ext = _extend_map(a, b, fmap, used, gen, cand)
+            if ext is not None:
+                if search(i + 1, ext[0], ext[1]):
+                    return True
+        return False
+
+    return search(0, {0: 0}, {0})

@@ -177,6 +177,16 @@ class TestRunSuite:
                         ("D8", "be0"), ("D8", "lg"),
                         ("Q8", "be0"), ("Q8", "lg")]
 
+    def test_repeated_ids_run_once_in_first_order(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(CHECK_IDS, "lg", lambda g, label: ran.append("lg") or
+                            CheckResult("lg", label, False, False))
+        monkeypatch.setitem(CHECK_IDS, "be0", lambda g, label: ran.append("be0") or
+                            CheckResult("be0", label, False, False))
+        res = run_suite([("D8", families.dihedral(4))], ["lg", "be0", "lg", "be0"])
+        assert ran == ["lg", "be0"]
+        assert [r.check_id for r in res] == ["be0", "lg"]
+
     def test_unknown_check_rejected(self):
         with pytest.raises(KeyError):
             run_suite([("D8", families.dihedral(4))], ["be0", "bogus"])

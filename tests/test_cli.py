@@ -61,6 +61,12 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "no-such-family:4")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv", [("x", "dihedral:4"), ("dihedral:4", "x"),
+                                      ("dihedral:4", "x", "x", "cyclic:2")])
+    def test_misplaced_product_sign(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert (code, out, err) == (2, "", "error: misplaced 'x' in group source\n")
+
     def test_over_table_budget(self, capsys):
         # elem:2:13 passes the family order cap but needs a 512 MiB table
         code, out, err = run_cli(capsys, "analyze", "elem:2:13")
@@ -133,6 +139,14 @@ class TestVerify:
                                "--checks", "creg,be0")
         assert code == 0
         assert "0 failures" in out
+
+    def test_repeated_check_ids_run_once(self, capsys):
+        path = catalog.shipped_path("order8.cat")
+        _, once, _ = run_cli(capsys, "verify", "--catalog", path, "--checks", "be0")
+        for argv in (["--checks", "be0", "--checks", "be0"], ["--checks", "be0,be0"]):
+            code, out, _ = run_cli(capsys, "verify", "--catalog", path, *argv)
+            assert code == 0 and out == once
+        assert "-- 5 results," in once
 
     @pytest.mark.parametrize("check_id, code, summary", [
         ("lg", 1, "1 failures"), ("tconj", 0, "0 failures")])

@@ -2,6 +2,7 @@
 they replaced, which are kept here as test-only oracles."""
 
 import copy
+import itertools
 import random
 import re
 from collections import Counter
@@ -13,8 +14,9 @@ from noncent import analysis, catalog, checks, cli, core, families, graph, prese
 from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
-from oracles import (abelian_embeds, edges, frattini_by_maximal_subgroups, is_elementary_p,
-                     parent_scan_relators, power, product_map_is_isomorphism)
+from oracles import (_extend_map, abelian_embeds, edges, frattini_by_maximal_subgroups,
+                     is_elementary_p, parent_is_isomorphic, parent_scan_relators, power,
+                     product_map_is_isomorphism)
 from test_acceptance import TABLE1_ROWS, _family_instances, _with_cyclic_products
 from test_presentation import FAMILY_PRESENTATIONS
 
@@ -728,7 +730,7 @@ def slow_is_isomorphic(a, b):
         if gens[i] in fmap:
             return search(i + 1, fmap, used)
         for cand in buckets.get(fps_a[gens[i]], ()):
-            ext = core._extend_map(a, b, fmap, used, gens[i], cand)
+            ext = _extend_map(a, b, fmap, used, gens[i], cand)
             if ext is not None and search(i + 1, *ext):
                 return True
         return False
@@ -2035,6 +2037,56 @@ class TestFingerprints:
         assert verdicts == [slow_is_isomorphic(a, b) for a, b in pairs]
         assert verdicts == [True] * len(copies) + [False] * len(distinct)
         assert len(distinct) == 2366
+
+
+# non-isomorphic catalog pairs whose fingerprints and element-key multisets
+# agree, so only the generator search tells them apart
+SCREEN_PASSING_PAIRS = [("[64,78]", "[64,79]"), ("[64,86]", "M16xC4"), ("[64,232]", "[64,233]")]
+
+
+def is_bijective_homomorphism(f, a, b):
+    """f, the images of a's elements in b, is one-to-one and f(xy) = f(x)f(y)
+    over a's whole table."""
+    return (np.sort(f) == np.arange(b.order)).all() and (f[a.table] == b.table[np.ix_(f, f)]).all()
+
+
+class TestGeneratorMaps:
+    """core.generator_maps, the one search behind is_isomorphic and the
+    catalog tool's automorphisms, against the parent's per-element search
+    (oracles.parent_is_isomorphic) and the definition of a homomorphism."""
+
+    def test_verdicts_match_parent_is_isomorphic(self, shipped_groups, iso_corpus):
+        group, copy_of = dict(shipped_groups), {label: h for label, _, h in iso_corpus}
+        for x, y in SCREEN_PASSING_PAIRS:
+            assert core.fingerprint(group[x]) == core.fingerprint(group[y]), (x, y)
+        copies = [(g, h) for _, g, h in iso_corpus]
+        distinct = [(a, b) for i, (_, a) in enumerate(shipped_groups)
+                    for _, b in shipped_groups[i + 1:] if a.order == b.order]
+        screened = [(copy_of[x], group[y]) for x, y in SCREEN_PASSING_PAIRS]
+        pairs = copies + distinct + screened
+        verdicts = [core.is_isomorphic(a, b) for a, b in pairs]
+        assert verdicts == [parent_is_isomorphic(a, b) for a, b in pairs]
+        assert verdicts == [True] * len(copies) + [False] * (len(distinct) + len(screened))
+
+    def test_maps_are_bijective_homomorphisms(self, iso_corpus):
+        # is_isomorphic's generators and candidates: rarest element key first,
+        # each sent to the elements of h with its key
+        for label, g, h in iso_corpus:
+            kinds = np.unique(np.vstack([g.element_keys(), h.element_keys()]), axis=0,
+                              return_inverse=True)[1].ravel()
+            gens = core.greedy_generators(g.table, rarity_rank(g))
+            cands = [np.flatnonzero(kinds[g.order:] == kinds[s]) for s in gens]
+            maps = list(itertools.islice(core.generator_maps(g, h, gens, cands), 20))
+            assert maps, label
+            assert all(is_bijective_homomorphism(f, g, h) for f in maps), label
+
+    def test_injective_maps_in_candidate_order(self):
+        c2, c4 = families.cyclic(2), families.cyclic(4)
+        assert [f.tolist() for f in core.generator_maps(c2, c4, [1], [range(4)])] == [[0, 2]]
+        assert [f.tolist() for f in core.generator_maps(c4, c4, [1], [[3, 2, 1]])] == \
+            [[0, 3, 2, 1], [0, 1, 2, 3]]
+        trivial = families.cyclic(1)
+        assert [f.tolist() for f in core.generator_maps(trivial, c2, [], [])] == [[0]]
 
 
 def closure_per_generator_sequence(table, rank=None):

@@ -155,6 +155,62 @@ def slow_gl_matrices(k):
                      if len(gen.rref(list(m))) == k])
 
 
+def parent_gl_matrices(k: int) -> np.ndarray:
+    """All of GL(k, 2), one row of column images (bitmasks) per matrix: the
+    k-tuples of linearly independent nonzero columns, in lexicographic order.
+
+    Built column by column: each new column ranges, ascending, over the
+    nonzero vectors outside the span of the columns before it, so every
+    prefix extends in order and no tuple is row-reduced.  span[i] is the
+    membership mask of the span of row i's columns; adding v gives S | S ^ v.
+    """
+    vecs = np.arange(1, 1 << k)
+    gl = np.zeros((1, 0), dtype=np.int64)
+    span = np.arange(1 << k)[None, :] == 0
+    for _ in range(k):
+        rows, cols = np.nonzero(~span[:, vecs])  # row-major: prefixes, then columns ascending
+        v, span = vecs[cols], span[rows]
+        gl = np.column_stack([gl[rows], v])
+        span = span | np.take_along_axis(span, np.arange(1 << k) ^ v[:, None], axis=1)
+    gl.setflags(write=False)
+    return gl
+
+
+def parent_abelian_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
+    """Every automorphism of Z = prod C_{factors[i]}, one row per map, as a
+    permutation of element indices.
+
+    A candidate sends the i-th unit digit to an element of order factors[i]
+    and extends additively: digit column by digit column, each image is a
+    zadd gather of the images so far with the multiples of the new one.  The
+    bijective candidates are the automorphisms.
+    """
+    z = gen.abelian_data(factors)[0]
+    zadd = z.table
+    mult = np.zeros((z.order, max(factors)), dtype=np.int64)  # mult[x, e] = e*x
+    for e in range(1, max(factors)):
+        mult[:, e] = zadd[mult[:, e - 1], np.arange(z.order)]
+    maps = np.zeros((1, 1), dtype=np.int64)
+    for f in factors:
+        gens = mult[np.flatnonzero(z.element_orders() == f), :f]
+        maps = zadd[maps[:, None, :, None], gens[None, :, None, :]]
+        maps = maps.reshape(maps.shape[0] * maps.shape[1], -1)
+    auts = maps[(np.sort(maps, axis=1) == np.arange(z.order)).all(axis=1)]
+    auts.setflags(write=False)
+    return auts
+
+
+def all_automorphisms_of(auts, g):
+    """Each row of auts is a bijective homomorphism of g to itself over its
+    whole table (checked 1024 rows at a time), and no row repeats."""
+    table = g.table
+    for rows in np.array_split(auts, -(-len(auts) // 1024)):
+        if not ((np.sort(rows, axis=1) == np.arange(g.order)).all()
+                and (rows[:, table] == table[rows[:, :, None], rows[:, None, :]]).all()):
+            return False
+    return len(np.unique(auts, axis=0)) == len(auts)
+
+
 # --- tests -------------------------------------------------------------------
 
 ALL_Z_TYPES = [f for types in gen.Z_TYPES.values() for f in types]
@@ -176,14 +232,31 @@ def test_automorphism_counts():
                 (8,): 4, (4, 2): 8, (2, 2, 2): 168, (4,): 2, (2, 2): 6}
     assert set(ALL_Z_TYPES) <= set(expected)
     for factors, count in expected.items():
-        auts = gen.abelian_automorphisms(factors)
-        assert auts.shape == (count, int(np.prod(factors))), factors
-        assert len(np.unique(auts, axis=0)) == count, factors
-        assert (auts[:, 0] == 0).all(), factors
-        if count <= 200:  # each row is a bijective homomorphism
-            zadd = gen.abelian_data(factors)[0].table
-            assert (np.sort(auts, axis=1) == np.arange(len(zadd))).all(), factors
-            assert (auts[:, zadd] == zadd[auts[:, :, None], auts[:, None, :]]).all(), factors
+        z = gen.abelian_data(factors)[0]
+        auts = gen.automorphisms(z)
+        assert auts.shape == (count, z.order), factors
+        assert all_automorphisms_of(auts, z), factors
+
+
+def test_automorphisms_match_parent_enumerators():
+    for k in (2, 3, 4):
+        gl = gen.automorphisms(families.elementary_abelian(2, k))[:, 1 << np.arange(k)]
+        assert np.array_equal(gl, parent_gl_matrices(k)), k
+        assert np.array_equal(gen.gl_matrices(k), gl), k
+    for factors in ALL_Z_TYPES:
+        auts = gen.automorphisms(gen.abelian_data(factors)[0])
+        parent = parent_abelian_automorphisms(factors)
+        assert len(auts) == len(parent), factors
+        assert set(map(tuple, auts.tolist())) == set(map(tuple, parent.tolist())), factors
+
+
+def test_order8_automorphism_group_orders():
+    counts = []
+    for g in _order8():
+        auts = gen.automorphisms(g)
+        assert all_automorphisms_of(auts, g), g
+        counts.append(len(auts))
+    assert counts == [4, 8, 8, 24, 168]
 
 
 def test_gl_orders():

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from noncent import core, families
+from noncent import core, families, presentation
 from noncent.presentation import (CosetLimitExceeded, ParseError,
                                   UndeclaredGenerator, enumerate_presentation, parse)
 
@@ -151,6 +151,15 @@ class TestLongPowerRelators:
 
     def test_huge_power_collapses_to_trivial(self):
         # a^2 and a^1000001 leave a = 1; the cap is hit once before a^2 is read
+        g = enumerate_presentation(parse("< a | a^1000001, a^2 >"))
+        assert g.order == 1 and g.labels == ("e",)
+
+    def test_short_relator_scanned_first(self, monkeypatch):
+        # a^2 closes coset 0 before a^1000001 is walked, so the cap is never hit
+        def no_lookahead(ct):
+            raise AssertionError("lookahead entered")
+
+        monkeypatch.setattr(presentation, "_lookahead", no_lookahead)
         g = enumerate_presentation(parse("< a | a^1000001, a^2 >"))
         assert g.order == 1 and g.labels == ("e",)
 

@@ -37,6 +37,7 @@ MOVED = {
     graph.NonCentralizerGraph: ["edges"],
     core.FiniteGroup: ["frattini_by_maximal_subgroups"],
     checks: ["_product_map_is_isomorphism", "_abelian_embeds"],
+    core: ["_extend_map"],
 }
 
 DELETED = {
@@ -69,5 +70,5 @@ def test_moved_and_deleted_names_stay_out_of_src():
             assert not set(names) & set(getattr(owner, "__all__", ())), owner.__name__
     for name in ("brute_force_abelian_factor", "oracle_graph", "edges",
                  "frattini_by_maximal_subgroups", "product_map_is_isomorphism",
-                 "abelian_embeds"):
+                 "abelian_embeds", "_extend_map", "parent_is_isomorphic"):
         assert callable(getattr(oracles, name)), name

@@ -4,10 +4,12 @@ Regenerates the shipped .cat files from first principles:
 
 * every 2-group of order 8, 16, 32 is built by enumerating central extensions
   1 -> C2 -> G -> Q -> 1 over H^2(Q, C2) for each group Q of half the order,
-  then deduplicating up to isomorphism (counts must come out 5 / 14 / 51);
+  then deduplicating by `core.is_isomorphic` (counts must come out 5 / 14 / 51);
 * the order-64 catalog rows are built from class-2 data: an abelian center Z,
   an exact alternating commutator pairing c on G/Z = C2^k with values in the
-  2-torsion of Z, and a squaring map q determined by its basis values mod 2Z.
+  2-torsion of Z, and a squaring map q determined by its basis values mod 2Z,
+  one per orbit under GL(k, 2) x Aut(Z).  `automorphisms` lists both groups
+  with `core.generator_maps`, the generator-image search of is_isomorphic.
 
 Labels follow the standard small-group numbering, given by one routine,
 `assign_labels`.  Structurally forced identifications (abelian types,
@@ -240,51 +242,24 @@ def class2_table(zadd: np.ndarray, phi_c: np.ndarray, subset_q: np.ndarray) -> n
     return vx * nz + total
 
 
+def automorphisms(g: FiniteGroup) -> np.ndarray:
+    """Every automorphism of g, one row per map as a permutation of element
+    indices: core.generator_maps from g to itself, each greedy generator sent
+    to the elements of its own order, ascending."""
+    gens = core.greedy_generators(g.table)
+    orders = g.element_orders()
+    cands = [np.flatnonzero(orders == orders[s]) for s in gens]
+    return np.array(list(core.generator_maps(g, g, gens, cands)))
+
+
 @functools.cache
 def gl_matrices(k: int) -> np.ndarray:
-    """All of GL(k, 2), one row of column images (bitmasks) per matrix: the
-    k-tuples of linearly independent nonzero columns, in lexicographic order.
-
-    Built column by column: each new column ranges, ascending, over the
-    nonzero vectors outside the span of the columns before it, so every
-    prefix extends in order and no tuple is row-reduced.  span[i] is the
-    membership mask of the span of row i's columns; adding v gives S | S ^ v.
-    """
-    vecs = np.arange(1, 1 << k)
-    gl = np.zeros((1, 0), dtype=np.int64)
-    span = np.arange(1 << k)[None, :] == 0
-    for _ in range(k):
-        rows, cols = np.nonzero(~span[:, vecs])  # row-major: prefixes, then columns ascending
-        v, span = vecs[cols], span[rows]
-        gl = np.column_stack([gl[rows], v])
-        span = span | np.take_along_axis(span, np.arange(1 << k) ^ v[:, None], axis=1)
+    """GL(k, 2) in lexicographic order, one row of column images (bitmasks)
+    per matrix: the unit vectors' images under the automorphisms of the XOR
+    group of k-bit masks, whose greedy generators are 1, 2, ..., 2^(k-1)."""
+    gl = automorphisms(families.elementary_abelian(2, k))[:, 1 << np.arange(k)]
     gl.setflags(write=False)
     return gl
-
-
-@functools.cache
-def abelian_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
-    """Every automorphism of Z = prod C_{factors[i]}, one row per map, as a
-    permutation of element indices.
-
-    A candidate sends the i-th unit digit to an element of order factors[i]
-    and extends additively: digit column by digit column, each image is a
-    zadd gather of the images so far with the multiples of the new one.  The
-    bijective candidates are the automorphisms.
-    """
-    z = abelian_data(factors)[0]
-    zadd = z.table
-    mult = np.zeros((z.order, max(factors)), dtype=np.int64)  # mult[x, e] = e*x
-    for e in range(1, max(factors)):
-        mult[:, e] = zadd[mult[:, e - 1], np.arange(z.order)]
-    maps = np.zeros((1, 1), dtype=np.int64)
-    for f in factors:
-        gens = mult[np.flatnonzero(z.element_orders() == f), :f]
-        maps = zadd[maps[:, None, :, None], gens[None, :, None, :]]
-        maps = maps.reshape(maps.shape[0] * maps.shape[1], -1)
-    auts = maps[(np.sort(maps, axis=1) == np.arange(z.order)).all(axis=1)]
-    auts.setflags(write=False)
-    return auts
 
 
 def _gl_generators(k: int) -> list[list[int]]:
@@ -345,7 +320,7 @@ def class2_groups(factors: tuple[int, ...], k: int) -> list[tuple[FiniteGroup, d
     zadd = z.table
     js, is_ = np.array(_pairs(k)).T
     gl = gl_matrices(k)
-    auts = abelian_automorphisms(factors)
+    auts = automorphisms(z)
     q_reps = np.unique(rep_of).tolist()  # smallest member of each coset of 2Z
     # distinct value-side actions on the 2-torsion drive the form orbits
     val_gens = np.array(list({tuple(s[two_torsion].tolist()): s for s in auts}.values()))
