@@ -1,7 +1,7 @@
 """Finite-group centralizer structure, non-centralizer graphs, and the
 regularity verification toolkit."""
 
-from .core import (FiniteGroup, Subgroup, Coset, NotAGroup,
+from .core import (FiniteGroup, Subgroup, NotAGroup,
                    NotNormal, TooLarge, TRIVIAL, from_table,
                    from_permutations, direct_product, fingerprint,
                    is_isomorphic, all_subgroups)
@@ -16,6 +16,6 @@ from .analysis import (RegularityReport, AbelianGroup, NotMaximal,
 from .graph import NonCentralizerGraph, UnknownFormat, build_graph, export
 from .checks import CheckResult, CHECK_IDS, run_check, run_suite
 from .catalog import (CatalogEntry, FormatError, DuplicateLabel, OrderMismatch,
-                      load, load_many, dedup, table1_search)
+                      load, load_many, table1_search)
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
-"""Loading and screening of labeled group catalogs.
+"""Loading of labeled group catalogs and the Table 1 search over them.
 
-Catalog files are line oriented: '#' starts a comment, blank lines separate
-entries, and each entry carries name/kind/order headers followed by a
-kind-specific payload (table rows, permutation generators, or a presentation
-string).  Groups materialize lazily and are cached per entry.
+Catalog files are line-oriented UTF-8 text; a leading byte-order mark is
+skipped.  '#' starts a comment, blank lines separate entries, and each entry
+carries name/kind/order headers followed by a kind-specific payload (table
+rows, permutation generators, or a presentation string).  Groups materialize
+lazily and are cached per entry.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .core import (ISO_ORDER_CAP, FiniteGroup, TooLarge, check_table_budget, fingerprint,
-                   from_table, from_permutations, is_isomorphic)
+from .core import FiniteGroup, TooLarge, check_table_budget, from_table, from_permutations
 from .analysis import is_regular, is_reduced_regular
 from .presentation import enumerate_presentation, parse
 
@@ -27,7 +27,6 @@ __all__ = [
     "shipped_path",
     "load",
     "load_many",
-    "dedup",
     "table1_search",
     "label_sort_key",
 ]
@@ -96,7 +95,7 @@ class CatalogEntry:
 
 def load(path: str) -> list[CatalogEntry]:
     """Parse and validate one catalog file; groups stay lazy."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = fh.read()
     entries: list[CatalogEntry] = []
     seen: dict[str, CatalogEntry] = {}
@@ -205,29 +204,6 @@ def _parse_block(block: list[tuple[int, str]], path: str) -> CatalogEntry:
         raise FormatError(first_line, f"unknown kind {kind!r}")
     return CatalogEntry(label=label, kind=kind, order=order, payload=payload,
                         source=path, line=first_line)
-
-
-def dedup(entries: Sequence[CatalogEntry]) -> list[tuple[CatalogEntry, Optional[str]]]:
-    """Flag entries isomorphic to an earlier entry with the canonical label.
-
-    Returns (entry, None) for originals and (entry, first_label) for
-    duplicates.  Fingerprints bucket first; exact isomorphism decides.
-    """
-    for e in entries:
-        if e.order > ISO_ORDER_CAP:
-            raise TooLarge(f"{e.label}: dedup capped at order {ISO_ORDER_CAP}")
-    buckets: dict[tuple, list[CatalogEntry]] = {}
-    out: list[tuple[CatalogEntry, Optional[str]]] = []
-    for e in entries:
-        fp = fingerprint(e.group())
-        dup_of = None
-        for other in buckets.get(fp, ()):
-            if is_isomorphic(e.group(), other.group()):
-                dup_of = other.label
-                break
-        buckets.setdefault(fp, []).append(e)
-        out.append((e, dup_of))
-    return out
 
 
 def label_sort_key(label: str):

@@ -547,15 +547,13 @@ def run_suite(groups: Iterable[tuple[str, FiniteGroup]],
     Output is sorted by (group order, label, check id) regardless of input or
     evaluation order.
     """
-    groups = list(groups)
     ids = list(CHECK_IDS) if check_ids is None else list(dict.fromkeys(check_ids))
     for cid in ids:
         if cid not in CHECK_IDS:
             raise KeyError(f"unknown check id: {cid!r}")
-    order_of = {label: g.order for label, g in groups}
-    results = [CHECK_IDS[cid](g, label) for label, g in groups for cid in ids]
-    results.sort(key=lambda r: (order_of[r.group_label], r.group_label, r.check_id))
-    return results
+    runs = [(g.order, CHECK_IDS[cid](g, label)) for label, g in groups for cid in ids]
+    runs.sort(key=lambda run: (run[0], run[1].group_label, run[1].check_id))
+    return [r for _, r in runs]
 
 
 def failures(results: list[CheckResult]) -> list[CheckResult]:

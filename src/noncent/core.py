@@ -26,7 +26,6 @@ __all__ = [
     "TRIVIAL",
     "FiniteGroup",
     "Subgroup",
-    "Coset",
     "from_table",
     "from_permutations",
     "direct_product",
@@ -180,20 +179,10 @@ class Subgroup:
         numbered by their smallest member, so the identity coset is 0."""
         return np.unique(self.parent.table[:, self.mask].min(axis=1), return_inverse=True)[1]
 
-    def cosets(self) -> list["Coset"]:
-        """Left cosets x*H, ordered by smallest member (identity coset first)."""
-        return [Coset(representative=c[0], members=c) for c in _split_by_id(self.coset_index())]
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A coset of some subgroup, tagged with its smallest-index representative."""
-
-    representative: int
-    members: tuple[int, ...]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        """Members of each left coset x*H, ordered by smallest member
+        (identity coset first)."""
+        return _split_by_id(self.coset_index())
 
 
 class FiniteGroup:

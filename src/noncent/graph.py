@@ -38,10 +38,6 @@ class NonCentralizerGraph:
     parts: tuple[tuple[int, ...], ...]
     induced: bool
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(p) for p in self.parts)
-
     def vertices(self) -> list[int]:
         return sorted(v for p in self.parts for v in p)
 

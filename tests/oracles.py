@@ -50,7 +50,7 @@ def _find_complement(g: FiniteGroup, a_sub: Subgroup) -> Optional[Subgroup]:
     target = g.order // a_sub.size
     quo = g.quotient(a_sub)
     cosets = a_sub.cosets()
-    lift_choices = [cosets[q].members for q in greedy_generators(quo.table)]
+    lift_choices = [cosets[q] for q in greedy_generators(quo.table)]
     a_set = frozenset(a_sub.members)
 
     def rec(i: int, picked: list[int]) -> Optional[Subgroup]:
@@ -102,7 +102,7 @@ def edges(graph):
 
 def degree_sequence(graph) -> list[int]:
     """Sorted degree multiset of a NonCentralizerGraph, from part sizes alone."""
-    n = graph.vertex_count
+    n = sum(len(p) for p in graph.parts)
     return sorted(n - len(p) for p in graph.parts for _ in p)
 
 

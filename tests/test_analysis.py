@@ -45,7 +45,7 @@ class TestBetaPartition:
     def test_classes_are_unions_of_center_cosets(self, small_corpus):
         for label, g in small_corpus:
             z = g.center()
-            cosets = {c.members for c in z.cosets()}
+            cosets = set(z.cosets())
             for members in beta_partition(g):
                 mset = set(members)
                 covering = [c for c in cosets if set(c) <= mset]

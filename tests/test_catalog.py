@@ -4,7 +4,7 @@ import pytest
 
 from noncent import catalog, core, families
 from noncent.catalog import (DuplicateLabel, FormatError, OrderMismatch,
-                             dedup, label_sort_key, load, table1_search)
+                             label_sort_key, load, table1_search)
 from noncent.core import fingerprint
 
 
@@ -210,6 +210,18 @@ class TestLoad:
             load(path)
         assert str(exc.value) == "line 4: unrecognized line: 'zero'"
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        text = "name: C2\nkind: table\norder: 2\n0 1\n1 0\n"
+        path = write(tmp_path, "\ufeff" + text)
+        entries = load(path)
+        assert [e.label for e in entries] == ["C2"]
+        assert entries[0].group().order == 2
+        # only a leading one: a byte-order mark further in is not part of a header
+        path = write(tmp_path, text + "\n\ufeff" + text)
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value) == "line 7: unrecognized line: '\\ufeffname: C2'"
+
 
 class TestFingerprint:
     def test_d8_vs_q8(self):
@@ -224,44 +236,6 @@ class TestFingerprint:
     def test_c4_vs_klein(self):
         assert fingerprint(families.cyclic(4)) != \
             fingerprint(families.elementary_abelian(2, 2))
-
-
-class TestDedup:
-    def test_duplicate_flagged(self, tmp_path):
-        path = write(tmp_path, """\
-            name: D8-a
-            kind: presentation
-            order: 8
-            pres: < a,b | a^4, b^2, b*a*b = a^-1 >
-
-            name: D8-b
-            kind: perm
-            order: 8
-            degree: 4
-            gen: 1 2 3 0
-            gen: 2 1 0 3
-        """)
-        flagged = dedup(load(path))
-        assert flagged[0][1] is None
-        assert flagged[1][1] == "D8-a"
-
-    def test_order_cap_checked_before_materializing(self):
-        big = catalog.CatalogEntry(label="C1024", kind="presentation", order=1024,
-                                   payload="< a | a^1024 >", source="memory", line=0)
-        with pytest.raises(core.TooLarge):
-            dedup([big])
-        assert big._group is None
-
-    def test_order16_no_duplicates(self, order16_entries):
-        assert all(dup is None for _, dup in dedup(order16_entries))
-
-    def test_family_instance_matches_catalog(self, tmp_path, order8_entries):
-        extra = catalog.CatalogEntry(
-            label="dihedral4", kind="table", order=8,
-            payload=[[int(x) for x in row] for row in families.dihedral(4).table],
-            source="memory", line=0)
-        flagged = dedup(list(order8_entries) + [extra])
-        assert flagged[-1][1] == "[8,3]"
 
 
 class TestShippedCatalogs:
@@ -280,14 +254,6 @@ class TestShippedCatalogs:
                         order64_entries):
             for e in entries:
                 assert e.group().order == e.order
-
-    def test_order8_pairwise_distinct(self, order8_entries):
-        assert all(dup is None for _, dup in dedup(order8_entries))
-
-    def test_order32_and_64_pairwise_distinct(self, order32_entries,
-                                              order64_entries):
-        assert all(dup is None for _, dup in dedup(order32_entries))
-        assert all(dup is None for _, dup in dedup(order64_entries))
 
     def test_table1_order8(self, order8_entries):
         assert table1_search(order8_entries) == [(6, ["[8,3]", "[8,4]"])]

@@ -187,6 +187,15 @@ class TestRunSuite:
         assert ran == ["lg", "be0"]
         assert [r.check_id for r in res] == ["be0", "lg"]
 
+    def test_shared_label_sorts_each_result_by_its_own_group_order(self, monkeypatch):
+        for cid in ("be0", "bound"):
+            monkeypatch.setitem(CHECK_IDS, cid, lambda g, label, cid=cid:
+                                CheckResult(cid, label, True, True, reason=f"order {g.order}"))
+        res = run_suite([("G", families.dihedral(4)), ("G", families.cyclic(3))],
+                        ["be0", "bound"])
+        assert [(r.reason, r.check_id) for r in res] == [
+            ("order 3", "be0"), ("order 3", "bound"), ("order 8", "be0"), ("order 8", "bound")]
+
     def test_unknown_check_rejected(self):
         with pytest.raises(KeyError):
             run_suite([("D8", families.dihedral(4))], ["be0", "bogus"])

@@ -57,6 +57,13 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "--kv", f"{path}#[8,4]")
         assert code == 0 and "label=[8,4]" in out
 
+    def test_catalog_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.cat"
+        path.write_text("\ufeffname: C2\nkind: table\norder: 2\n0 1\n1 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--kv", str(path))
+        assert (code, err) == (0, "")
+        assert "label=C2" in out and "order=2" in out
+
     def test_unresolvable_source(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "no-such-family:4")
         assert code == 2 and "error" in err

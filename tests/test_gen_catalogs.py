@@ -1,6 +1,7 @@
 """The array helpers of tools/gen_catalogs.py cross-checked against the
 per-element loops they replaced, which are kept here as test-only oracles,
-and its labeling routine checked against the shipped catalogs and its rules."""
+its labeling routine checked against the shipped catalogs and its rules, and
+its class store shown to accept every shipped catalog entry."""
 
 import ast
 import importlib.util
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from noncent import catalog, families
-from noncent.core import direct_product, from_table, is_isomorphic
+from noncent.core import direct_product, from_permutations, from_table, is_isomorphic
 
 _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "gen_catalogs.py"
@@ -436,3 +437,32 @@ def test_label_rules_raise(refs, blocks, message):
 def test_reference_matching_two_classes_raises():
     with pytest.raises(RuntimeError, match="a reference matches one class, not 2"):
         gen.assign_labels(_order8() + [families.cyclic(8)], 8, {"[8,1]": families.cyclic(8)})
+
+
+# --- the shipped catalogs hold one entry per isomorphism class ---------------
+
+def _refused_by_one_store(entries):
+    store = gen.Store()
+    return [e.label for e in entries if not store.add(e.group())]
+
+
+def test_order8_pairwise_distinct(order8_entries):
+    assert _refused_by_one_store(order8_entries) == []
+
+
+def test_order16_no_duplicates(order16_entries):
+    assert _refused_by_one_store(order16_entries) == []
+
+
+def test_order32_and_64_pairwise_distinct(order32_entries, order64_entries):
+    assert _refused_by_one_store(order32_entries) == []
+    assert _refused_by_one_store(order64_entries) == []
+
+
+def test_family_instance_matches_catalog(order8_entries):
+    d8 = next(e.group() for e in order8_entries if e.label == "[8,3]")
+    store = gen.Store()
+    assert store.add(d8)
+    assert not store.add(from_permutations(4, [[1, 2, 3, 0], [2, 1, 0, 3]]))
+    assert store.classes == [d8]
+    assert is_isomorphic(families.dihedral(4), d8)

@@ -79,7 +79,7 @@ class TestHandshake:
                 degs = degree_sequence(gr)
                 edge_count = len(list(edges(gr)))
                 assert sum(degs) == 2 * edge_count, label
-                n = gr.vertex_count
+                n = sum(len(p) for p in gr.parts)
                 assert edge_count == (n * n - sum(len(p) ** 2 for p in gr.parts)) // 2, label
 
     def test_regular_iff_analysis(self, small_corpus):

@@ -158,6 +158,12 @@ def build_extension(tq: np.ndarray, f: int) -> np.ndarray:
 # --- the class store: one group per isomorphism class --------------------------
 
 class Store:
+    """One group per isomorphism class.  add(g) buckets g by fingerprint and
+    confirms with is_isomorphic: it returns False for a group isomorphic to
+    one already stored, else stores g and returns True.  So the groups of a
+    Store are pairwise non-isomorphic, and a catalog whose every entry it
+    accepts has no two isomorphic entries."""
+
     def __init__(self):
         self.buckets: dict[tuple, list[FiniteGroup]] = {}
         self.classes: list[FiniteGroup] = []
