@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteGroup, Subgroup
+from .core import FiniteGroup, Subgroup, _cached
 
 __all__ = [
     "AbelianGroup", "NotMaximal", "NotASubgroup", "RegularityReport",
@@ -45,6 +45,7 @@ def beta_partition(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return g.beta_classes()
 
 
+@_cached
 def is_regular(g: FiniteGroup) -> Optional[int]:
     """Degree of the non-centralizer graph when it is regular, else None.
 
@@ -58,6 +59,7 @@ def is_regular(g: FiniteGroup) -> Optional[int]:
     return g.order - sizes[0]
 
 
+@_cached
 def is_induced_regular(g: FiniteGroup) -> Optional[int]:
     """Degree of the induced graph (non-central vertices) when regular.
 

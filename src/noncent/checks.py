@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import FiniteGroup, _prime_factors, is_prime, is_prime_power
+from .core import FiniteGroup, _cached, _prime_factors, is_prime, is_prime_power
 from . import analysis
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
@@ -57,6 +57,7 @@ def _index(g: FiniteGroup) -> int:
     return g.order // int(g.beta_class_sizes()[0])
 
 
+@_cached
 def _centralizer_rows(g: FiniteGroup) -> np.ndarray:
     """The mask of C(x) for one member x of each beta class, indexed by class
     id: a commuting-matrix row."""
@@ -68,6 +69,7 @@ def _centralizer_indices(g: FiniteGroup) -> list[int]:
     return sorted(set((g.order // _centralizer_rows(g)[1:].sum(axis=1)).tolist()))
 
 
+@_cached
 def _quotient_exponent(g: FiniteGroup) -> Optional[int]:
     """The prime p when every non-central element has coset order p, that is
     when G/Z(G) is an elementary p-group; None otherwise."""
@@ -83,6 +85,7 @@ def _quotient_histogram(orders: np.ndarray, size: int) -> tuple[tuple[int, int],
     return tuple((int(v), int(c // size)) for v, c in zip(vals, counts))
 
 
+@_cached
 def _center_histogram(g: FiniteGroup) -> tuple[tuple[int, int], ...]:
     """order_histogram of G/Z(G)."""
     return _quotient_histogram(g.center_coset_orders(), g.beta_class_sizes()[0])
@@ -308,6 +311,7 @@ def check_bound(g, label="G") -> CheckResult:
                    details={"degree": n, "order": order})
 
 
+@_cached
 def _p_part_decomposition(g: FiniteGroup, p: int):
     """Split G as (p-elements) x (central p'-part): (|H|, |A|), or None with
     a witness when the p-elements fail to form a subgroup of the right order.

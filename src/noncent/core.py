@@ -100,17 +100,20 @@ def is_prime_power(n: int) -> Optional[tuple[int, int]]:
 
 
 def _cached(fn):
-    """Compute fn(g) once per group and keep it in g._cache under fn's name;
-    an ndarray is made read-only before it is kept."""
-    key = fn.__name__
+    """Compute fn(g, *args) once per group and keep it in g._cache, keyed by
+    fn's name, or by (name, *args) when hashable args are given: a name must
+    be unique across every _cached function.  An ndarray, alone or in a
+    returned tuple, is made read-only before it is kept."""
+    name = fn.__name__
 
     @wraps(fn)
-    def cached(g):
-        cache = g._cache
+    def cached(g, *args):
+        cache, key = g._cache, (name, *args) if args else name
         if key not in cache:
-            value = fn(g)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            value = fn(g, *args)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
             cache[key] = value
         return cache[key]
     return cached
@@ -125,8 +128,8 @@ def _blocks(n: int) -> Iterator[slice]:
 
 def _split_by_id(ids: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """The elements with each id 0..m-1, ascending, indexed by id."""
-    members = np.argsort(ids, kind="stable")
-    return tuple(tuple(c.tolist()) for c in np.split(members, np.cumsum(np.bincount(ids))[:-1]))
+    members, ends = np.argsort(ids, kind="stable").tolist(), np.cumsum(np.bincount(ids)).tolist()
+    return tuple(tuple(members[i:j]) for i, j in zip([0] + ends, ends))
 
 
 @dataclass(frozen=True)
@@ -199,10 +202,11 @@ class FiniteGroup:
     Derived structure is computed once and kept in the group's one cache
     (inverses, commuting matrix, beta classes, their beta_class_sizes() and
     the maximal ones, element orders and the orders of the center cosets,
-    conjugacy classes, element keys, fingerprint).  The cache holds read-only
-    arrays, tuples and bools, never a group, so nothing in it refers back to
-    this one: dropping the last reference to a group frees its table at once
-    instead of leaving a reference cycle for the collector.
+    conjugacy classes, element keys and their classes, fingerprint, the
+    regularity degrees and the theorem suite's per-group quantities).  It
+    holds read-only arrays, tuples, ints, bools and None, never a group, so
+    nothing in it refers back to this one: dropping the last reference to a
+    group frees its table at once instead of leaving a reference cycle.
     """
 
     __slots__ = ("order", "table", "labels", "_cache")
@@ -256,8 +260,8 @@ class FiniteGroup:
         inclusion among proper centralizers, ascending; empty when abelian.
         Decided from the commuting-matrix rows of one member per class."""
         reps = [c[0] for c in self.beta_classes()[1:]]
-        rows = self.commuting_matrix()[reps].astype(np.int64)
-        common = rows @ rows.T  # |C_i & C_j|
+        rows = self.commuting_matrix()[reps].astype(np.float32)
+        common = rows @ rows.T  # |C_i & C_j| <= n <= 5792 < 2^24 (table budget): exact
         size = np.diag(common)
         inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
         maximal = np.flatnonzero(~inside_larger.any(axis=1)) + 1  # class ids
@@ -771,6 +775,13 @@ def generator_maps(a: FiniteGroup, b: FiniteGroup, gens: Sequence[int],
     yield from extend(0, np.zeros(1, dtype=bt.dtype))
 
 
+@_cached
+def _key_classes(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct element-key rows, each element's row number, each row's count."""
+    rows, kind, count = np.unique(g.element_keys(), axis=0, return_inverse=True, return_counts=True)
+    return rows, kind.ravel(), count
+
+
 def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Decide isomorphism by invariants, then by the first map generator_maps
     finds from a's rarest-key greedy generators to elements of b with equal
@@ -786,11 +797,9 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         # equal order histograms classify finite abelian groups (order 1 too)
         return True
 
-    (rows_a, kind_a, count_a), (rows_b, kind_b, count_b) = (
-        np.unique(g.element_keys(), axis=0, return_inverse=True, return_counts=True) for g in (a, b))
+    (rows_a, kind_a, count_a), (rows_b, kind_b, count_b) = _key_classes(a), _key_classes(b)
     if not (np.array_equal(rows_a, rows_b) and np.array_equal(count_a, count_b)):
         return False
-    kind_a, kind_b = kind_a.ravel(), kind_b.ravel()
     # rarest key first, ties by index
     gens = greedy_generators(a.table, count_a[kind_a] * a.order + np.arange(a.order))
     cands = [np.flatnonzero(kind_b == kind_a[s]) for s in gens]

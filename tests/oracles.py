@@ -545,6 +545,17 @@ def parent_is_induced_regular(g: FiniteGroup) -> Optional[int]:
     return (g.order - len(classes[0])) - s
 
 
+def parent_maximal_class_ids(g: FiniteGroup) -> tuple[int, ...]:
+    """FiniteGroup.maximal_class_ids with its intersection counts formed in
+    int64, which numpy multiplies without BLAS."""
+    reps = [c[0] for c in g.beta_classes()[1:]]
+    rows = g.commuting_matrix()[reps].astype(np.int64)
+    common = rows @ rows.T  # |C_i & C_j|
+    size = np.diag(common)
+    inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
+    return tuple((np.flatnonzero(~inside_larger.any(axis=1)) + 1).tolist())
+
+
 def parent_is_reduced_regular(g: FiniteGroup) -> bool:
     """True iff a regular non-abelian 2-group admits no decomposition
     H x A with A a non-trivial abelian group; raises NotRegular2Group off

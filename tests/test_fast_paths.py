@@ -15,8 +15,8 @@ from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
 from oracles import (_extend_map, abelian_embeds, edges, frattini_by_maximal_subgroups,
-                     is_elementary_p, parent_is_isomorphic, parent_scan_relators, power,
-                     product_map_is_isomorphism)
+                     is_elementary_p, parent_is_isomorphic, parent_maximal_class_ids,
+                     parent_scan_relators, power, product_map_is_isomorphism)
 from test_acceptance import TABLE1_ROWS, _family_instances, _with_cyclic_products
 from test_presentation import FAMILY_PRESENTATIONS
 
@@ -1671,6 +1671,13 @@ class TestMaskSubgroups:
             expected = [cid for cid, c in cents
                         if not any(set(c.members) < set(d.members) for _, d in cents)]
             assert [cid for cid, _ in analysis.maximal_centralizers(g)] == expected, label
+
+    def test_float32_class_products_match_int64(self, shipped_groups):
+        # the float32 counts are exact below 2^24; D1200 has 301 beta classes
+        groups = [*shipped_groups, ("D1200", families.dihedral(600))]
+        for label, g in groups:
+            assert g.maximal_class_ids() == parent_maximal_class_ids(g), label
+        assert len(groups[-1][1].maximal_class_ids()) == 301
 
 
 # --- centralizer structure in the checks -------------------------------------------
