@@ -112,6 +112,7 @@ def _embeds_in_center(g: FiniteGroup, cents: np.ndarray) -> np.ndarray:
     return ok
 
 
+@_cached
 def _exceeds_beta_z(g: FiniteGroup) -> np.ndarray:
     """Per class id: whether C(x), which contains beta(x) u Z(G), exceeds it."""
     ids = g.beta_class_ids()

@@ -143,8 +143,12 @@ def cmd_verify(args) -> int:
 
 def cmd_graph(args) -> int:
     label, g = resolve_source(" ".join(args.source))
-    built = graph.build_graph(g, induced=args.induced)
-    sys.stdout.write(graph.export(built, args.format))
+    rows = graph.export_rows(graph.build_graph(g, induced=args.induced), args.format)
+    try:
+        sys.stdout.writelines(rows)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: end quietly, the exit flush going nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -8,9 +8,9 @@ on demand by the exporters.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from .core import FiniteGroup
 
@@ -19,6 +19,7 @@ __all__ = [
     "NonCentralizerGraph",
     "build_graph",
     "export",
+    "export_rows",
 ]
 
 
@@ -41,9 +42,6 @@ class NonCentralizerGraph:
     def vertices(self) -> list[int]:
         return sorted(v for p in self.parts for v in p)
 
-    def part_of(self) -> dict[int, int]:
-        return {v: i for i, p in enumerate(self.parts) for v in p}
-
 
 def build_graph(g: FiniteGroup, induced: bool = False) -> NonCentralizerGraph:
     """Materialize the (induced) non-centralizer graph of g."""
@@ -54,41 +52,42 @@ def build_graph(g: FiniteGroup, induced: bool = False) -> NonCentralizerGraph:
 
 def export(graph: NonCentralizerGraph, fmt: str) -> str:
     """Serialize deterministically as dot, edge-list, or parts-json."""
+    return "".join(export_rows(graph, fmt))
+
+
+def export_rows(graph: NonCentralizerGraph, fmt: str) -> Iterator[str]:
+    """export's text in rows of at most one vertex's edges; a bad fmt raises at the call."""
     if fmt == "dot":
         return _export_dot(graph)
     if fmt == "edge-list":
-        return _edge_text(graph, "", " ", "\n")
+        return _edge_rows(graph, "", " ", "\n")
     if fmt == "parts-json":
         payload = {"parts": [list(p) for p in graph.parts], "induced": graph.induced}
-        return json.dumps(payload, separators=(", ", ": ")) + "\n"
+        return iter([json.dumps(payload, separators=(", ", ": ")) + "\n"])
     raise UnknownFormat(f"unknown export format: {fmt!r}")
 
 
-def _edge_text(graph: NonCentralizerGraph, pre: str, mid: str, end: str) -> str:
-    """Every edge (u, v), u < v ascending, written as pre + u + mid + v + end.
-
-    Row by row: u's later neighbours are the later vertices in other parts,
-    picked by one mask, and the row is one str.join.
-    """
-    part_of = graph.part_of()
+def _edge_rows(graph: NonCentralizerGraph, pre: str, mid: str, end: str) -> Iterator[str]:
+    """Every edge (u, v), u < v ascending, as pre + u + mid + v + end, a row per u:
+    u's later neighbours are a suffix of one list per part, the vertices after the
+    part's first member that are not in it, kept from that member to its last."""
     verts = graph.vertices()
-    part = np.array([part_of[v] for v in verts], dtype=np.int64)
-    names = np.array([str(v) for v in verts], dtype=object)
-    rows = []
-    for i in range(names.size - 1):
-        vs = names[i + 1:][part[i + 1:] != part[i]]
-        if vs.size:
+    names, pos = [str(v) for v in verts], {v: i for i, v in enumerate(verts)}
+    parts, rest = [sorted(pos[v] for v in p) for p in graph.parts], {}
+    for i, j, at in sorted((i, j, at) for at in parts for j, i in enumerate(at)):
+        if j == 0:  # keyed by the part's first position
+            gaps = zip(at, [*at[1:], len(names)])
+            rest[i] = list(chain.from_iterable(names[a + 1:b] for a, b in gaps))
+        later = (rest.pop(at[0]) if j == len(at) - 1 else rest[at[0]])[i - at[0] - j:]
+        if later:
             head = f"{pre}{names[i]}{mid}"
-            rows.append(head + (end + head).join(vs.tolist()) + end)
-    return "".join(rows)
+            yield head + (end + head).join(later) + end
 
 
-def _export_dot(graph: NonCentralizerGraph) -> str:
-    lines = ["graph noncentralizer {"]
+def _export_dot(graph: NonCentralizerGraph) -> Iterator[str]:
+    yield "graph noncentralizer {\n"
     for i, p in enumerate(graph.parts):
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="part {i}";')
-        for v in p:
-            lines.append(f'    n{v} [label="{graph.labels[v]}"];')
-        lines.append("  }")
-    return "\n".join(lines) + "\n" + _edge_text(graph, "  n", " -- n", ";\n") + "}\n"
+        yield f'  subgraph cluster_{i} {{\n    label="part {i}";\n'
+        yield "".join(f'    n{v} [label="{graph.labels[v]}"];\n' for v in p) + "  }\n"
+    yield from _edge_rows(graph, "  n", " -- n", ";\n")
+    yield "}\n"

@@ -89,14 +89,19 @@ def oracle_graph(g: FiniteGroup, induced: bool = False) -> set[tuple[int, int]]:
     return edges
 
 
+def part_of(graph) -> dict[int, int]:
+    """The index of each vertex's part in a NonCentralizerGraph."""
+    return {v: i for i, p in enumerate(graph.parts) for v in p}
+
+
 def edges(graph):
     """Yield the edges (u, v) of a NonCentralizerGraph, u < v ascending,
     pair by pair: the reference for graph.export."""
-    part_of = graph.part_of()
+    part = part_of(graph)
     verts = graph.vertices()
     for i, u in enumerate(verts):
         for v in verts[i + 1:]:
-            if part_of[u] != part_of[v]:
+            if part[u] != part[v]:
                 yield (u, v)
 
 

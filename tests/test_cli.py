@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import noncent
-from noncent import catalog, checks
+from noncent import catalog, checks, families, graph
 from noncent.cli import main
 
 
@@ -259,6 +260,40 @@ class TestGraph:
         _, out2, _ = run_cli(capsys, "graph", "M:16", "--format", "dot")
         assert out1 == out2
 
+    def test_rows_are_written_as_they_are_made(self, monkeypatch):
+        class Recorder(io.StringIO):
+            def write(self, s):
+                writes.append(s)
+                return super().write(s)
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["graph", "dihedral:512"]) == 0
+        assert len(writes) > 1
+        for w in writes:  # one row: the edges of a single vertex
+            assert len({line.split()[0] for line in w.splitlines()}) == 1, w[:80]
+        expected = graph.export(graph.build_graph(families.dihedral(512)), "edge-list")
+        assert "".join(writes) == expected
+
+    def test_reader_closing_the_pipe_ends_quietly(self):
+        proc = subprocess.Popen([sys.executable, "-m", "noncent.cli", "graph", "dihedral:512"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env())
+        assert proc.stdout.readline() == b"0 1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_reader_gone_before_the_final_flush_ends_quietly(self):
+        # the whole output fits stdout's buffer: only the flush meets the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.run([sys.executable, "-m", "noncent.cli", "graph", "dihedral:4"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=child_env())
+        os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
 
 class TestEnvCap:
     def test_coset_cap_respected(self, capsys, monkeypatch, tmp_path):
@@ -270,13 +305,17 @@ class TestEnvCap:
         assert "coset" in err
 
 
-def test_console_script_end_to_end():
-    # the child imports the same noncent as this process, also when pytest
-    # put src/ on sys.path itself (pythonpath in pyproject.toml)
+def child_env():
+    """os.environ for a child that imports the same noncent as this process,
+    also when pytest put src/ on sys.path itself (pythonpath in pyproject.toml)."""
     src = str(Path(noncent.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_end_to_end():
     proc = subprocess.run([sys.executable, "-m", "noncent.cli", "analyze",
-                           "--kv", "dihedral:4"], capture_output=True, text=True, env=env)
+                           "--kv", "dihedral:4"], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0
     assert "regular_degree=6" in proc.stdout

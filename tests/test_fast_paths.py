@@ -2169,3 +2169,36 @@ class TestRowExport:
             out = graph.export(built, fmt)
             assert out == slow_export(built, fmt), name
             assert fmt == "dot" or out == "", name
+
+    def test_partitions_no_group_makes(self, fmt):
+        """The per-part suffix arithmetic on hand-made partitions: parts
+        whose members interleave, arrive unsorted, or skip vertex 0."""
+        rng = random.Random(28)
+        labels = tuple(f"x{i}" for i in range(64))
+
+        def make(parts):
+            return graph.NonCentralizerGraph(labels, tuple(map(tuple, parts)), False)
+
+        def split(verts, k):
+            parts = [[] for _ in range(k)]
+            for v in verts:
+                parts[rng.randrange(k)].append(v)
+            return [p for p in parts if p]
+
+        cases = {
+            "empty": make([]),
+            "one part": make([range(9)]),
+            "all singletons": make([[v] for v in range(9)]),
+            "one part holding all but one vertex": make([[0, 1, 2, 4, 5, 6, 7], [3]]),
+            "all but the last vertex": make([[8], range(8)]),
+            "interleaved members": make([[0, 3, 6], [1, 4, 7], [2, 5, 8]]),
+            "vertex 0 absent": make([[1, 4], [2, 3, 9], [7]]),
+        }
+        for trial in range(40):
+            verts = sorted(rng.sample(range(64), rng.randrange(1, 40)))
+            parts = split(verts, rng.randrange(1, 12))
+            for p in parts[::2]:
+                rng.shuffle(p)
+            cases[f"random {trial}"] = make(rng.sample(parts, len(parts)))
+        for name, built in cases.items():
+            assert graph.export(built, fmt) == slow_export(built, fmt), name

@@ -4,7 +4,7 @@ import pytest
 
 from noncent import analysis, core, families, graph
 from noncent.core import TooLarge, direct_product
-from noncent.graph import UnknownFormat, build_graph, export
+from noncent.graph import UnknownFormat, build_graph, export, export_rows
 from oracles import degree_sequence, edges, oracle_graph
 
 
@@ -116,6 +116,10 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(UnknownFormat):
             export(build_graph(families.cyclic(2)), "gml")
+
+    def test_unknown_format_raises_before_any_row(self):
+        with pytest.raises(UnknownFormat):
+            export_rows(build_graph(families.cyclic(2)), "gml")  # no next() taken
 
     def test_deterministic(self):
         a = export(build_graph(families.modular_M(16)), "dot")

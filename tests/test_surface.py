@@ -34,7 +34,7 @@ EXPORTED = {
 MOVED = {
     analysis: ["brute_force_abelian_factor", "_find_complement", "BRUTE_FACTOR_CAP"],
     graph: ["oracle_graph", "ORACLE_CAP"],
-    graph.NonCentralizerGraph: ["edges"],
+    graph.NonCentralizerGraph: ["edges", "part_of"],
     core.FiniteGroup: ["frattini_by_maximal_subgroups"],
     checks: ["_product_map_is_isomorphism", "_abelian_embeds"],
     core: ["_extend_map"],
@@ -71,5 +71,5 @@ def test_moved_and_deleted_names_stay_out_of_src():
             assert not set(names) & set(getattr(owner, "__all__", ())), owner.__name__
     for name in ("brute_force_abelian_factor", "oracle_graph", "edges",
                  "frattini_by_maximal_subgroups", "product_map_is_isomorphism",
-                 "abelian_embeds", "_extend_map", "parent_is_isomorphic"):
+                 "abelian_embeds", "_extend_map", "parent_is_isomorphic", "part_of"):
         assert callable(getattr(oracles, name)), name
