@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
-from itertools import islice
+from itertools import combinations, islice
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -200,28 +200,37 @@ class FiniteGroup:
     correct by construction.
 
     Derived structure is computed once and kept in the group's one cache
-    (inverses, commuting matrix, beta classes, their beta_class_sizes() and
+    (generators(), inverses, commuting matrix, beta classes, their sizes and
     the maximal ones, element orders and the orders of the center cosets,
     conjugacy classes, element keys and their classes, fingerprint, the
     regularity degrees and the theorem suite's per-group quantities).  It
     holds read-only arrays, tuples, ints, bools and None, never a group, so
     nothing in it refers back to this one: dropping the last reference to a
     group frees its table at once instead of leaving a reference cycle.
+    generators() is the set a constructor checked the table with, else the greedy
+    one; is_abelian compares it pairwise, so an abelian group's one beta class
+    needs no commuting matrix.  Commutators run over one member per center coset.
     """
 
     __slots__ = ("order", "table", "labels", "_cache")
 
-    def __init__(self, table: np.ndarray, labels: Sequence[str]):
+    def __init__(self, table: np.ndarray, labels: Sequence[str],
+                 generators: Optional[Iterable[int]] = None):
         n = table.shape[0]
         self.order = n
         t = np.ascontiguousarray(table, dtype=np.int32)
         t.setflags(write=False)
         self.table = t
         self.labels = tuple(labels)
-        self._cache = {}
+        self._cache = {} if generators is None else {"generators": tuple(generators)}
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
+
+    @_cached
+    def generators(self) -> tuple[int, ...]:
+        """The generating set given at construction, else greedy_generators."""
+        return tuple(greedy_generators(self.table))
 
     @_cached
     def inverses(self) -> np.ndarray:
@@ -241,7 +250,9 @@ class FiniteGroup:
     def beta_class_ids(self) -> np.ndarray:
         """Equal-centralizer (beta) class of every element: elements share a
         class exactly when their centralizers are equal.  Classes are numbered
-        by smallest member, so class 0 is the center."""
+        by smallest member, so class 0 is the center (all of an abelian group)."""
+        if self.is_abelian:
+            return np.zeros(self.order, dtype=np.intp)
         return row_classes(self.commuting_matrix())
 
     @_cached
@@ -270,7 +281,7 @@ class FiniteGroup:
     @property
     @_cached
     def is_abelian(self) -> bool:
-        return bool(self.commuting_matrix().all())
+        return all(self.table[a, b] == self.table[b, a] for a, b in combinations(self.generators(), 2))
 
     @_cached
     def element_orders(self) -> np.ndarray:
@@ -423,12 +434,13 @@ class FiniteGroup:
         return self.generated_subgroup(self._commutators())
 
     def _commutators(self) -> np.ndarray:
-        """Distinct commutators a^-1 b^-1 a b = (b*a)^-1 (a*b), ascending:
-        scattered into a mask _BLOCK rows a at a time."""
+        """Distinct commutators (b*a)^-1 (a*b), ascending, over the least members a, b
+        of the center cosets ([az, bz'] = [a, b] for central z, z'): _BLOCK a at a time."""
         t, inv = self.table, self.inverses()
+        reps = np.flatnonzero(t[self.beta_class_ids() == 0].min(axis=0) == np.arange(self.order))
         seen = np.zeros(self.order, dtype=bool)
-        for s in _blocks(self.order):
-            seen[t[inv[t[:, s].T], t[s]]] = True
+        for s in _blocks(reps.size):
+            seen[t[inv[t[reps[:, None], reps[s]].T], t[reps[s, None], reps]]] = True
         return np.flatnonzero(seen)
 
 
@@ -492,7 +504,7 @@ def _adopt_table(table: np.ndarray, labels: Optional[Sequence[str]]) -> FiniteGr
         # In a Latin square k that passed generate a subsquare of at least 2^k
         # elements, all n once 2^k > n/2: one more names a bad row or column.
         gens = _greedy_sequence(table)
-        _check_associativity(table, islice(gens, n.bit_length() - 1))
+        tested = _check_associativity(table, islice(gens, n.bit_length() - 1))
         if next(gens, None) is not None:
             raise NotAGroup(f"more than {n.bit_length() - 1} greedy generators")
         _inverses(table)
@@ -503,7 +515,7 @@ def _adopt_table(table: np.ndarray, labels: Optional[Sequence[str]]) -> FiniteGr
             if not ok.all():
                 raise NotAGroup(f"{name} {int(np.argmin(ok))} is not a permutation of 0..{n - 1}")
         raise
-    return FiniteGroup(table, labels)
+    return FiniteGroup(table, labels, tested)
 
 
 def greedy_generators(table: np.ndarray, rank: Optional[np.ndarray] = None) -> list[int]:
@@ -550,8 +562,8 @@ def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
         reached[frontier] = True
 
 
-def _check_associativity(table: np.ndarray, gens: Iterable[int]) -> None:
-    """Light's test: (x*y)*g = x*(y*g) for all x, y and each g in gens.
+def _check_associativity(table: np.ndarray, gens: Iterable[int]) -> list[int]:
+    """Light's test: (x*y)*g = x*(y*g) for all x, y and each g in gens; returns them.
 
     Exact when every element is a left-nested product of the gens in the
     table itself and index 0 is the identity: the g that pass are closed
@@ -560,6 +572,7 @@ def _check_associativity(table: np.ndarray, gens: Iterable[int]) -> None:
     x go _BLOCK at a time, so each side of a block is a gather into a small array
     that stays in cache, not an n x n temporary.
     """
+    tested = []
     for g in gens:
         col = table[:, g].copy()        # y*g for every y
         for s in _blocks(len(table)):
@@ -568,10 +581,12 @@ def _check_associativity(table: np.ndarray, gens: Iterable[int]) -> None:
             if bad.any():
                 x, y = np.argwhere(bad)[0]
                 raise NotAGroup(f"associativity fails at ({s.start + int(x)},{int(y)},{g})")
+        tested.append(g)
+    return tested
 
 
 def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
-                  width: int) -> tuple[np.ndarray, list, list[tuple[int, int]]]:
+                  width: int) -> tuple[np.ndarray, list, list[tuple[int, int]], list[int]]:
     """Cayley table of the group that letters 0..width-1 generate, from their
     right-regular action: step(node, x) is node times letter x.
 
@@ -582,7 +597,7 @@ def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
     column a[0] equals a, and Light's test passes on the a[0].  That is exact:
     each j is p * x in the table itself, row and column 0 are the identity,
     and each column is a product of permutations, so inverses exist.
-    Returns the table, the nodes and the tree.
+    Returns the table, the nodes, the tree and the generating letter elements.
     """
     nodes, index, tree = [start], {start: 0}, [(0, 0)]
     act: list[list[int]] = [[] for _ in range(width)]
@@ -618,8 +633,7 @@ def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
     for y in np.unique(elements).tolist():
         if not (table[y, gens] == 0).any():
             gens.append(y)
-    _check_associativity(table, gens)
-    return table, nodes, tree
+    return table, nodes, tree, _check_associativity(table, gens)
 
 
 def _inverses(table: np.ndarray) -> np.ndarray:
@@ -651,22 +665,23 @@ def from_permutations(degree: int, generators: Sequence[Sequence[int]]) -> Finit
     # generator is the identity, and itemgetter would return a scalar or
     # refuse no indices
     steps = [itemgetter(*g) if degree > 1 else tuple for g in gens]
-    table, elems, _ = _action_table(tuple(range(degree)), lambda cur, x: steps[x](cur),
-                                    len(steps))
+    table, elems, _, tested = _action_table(tuple(range(degree)), lambda cur, x: steps[x](cur),
+                                            len(steps))
     sep = "" if degree <= 10 else ","
-    return FiniteGroup(table, [sep.join(map(str, el)) + sep for el in elems])
+    return FiniteGroup(table, [sep.join(map(str, el)) + sep for el in elems], tested)
 
 
 def direct_product(a: FiniteGroup, *others: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, folded from the left over the factors
     (one factor is returned as is); each step is ordered a-major:
-    index = i_a * |B| + i_b."""
+    index = i_a * |B| + i_b, generated by (x, e) and (e, y) for x, y generators."""
     for b in others:
         na, nb = a.order, b.order
         check_table_budget(na * nb)
         table = a.table[:, None, :, None] * nb + b.table[None, :, None, :]
         table = table.reshape(na * nb, na * nb)
-        a = FiniteGroup(table, [f"({la},{lb})" for la in a.labels for lb in b.labels])
+        a = FiniteGroup(table, [f"({la},{lb})" for la in a.labels for lb in b.labels],
+                        [x * nb for x in a.generators()] + list(b.generators()))
     return a
 
 

@@ -388,9 +388,9 @@ def _table_to_group(ct: _CosetTable, pres: Presentation) -> FiniteGroup:
             raise CosetLimitExceeded(ct.max_cosets)
         return nxt
 
-    table, _, tree = _action_table(0, step, ct.width)
+    table, _, tree, tested = _action_table(0, step, ct.width)
     names = [g + inv for g in pres.generators for inv in ("", "^-1")]
     labels = ["e"]
     for p, x in tree[1:]:
         labels.append(f"{labels[p]}*{names[x]}" if p else names[x])
-    return FiniteGroup(table, labels)
+    return FiniteGroup(table, labels, tested)

@@ -15,7 +15,7 @@ from noncent.catalog import label_sort_key
 from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _index, _na,
                             _quotient_exponent, _quotient_histogram, _result)
 from noncent.core import (ISO_ORDER_CAP, FiniteGroup, NotAGroup, Subgroup, TooLarge,
-                          _check_associativity, _find_identity, _inverses, _greedy_sequence,
+                          _blocks, _check_associativity, _find_identity, _inverses, _greedy_sequence,
                           _prime_factors, all_subgroups, check_table_budget, fingerprint,
                           from_table, greedy_generators, is_prime, is_prime_power)
 
@@ -559,6 +559,21 @@ def parent_maximal_class_ids(g: FiniteGroup) -> tuple[int, ...]:
     size = np.diag(common)
     inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
     return tuple((np.flatnonzero(~inside_larger.any(axis=1)) + 1).tolist())
+
+
+def parent_commutators(g: FiniteGroup) -> np.ndarray:
+    """FiniteGroup._commutators over all n^2 pairs (a, b): the distinct
+    (b*a)^-1 (a*b), ascending, scattered into a mask _BLOCK rows a at a time."""
+    t, inv = g.table, g.inverses()
+    seen = np.zeros(g.order, dtype=bool)
+    for s in _blocks(g.order):
+        seen[t[inv[t[:, s].T], t[s]]] = True
+    return np.flatnonzero(seen)
+
+
+def parent_is_abelian(g: FiniteGroup) -> bool:
+    """FiniteGroup.is_abelian read off the whole commuting matrix."""
+    return bool(g.commuting_matrix().all())
 
 
 def parent_is_reduced_regular(g: FiniteGroup) -> bool:

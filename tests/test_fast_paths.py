@@ -15,8 +15,9 @@ from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
 from oracles import (_extend_map, abelian_embeds, edges, frattini_by_maximal_subgroups,
-                     is_elementary_p, parent_is_isomorphic, parent_maximal_class_ids,
-                     parent_scan_relators, power, product_map_is_isomorphism)
+                     is_elementary_p, parent_commutators, parent_is_abelian,
+                     parent_is_isomorphic, parent_maximal_class_ids, parent_scan_relators, power,
+                     product_map_is_isomorphism)
 from test_acceptance import TABLE1_ROWS, _family_instances, _with_cyclic_products
 from test_presentation import FAMILY_PRESENTATIONS
 
@@ -1282,8 +1283,9 @@ class TestEdgeCases:
 
 
 def action_table(rows):
-    """core._action_table over nodes 0..n-1 with step(i, x) = rows[i, x]."""
-    return core._action_table(0, lambda i, x: int(rows[i, x]), rows.shape[1])
+    """core._action_table over nodes 0..n-1 with step(i, x) = rows[i, x]:
+    its table, nodes and tree."""
+    return core._action_table(0, lambda i, x: int(rows[i, x]), rows.shape[1])[:3]
 
 
 class TestActionTables:
@@ -1678,6 +1680,164 @@ class TestMaskSubgroups:
         for label, g in groups:
             assert g.maximal_class_ids() == parent_maximal_class_ids(g), label
         assert len(groups[-1][1].maximal_class_ids()) == 301
+
+
+# --- structure modulo the center and recorded generators ---------------------------
+
+def right_closure(g, gens):
+    """Elements reached from the identity by right multiplication with gens,
+    one element and generator at a time."""
+    reached, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = int(g.table[x, s])
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
+def without_generators(g):
+    """g's table as a raw FiniteGroup, which records no generating set."""
+    return core.FiniteGroup(g.table, g.labels)
+
+
+class TestCenterCosetCommutators:
+    """_commutators over one representative per center coset, is_abelian over
+    generators() and the abelian beta classes against the all-pairs and
+    commuting-matrix oracles."""
+
+    def assert_parity(self, label, g):
+        assert np.array_equal(g._commutators(), parent_commutators(g)), label
+        assert g.is_abelian == parent_is_abelian(g), label
+        ids, expected = g.beta_class_ids(), core.row_classes(g.commuting_matrix())
+        assert ids.dtype == expected.dtype and np.array_equal(ids, expected), label
+
+    def test_catalogs_corpus_and_relabeled_copies(self, shipped_groups, split_corpus):
+        rng = np.random.default_rng(29)
+        copies = [(label + "~r", from_table(relabeled(g, rng))) for label, g in split_corpus]
+        verdicts = set()
+        for label, g in [*shipped_groups, *split_corpus, *copies]:
+            fresh = core.FiniteGroup(g.table, g.labels, g.generators())
+            for h in (fresh, without_generators(g)):
+                self.assert_parity(label, h)
+                verdicts.add(h.is_abelian)
+        assert verdicts == {True, False}
+
+    def test_large_centers(self):
+        from test_check_passes import extraspecial_3_1_4  # that module imports this one
+        groups = [(spec, cli.resolve_source(spec)[1]) for spec in
+                  ("M:512", "heisenberg:7", "dihedral:64 x cyclic:5", "dihedral:4 x elem:2:9")]
+        groups.append(("3^(1+4)", extraspecial_3_1_4()))
+        for label, g in groups:
+            index = g.order // int(g.beta_class_sizes()[0])
+            assert 4 <= index <= 128 and not g.is_abelian, label
+            self.assert_parity(label, g)
+
+    def test_trivial_and_abelian_groups(self):
+        groups = [families.cyclic(1), from_permutations(3, []),
+                  enumerate_presentation(parse("< a | a^1 >")), families.cyclic(2),
+                  families.cyclic(12), families.elementary_abelian(3, 3),
+                  families.elementary_abelian(2, 5),
+                  core.direct_product(families.cyclic(4), families.cyclic(6), families.cyclic(2))]
+        for g in groups:
+            self.assert_parity(g.order, g)
+            assert g.is_abelian and g._commutators().tolist() == [0]
+
+    def test_groups_without_a_recorded_set(self, split_corpus):
+        verdicts = set()
+        for label, g in split_corpus:
+            built = [without_generators(g), g.center().as_group()]
+            built += [g.centralizer(c[0]).as_group() for c in g.beta_classes()[1:3]]
+            built += [g.quotient(g.center()), g.quotient(g.commutator_subgroup())]
+            for h in built:
+                assert h is g or "generators" not in h._cache, label  # as_group of all of g is g
+                self.assert_parity(label, h)
+                verdicts.add(h.is_abelian)
+        assert verdicts == {True, False}
+
+
+class TestRecordedGenerators:
+    """Every constructor records a set that generates its group."""
+
+    def assert_generates(self, label, g, recorded=True):
+        assert ("generators" in g._cache) == recorded, label
+        assert right_closure(g, g.generators()) == set(range(g.order)), label
+
+    def test_validated_tables_record_the_greedy_set(self):
+        d8 = families.dihedral(4).table
+        perm = np.array([5, 1, 2, 3, 4, 0, 6, 7])  # the identity moves to index 5
+        moved = perm[d8[np.ix_(perm, perm)]]
+        groups = [("moved identity", from_table(moved)), ("C1", families.cyclic(1)),
+                  ("C7", families.cyclic(7)), ("D10", families.dihedral(5)), ("Q16", families.generalized_quaternion(16)),
+                  ("M32", families.modular_M(32)), ("H125", families.heisenberg(5))]
+        assert groups[0][1].labels[0] == "g5"
+        for label, g in groups:
+            self.assert_generates(label, g)
+            assert list(g.generators()) == core.greedy_generators(g.table), label
+
+    def test_action_tables_record_their_letters(self):
+        groups = [("S3 on no letters", from_permutations(3, [])),
+                  ("S6", from_permutations(6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]])),
+                  ("< a | a^1 >", enumerate_presentation(parse("< a | a^1 >")))]
+        groups += [(text, enumerate_presentation(parse(text))) for text, _, _ in FAMILY_PRESENTATIONS]
+        assert [g.order for _, g in groups[:3]] == [1, 720, 1]
+        for label, g in groups:
+            self.assert_generates(label, g)
+
+    def test_direct_products_of_one_two_and_three_factors(self):
+        d8, c3, raw = families.dihedral(4), families.cyclic(3), without_generators(families.cyclic(4))
+        assert core.direct_product(d8) is d8
+        pair = core.direct_product(d8, c3)
+        assert pair.generators() == tuple(3 * x for x in d8.generators()) + c3.generators()
+        for label, g in [("D8", core.direct_product(d8)), ("D8 x C3", pair),
+                         ("D8 x C3 x C4", core.direct_product(d8, c3, raw)),
+                         ("C4 x D8 x C3", core.direct_product(raw, d8, c3))]:
+            self.assert_generates(label, g)
+        e16 = families.elementary_abelian(2, 4)  # C2 x C2 x C2 x C2, folded from the left
+        assert e16.generators() == (8, 4, 2, 1)
+        self.assert_generates("E16", e16)
+
+    def test_derived_groups_fall_back_to_the_greedy_set(self, split_corpus):
+        for label, g in split_corpus[:14]:
+            for h in (without_generators(g), g.quotient(g.center()), g.center().as_group()):
+                if h is g:  # as_group of all of g is g
+                    continue
+                self.assert_generates(label, h, recorded=False)
+                assert list(h.generators()) == core.greedy_generators(h.table), label
+
+
+class TestCenterShortcuts:
+    """The abelian report and graph never form the commuting matrix, and the
+    commutator pass makes one inverse lookup per pair of center cosets."""
+
+    def test_abelian_report_and_graph_skip_the_commuting_matrix(self, monkeypatch):
+        def refuse(g):
+            raise RuntimeError("commuting matrix formed")
+
+        monkeypatch.setattr(core.FiniteGroup, "commuting_matrix", refuse)
+        for spec in ("cyclic:1024", "elem:2:9"):
+            label, g = cli.resolve_source(spec)
+            report = analysis.build_report(g, label)
+            assert report.cent_count == 1 and report.center_size == g.order, spec
+            assert graph.build_graph(g).parts == (tuple(range(g.order)),), spec
+
+    def test_commutators_gather_one_pair_per_two_center_cosets(self):
+        lookups = []
+
+        class Counting(np.ndarray):
+            def __getitem__(self, index):
+                out = super().__getitem__(index)
+                lookups.append(np.size(out))
+                return out
+
+        g = cli.resolve_source("M:512")[1]
+        index = g.order // int(g.beta_class_sizes()[0])
+        g._cache["inverses"] = g.inverses().view(Counting)
+        commutators = g._commutators()
+        assert index == 4 and 0 < sum(lookups) <= index ** 2
+        assert np.array_equal(commutators, parent_commutators(families.modular_M(512)))
 
 
 # --- centralizer structure in the checks -------------------------------------------

@@ -71,5 +71,6 @@ def test_moved_and_deleted_names_stay_out_of_src():
             assert not set(names) & set(getattr(owner, "__all__", ())), owner.__name__
     for name in ("brute_force_abelian_factor", "oracle_graph", "edges",
                  "frattini_by_maximal_subgroups", "product_map_is_isomorphism",
-                 "abelian_embeds", "_extend_map", "parent_is_isomorphic", "part_of"):
+                 "abelian_embeds", "_extend_map", "parent_is_isomorphic", "part_of",
+                 "parent_commutators", "parent_is_abelian"):
         assert callable(getattr(oracles, name)), name
