@@ -97,13 +97,7 @@ def _embeds_in_center(g: FiniteGroup, cents: np.ndarray) -> np.ndarray:
     n, central = g.order, g.beta_class_ids() == 0
     ok = np.ones(len(cents), dtype=bool)
     for p, e in _prime_factors(n).items():
-        maps = [np.arange(n)]  # x -> x^(p^k) for k = 0..e
-        for _ in range(e):
-            acc = maps[-1]
-            for _ in range(p - 1):
-                acc = g.table[acc, maps[-1]]
-            maps.append(acc)
-        pw = np.array(maps)
+        pw = g.power_maps(p)  # x -> x^(p^k) for k = 0..e
         # hits[k, y]: the x with x^(p^k) = y; a[c, k]: |C| |Omega_k(G/C)| for row c
         hits = np.bincount((pw + n * np.arange(e + 1)[:, None]).ravel(), minlength=(e + 1) * n)
         a = cents @ hits.reshape(e + 1, n).T.astype(np.int32)  # cents is cast to int32
@@ -317,16 +311,19 @@ def _p_part_decomposition(g: FiniteGroup, p: int):
     """Split G as (p-elements) x (central p'-part): (|H|, |A|), or None with
     a witness when the p-elements fail to form a subgroup of the right order.
 
-    The p-elements hold the identity, so one gather of their products
-    decides whether they form a subgroup H.  A, the p'-elements of the
-    abelian Z(G), is one without a test: commuting p'-elements multiply to
-    one.  H holds only p-elements and A only p'-elements, so H n A = 1.
+    The p-elements, the x with x^(p^a) = 1 for p^a the p-part of |G|, hold
+    the identity, so one gather of their products decides whether they form
+    a subgroup H; when they are all of G it is true on every table (G is
+    closed under products), so it runs only when H != G.  A, the p'-elements
+    of the abelian Z(G) = Z_p x Z_p', is one without a test (commuting
+    p'-elements multiply to one), and |A| = |Z|/|Z_p| with Z_p = Z n H.  H
+    holds only p-elements and A only p'-elements, so H n A = 1.
     """
     p_elems = g.p_element_mask(p)
     h = np.flatnonzero(p_elems)
-    if not p_elems[g.table[np.ix_(h, h)]].all():
+    if h.size < g.order and not p_elems[g.table[np.ix_(h, h)]].all():
         return None, (("p_elements_closed", False),)
-    a = int(np.count_nonzero((g.beta_class_ids() == 0) & (g.element_orders() % p != 0)))
+    a = int(g.beta_class_sizes()[0]) // int(np.count_nonzero(p_elems[g.beta_class_ids() == 0]))
     if h.size * a != g.order:
         return None, (("sizes", (h.size, a)),)
     return (h.size, a), ()

@@ -201,15 +201,15 @@ class FiniteGroup:
 
     Derived structure is computed once and kept in the group's one cache
     (generators(), inverses, commuting matrix, beta classes, their sizes and
-    the maximal ones, element orders and the orders of the center cosets,
-    conjugacy classes, element keys and their classes, fingerprint, the
+    the maximal ones, power_maps(p), element orders and the orders of the center
+    cosets, conjugacy classes, element keys and their classes, fingerprint, the
     regularity degrees and the theorem suite's per-group quantities).  It
     holds read-only arrays, tuples, ints, bools and None, never a group, so
     nothing in it refers back to this one: dropping the last reference to a
     group frees its table at once instead of leaving a reference cycle.
     generators() is the set a constructor checked the table with, else the greedy
-    one; is_abelian compares it pairwise, so an abelian group's one beta class
-    needs no commuting matrix.  Commutators run over one member per center coset.
+    one.  is_abelian compares it pairwise, so an abelian group's beta class, commutator
+    and element keys need no commuting matrix; commutators use one member per center coset.
     """
 
     __slots__ = ("order", "table", "labels", "_cache")
@@ -284,6 +284,17 @@ class FiniteGroup:
         return all(self.table[a, b] == self.table[b, a] for a, b in combinations(self.generators(), 2))
 
     @_cached
+    def power_maps(self, p: int) -> np.ndarray:
+        """Row k is the map x -> x^(p^k), for k = 0..a with p^a the p-part of |G|."""
+        maps = [np.arange(self.order)]
+        for _ in range(_prime_factors(self.order).get(p, 0)):
+            acc = maps[-1]
+            for _ in range(p - 1):
+                acc = self.table[acc, maps[-1]]
+            maps.append(acc)
+        return np.array(maps)
+
+    @_cached
     def element_orders(self) -> np.ndarray:
         return self.orders_modulo(np.arange(self.order) == 0)
 
@@ -332,19 +343,19 @@ class FiniteGroup:
     def element_keys(self) -> np.ndarray:
         """Isomorphism-invariant key of every element, one row each: order,
         order of x^2, |C(x)|, conjugacy class size, |beta(x)|, number of
-        square roots.  An isomorphism maps each element to one with the same
-        row."""
-        orders = self.element_orders()
+        square roots (|C(x)| = n in an abelian group, without the commuting
+        matrix).  An isomorphism maps each element to one with the same row."""
+        n, orders = self.order, self.element_orders()
         squares = np.diagonal(self.table)
         classes = self.conjugacy_classes()
         lens = np.array([len(c) for c in classes])
-        class_size = np.empty(self.order, dtype=np.int64)
+        class_size = np.empty(n, dtype=np.int64)
         class_size[np.concatenate(classes)] = np.repeat(lens, lens)
         ids = self.beta_class_ids()
+        cent_size = np.full(n, n) if self.is_abelian else self.commuting_matrix().sum(axis=1)
         return np.column_stack([
-            orders, orders[squares], self.commuting_matrix().sum(axis=1),
-            class_size, self.beta_class_sizes()[ids],
-            np.bincount(squares, minlength=self.order)]).astype(np.int64)
+            orders, orders[squares], cent_size, class_size, self.beta_class_sizes()[ids],
+            np.bincount(squares, minlength=n)]).astype(np.int64)
 
     def subgroup(self, members: Iterable[int]) -> Subgroup:
         """Validate a member set as a subgroup and return it.
@@ -378,9 +389,8 @@ class FiniteGroup:
         return Subgroup(self, tuple(np.flatnonzero(reached).tolist()))
 
     def p_element_mask(self, p: int) -> np.ndarray:
-        """Boolean mask of the elements whose order is a power of p."""
-        p_part = p ** _prime_factors(self.order).get(p, 0)
-        return p_part % self.element_orders() == 0
+        """Mask of the x whose order is a power of p: x^(p^a) = 1, p^a the p-part of |G|."""
+        return self.power_maps(p)[-1] == 0
 
     def is_normal(self, h: Subgroup) -> bool:
         """True iff g*H*g^-1 = H for every g."""
@@ -435,7 +445,10 @@ class FiniteGroup:
 
     def _commutators(self) -> np.ndarray:
         """Distinct commutators (b*a)^-1 (a*b), ascending, over the least members a, b
-        of the center cosets ([az, bz'] = [a, b] for central z, z'): _BLOCK a at a time."""
+        of the center cosets ([az, bz'] = [a, b] for central z, z'), _BLOCK a at a
+        time; the identity alone when abelian."""
+        if self.is_abelian:
+            return np.zeros(1, dtype=np.intp)
         t, inv = self.table, self.inverses()
         reps = np.flatnonzero(t[self.beta_class_ids() == 0].min(axis=0) == np.arange(self.order))
         seen = np.zeros(self.order, dtype=bool)

@@ -208,8 +208,10 @@ def parent_check_ncen(g, label="G") -> CheckResult:
 
 def parent_p_part_decomposition(g: FiniteGroup, p: int):
     """Split G as (p-elements) x (central p'-part); None with a witness when
-    the p-elements fail to form a subgroup of the right order."""
-    p_elems = g.p_element_mask(p)
+    the p-elements fail to form a subgroup of the right order.  The
+    p-elements are read from the element orders, not from
+    FiniteGroup.p_element_mask and its power maps."""
+    p_elems = p ** _prime_factors(g.order).get(p, 0) % g.element_orders() == 0
     h = g.generated_subgroup(np.flatnonzero(p_elems))
     if not np.array_equal(h.mask, p_elems):
         return None, ("p_elements_not_closed",)

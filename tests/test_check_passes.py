@@ -15,7 +15,7 @@ import oracles
 from noncent import analysis, checks, core, families
 from noncent.core import FiniteGroup, Subgroup, from_permutations, from_table
 from test_acceptance import _family_instances, _with_cyclic_products
-from test_fast_paths import relabeled
+from test_fast_paths import counting_view, relabeled
 
 
 def paired(witness):
@@ -236,7 +236,11 @@ class TestFaultInjection:
         orders = d8xc3.element_orders().copy()
         x = int(np.flatnonzero(orders == 12)[0])  # (r, c), not central
         orders[x] = 4
+        maps = d8xc3.power_maps(2).copy()
+        maps[-1, x] = 0  # x^8 = 1, as if x had order 4
+        # the oracle reads the orders, the split the power maps
         g = with_cache(d8xc3, element_orders=orders)
+        g._cache["power_maps", 2] = maps
         parent_split, parent_witness = oracles.parent_p_part_decomposition(g, 2)
         assert parent_split is None and parent_witness == ("p_elements_not_closed",)
         assert checks._p_part_decomposition(g, 2) == (None, paired(parent_witness))
@@ -258,3 +262,111 @@ def test_suite_builds_no_subgroup_and_no_orders_modulo(monkeypatch, order8_entri
                         (Subgroup, "as_group")):
         monkeypatch.setattr(owner, name, refuse)
     assert checks.run_suite(groups) == expected
+
+
+# --- the p-part split from the power chain ------------------------------------------
+
+@pytest.fixture(scope="module")
+def mixed_order_corpus():
+    """Groups whose order has an odd prime factor.  The regular ones among
+    them, the D8xCm, are not 2-groups, so check_big splits them with H != G;
+    Q16xC21 (neither regular nor induced regular) splits so at p = 2 too."""
+    c, d8 = families.cyclic, families.dihedral(4)
+    s4 = from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+    s6 = from_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+    pairs = [(f"D8xC{m}", core.direct_product(d8, c(m))) for m in (3, 5, 9, 15)]
+    return pairs + [
+        ("Q16xC21", core.direct_product(families.generalized_quaternion(16), c(21))),
+        ("D6", families.dihedral(3)), ("D12", families.dihedral(6)),
+        ("D90", families.dihedral(45)), ("C360", c(360)), ("S4", s4), ("S6", s6),
+        ("H27xC4", core.direct_product(families.heisenberg(3), c(4))),
+        ("H125", families.heisenberg(5)),
+        ("D6xC4", core.direct_product(families.dihedral(3), c(4)))]
+
+
+@pytest.fixture(scope="module")
+def power_corpus(order8_entries, order16_entries, order32_entries, order64_entries,
+                 mixed_order_corpus):
+    """The shipped catalogs, the acceptance-5 families with their products
+    with C2..C5, and mixed_order_corpus."""
+    entries = [*order8_entries, *order16_entries, *order32_entries, *order64_entries]
+    return ([(e.label, e.group()) for e in entries]
+            + _with_cyclic_products(_family_instances()) + mixed_order_corpus)
+
+
+def primes_to_try(n):
+    """Every prime dividing n, and the least prime that does not."""
+    primes = list(core._prime_factors(n))
+    return primes + [next(q for q in itertools.count(2) if core.is_prime(q) and n % q)]
+
+
+def repeated_powers(g, p):
+    """Rows x^(p^k), k = 0..a with p^a the p-part of |G|, by multiplying
+    x by itself one step at a time up to x^(p^a)."""
+    a = core._prime_factors(g.order).get(p, 0)
+    kept = {p ** k for k in range(1, a + 1)}
+    x = acc = np.arange(g.order)
+    rows = [x]
+    for m in range(2, p ** a + 1):
+        acc = g.table[acc, x]
+        if m in kept:
+            rows.append(acc)
+    return np.array(rows)
+
+
+class TestPowerChain:
+    """FiniteGroup.power_maps, the p-element mask read from its last row, and
+    the p-part split read from that mask, against repeated multiplication,
+    element orders and oracles.parent_p_part_decomposition."""
+
+    def test_rows_match_repeated_multiplication(self, power_corpus):
+        for label, g in power_corpus:
+            for p in primes_to_try(g.order):
+                maps = g.power_maps(p)
+                assert not maps.flags.writeable, (label, p)
+                assert np.array_equal(maps, repeated_powers(g, p)), (label, p)
+
+    def test_p_element_mask_matches_element_orders(self, power_corpus):
+        for label, g in power_corpus:
+            for p in primes_to_try(g.order):
+                p_part = p ** core._prime_factors(g.order).get(p, 0)
+                expected = p_part % g.element_orders() == 0
+                assert np.array_equal(g.p_element_mask(p), expected), (label, p)
+
+    def test_split_matches_oracle(self, power_corpus):
+        outcomes = Counter()
+        for label, g in power_corpus:
+            for p in primes_to_try(g.order):
+                split, witness = checks._p_part_decomposition(g, p)
+                parent, parent_witness = oracles.parent_p_part_decomposition(g, p)
+                assert witness == paired(parent_witness), (label, p)
+                assert split == (parent and (parent[0].size, parent[1].size)), (label, p)
+                kind = ("H = G" if split[0] == g.order else "H < G") if split else witness[0][0]
+                outcomes[kind] += 1
+        assert set(outcomes) == {"H = G", "H < G", "p_elements_closed", "sizes"}, outcomes
+        groups = dict(power_corpus)
+        for label, split in (("D8xC3", (8, 3)), ("Q16xC21", (16, 21))):
+            assert checks._p_part_decomposition(groups[label], 2) == (split, ()), label
+
+    def test_products_gathered_only_when_h_is_proper(self, power_corpus):
+        gathered = {}
+        for label, g in power_corpus:
+            h, lookups = FiniteGroup(g.table, g.labels), []
+            size = int(np.count_nonzero(h.p_element_mask(2)))
+            h.beta_class_sizes()  # and the class ids: the split then reads only the table
+            h.table = counting_view(h.table, lookups)
+            checks._p_part_decomposition(h, 2)
+            gathered[label] = sum(lookups)
+            assert gathered[label] == (0 if size == g.order else size * size), label
+        assert gathered["D8xC3"] == 64 and gathered["[64,3]"] == 0
+
+    def test_suite_reads_no_element_orders(self, monkeypatch, power_corpus):
+        groups = [(label, from_table(g.table, g.labels)) for label, g in power_corpus]
+        expected = checks.run_suite(groups)
+
+        def refuse(g):
+            raise AssertionError("a check read the element orders")
+
+        monkeypatch.setattr(FiniteGroup, "element_orders", refuse)
+        fresh = [(label, from_table(g.table, g.labels)) for label, g in groups]
+        assert checks.run_suite(fresh) == expected

@@ -14,6 +14,7 @@ from noncent import analysis, catalog, checks, cli, core, families, graph, prese
 from noncent.core import NotAGroup, from_permutations, from_table
 from noncent.presentation import (CosetLimitExceeded, ParseError, Presentation,
                                   UndeclaredGenerator, Word, enumerate_presentation, parse)
+import oracles
 from oracles import (_extend_map, abelian_embeds, edges, frattini_by_maximal_subgroups,
                      is_elementary_p, parent_commutators, parent_is_abelian,
                      parent_is_isomorphic, parent_maximal_class_ids, parent_scan_relators, power,
@@ -1698,6 +1699,16 @@ def right_closure(g, gens):
     return reached
 
 
+def counting_view(a, lookups):
+    """A view of array a that appends the size of each lookup's result to lookups."""
+    class Counting(np.ndarray):
+        def __getitem__(self, index):
+            out = super().__getitem__(index)
+            lookups.append(np.size(out))
+            return out
+    return a.view(Counting)
+
+
 def without_generators(g):
     """g's table as a raw FiniteGroup, which records no generating set."""
     return core.FiniteGroup(g.table, g.labels)
@@ -1825,19 +1836,53 @@ class TestCenterShortcuts:
 
     def test_commutators_gather_one_pair_per_two_center_cosets(self):
         lookups = []
-
-        class Counting(np.ndarray):
-            def __getitem__(self, index):
-                out = super().__getitem__(index)
-                lookups.append(np.size(out))
-                return out
-
         g = cli.resolve_source("M:512")[1]
         index = g.order // int(g.beta_class_sizes()[0])
-        g._cache["inverses"] = g.inverses().view(Counting)
+        g._cache["inverses"] = counting_view(g.inverses(), lookups)
         commutators = g._commutators()
         assert index == 4 and 0 < sum(lookups) <= index ** 2
         assert np.array_equal(commutators, parent_commutators(families.modular_M(512)))
+
+    @staticmethod
+    def abelian_groups(shipped_groups):
+        """The abelian shipped groups, acceptance-5 families and their
+        products with C2..C5, and larger abelian families and products."""
+        pairs = [*shipped_groups, *_with_cyclic_products(_family_instances())]
+        pairs += [(spec, cli.resolve_source(spec)[1]) for spec in
+                  ("cyclic:1024", "elem:2:9", "elem:3:4", "cyclic:4 x cyclic:6 x cyclic:2")]
+        return [(label, g) for label, g in pairs if g.is_abelian]
+
+    def test_abelian_commutators_read_no_classes(self, monkeypatch, shipped_groups):
+        groups = self.abelian_groups(shipped_groups)
+        expected = [oracles.parent_commutators(g) for _, g in groups]
+        assert len(groups) > 20 and all(e.tolist() == [0] for e in expected)
+
+        def refuse(g):
+            raise RuntimeError("beta classes read")
+
+        monkeypatch.setattr(core.FiniteGroup, "beta_class_ids", refuse)
+        for (label, g), commutators in zip(groups, expected):
+            fresh = core.FiniteGroup(g.table, g.labels, g.generators())
+            assert np.array_equal(fresh._commutators(), commutators), label
+            assert fresh._commutators().dtype == commutators.dtype, label
+            assert fresh.commutator_subgroup().members == (0,), label
+
+    def test_abelian_keys_match_the_commuting_matrix(self, shipped_groups):
+        for label, g in self.abelian_groups(shipped_groups):
+            fresh = core.FiniteGroup(g.table, g.labels)
+            fresh._cache["is_abelian"] = False  # the commuting-matrix path
+            keys = core.FiniteGroup(g.table, g.labels).element_keys()
+            assert keys.dtype == np.int64 and np.array_equal(keys, fresh.element_keys()), label
+
+    def test_abelian_fingerprint_forms_no_commuting_matrix(self, monkeypatch):
+        def refuse(g):
+            raise RuntimeError("commuting matrix formed")
+
+        monkeypatch.setattr(core.FiniteGroup, "commuting_matrix", refuse)
+        g = families.elementary_abelian(2, 9)
+        fp = core.fingerprint(g)
+        assert fp[:3] == (512, True, ((1, 1), (2, 511)))
+        assert g.element_keys()[:, 2].tolist() == [512] * 512
 
 
 # --- centralizer structure in the checks -------------------------------------------
