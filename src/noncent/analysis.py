@@ -102,22 +102,16 @@ def h_subgroup(g: FiniteGroup, class_id: int) -> Subgroup:
 
 def _pure_cyclic(g: FiniteGroup, z: np.ndarray) -> np.ndarray:
     """For each central z[i] of the 2-group g: True iff <z[i]> is a direct
-    factor of g (see is_reduced_regular).  Each pass squares every element
-    and every z in one gather and marks the cosets xG' of the squares by
-    their smallest members; a z that has just reached the identity passes
-    when its last power before it lies in an unmarked coset.  The identity
-    is a square in every pass, so the identity and finished z never pass.
+    factor of g (see is_reduced_regular).  One scatter marks, for every row k
+    of the power chain x -> x^(2^k), the cosets xG' of 2^k A by smallest
+    member; z of order 2^k passes when z^(2^(k-1))'s coset is unmarked in row k.
     """
-    n, squares = g.order, np.diagonal(g.table)
+    pw = g.power_maps(2)
     coset = g.table[:, g.commutator_subgroup().mask].min(axis=1)
-    pure = np.zeros(len(z), dtype=bool)
-    x = np.concatenate([np.arange(n), z])  # every element, then the z
-    while x[n:].any():
-        y, x = x[n:], squares[x]
-        hit = np.zeros(n, dtype=bool)
-        hit[coset[x[:n]]] = True
-        pure |= (x[n:] == 0) & ~hit[coset[y]]
-    return pure
+    hit = np.zeros((len(pw), g.order), dtype=bool)
+    hit[np.arange(len(pw))[:, None], coset[pw]] = True
+    k = (pw[:, z] != 0).sum(axis=0)  # z^(2^k) = 1 from row k on
+    return ~hit[k, coset[pw[k - 1, z]]]
 
 
 def is_reduced_regular(g: FiniteGroup) -> Optional[bool]:

@@ -11,11 +11,13 @@ context is always reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import FiniteGroup, _cached, _prime_factors, is_prime, is_prime_power
+from .core import (FiniteGroup, _cached, _prime_factors, _quotient_histogram, is_prime,
+                   is_prime_power)
 from . import analysis
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
@@ -43,13 +45,12 @@ class CheckResult:
 
 
 def _na(cid, label, reason) -> CheckResult:
-    return CheckResult(cid, label, applicable=False, passed=True, reason=reason)
+    return CheckResult(cid, label, False, True, (), {}, reason)
 
 
 def _result(cid, label, passed, witness=(), details=None, reason="") -> CheckResult:
-    return CheckResult(cid, label, applicable=True, passed=bool(passed),
-                       witness=tuple(witness) if not passed else (),
-                       details=details or {}, reason=reason)
+    return CheckResult(cid, label, True, bool(passed), () if passed else tuple(witness),
+                       details or {}, reason)
 
 
 def _index(g: FiniteGroup) -> int:
@@ -76,13 +77,6 @@ def _quotient_exponent(g: FiniteGroup) -> Optional[int]:
     orders = g.center_coset_orders()
     p = int(orders.max())
     return p if is_prime(p) and bool((orders[orders > 1] == p).all()) else None
-
-
-def _quotient_histogram(orders: np.ndarray, size: int) -> tuple[tuple[int, int], ...]:
-    """order_histogram of G/N, or of a subset of it, from the per-element
-    orders modulo N with |N| = size: each coset's order appears size times."""
-    vals, counts = np.unique(orders, return_counts=True)
-    return tuple((int(v), int(c // size)) for v, c in zip(vals, counts))
 
 
 @_cached
@@ -189,13 +183,12 @@ def check_ereg1(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("ereg1", label, "abelian")
     lhs = analysis.is_regular(g) is not None
-    ids = g.beta_class_ids()
+    ids, coset = g.beta_class_ids(), g.center().coset_index()
     # C(xz) = C(x) for central z, so a class is a union of center cosets and
-    # is one coset exactly when it meets one
-    pairs = np.unique(ids * g.order + g.center().coset_index())
-    bad = np.flatnonzero(np.bincount(pairs // g.order) != 1)
+    # is one coset exactly when every member lies in its first member's coset
+    bad = ids[coset != coset[[c[0] for c in g.beta_classes()]][ids]]
     rhs = bad.size == 0
-    bad = None if rhs else int(bad[0])
+    bad = None if rhs else int(bad.min())
     return _result("ereg1", label, lhs == rhs,
                    witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
                             ("first_non_coset_class", bad)),
@@ -398,8 +391,7 @@ def check_lg2(g, label="G") -> CheckResult:
     coset order p."""
     if g.is_abelian or analysis.is_induced_regular(g) is None:
         return _na("lg2", label, "not induced regular")
-    ids = g.beta_class_ids()
-    coset_orders = g.center_coset_orders()
+    ids, coset_orders = g.beta_class_ids(), g.center_coset_orders()
     maximal = list(g.maximal_class_ids())
     rows = _witness_rows(g, maximal) & (coset_orders != 2)
     witnessed = [cid for cid, row in zip(maximal, rows) if row.any()]
@@ -409,7 +401,7 @@ def check_lg2(g, label="G") -> CheckResult:
     for cid, row in zip(maximal, rows):
         if cid == bad[0]:
             return _result("lg2", label, False, witness=(("class", cid), ("error", bad[1])))
-        for p in np.unique(coset_orders[row]).tolist():
+        for p in np.flatnonzero(np.bincount(coset_orders[row])).tolist():
             if (coset_orders[ids == cid] != p).any():
                 hist = _quotient_histogram(coset_orders[(ids == cid) | (ids == 0)],
                                            g.beta_class_sizes()[0])
@@ -544,18 +536,20 @@ def run_check(check_id: str, g: FiniteGroup, label: str = "G") -> CheckResult:
 
 def run_suite(groups: Iterable[tuple[str, FiniteGroup]],
               check_ids: Optional[Iterable[str]] = None) -> list[CheckResult]:
-    """Run the selected checks over (label, group) pairs.
-
-    Output is sorted by (group order, label, check id) regardless of input or
-    evaluation order.
+    """Run the selected checks over (label, group) pairs, group by group in
+    input order and each group's in the given id order.  Output is sorted
+    stably by (group order, label, check id): the groups are sorted once, and
+    each run of them with one order and label gives its results id by id.
     """
     ids = list(CHECK_IDS) if check_ids is None else list(dict.fromkeys(check_ids))
     for cid in ids:
         if cid not in CHECK_IDS:
             raise KeyError(f"unknown check id: {cid!r}")
-    runs = [(g.order, CHECK_IDS[cid](g, label)) for label, g in groups for cid in ids]
-    runs.sort(key=lambda run: (run[0], run[1].group_label, run[1].check_id))
-    return [r for _, r in runs]
+    runs = [(g.order, label, [CHECK_IDS[cid](g, label) for cid in ids]) for label, g in groups]
+    runs.sort(key=lambda run: run[:2])
+    cols = sorted(range(len(ids)), key=ids.__getitem__)
+    ties = [list(tie) for _, tie in groupby(runs, key=lambda run: run[:2])]
+    return [run[2][j] for tie in ties for j in cols for run in tie]
 
 
 def failures(results: list[CheckResult]) -> list[CheckResult]:

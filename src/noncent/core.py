@@ -126,6 +126,22 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
 
 
+def _dense_ids(keys: np.ndarray, n: int) -> np.ndarray:
+    """np.unique(keys, return_inverse=True)[1] for keys in 0..n-1, without a
+    sort: the distinct keys, marked in a mask, are numbered by its running count."""
+    present = np.zeros(n, dtype=bool)
+    present[keys] = True
+    return (np.cumsum(present) - 1)[keys]
+
+
+def _quotient_histogram(orders: np.ndarray, size: int = 1) -> tuple[tuple[int, int], ...]:
+    """order_histogram of G/N, or of a subset of it, from the per-element
+    orders modulo N with |N| = size: each coset's order appears size times."""
+    counts = np.bincount(orders)
+    vals = np.flatnonzero(counts)
+    return tuple(zip(vals.tolist(), (counts[vals] // size).tolist()))
+
+
 def _split_by_id(ids: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """The elements with each id 0..m-1, ascending, indexed by id."""
     members, ends = np.argsort(ids, kind="stable").tolist(), np.cumsum(np.bincount(ids)).tolist()
@@ -180,7 +196,7 @@ class Subgroup:
     def coset_index(self) -> np.ndarray:
         """Number of the left coset x*H of every parent element x; cosets are
         numbered by their smallest member, so the identity coset is 0."""
-        return np.unique(self.parent.table[:, self.mask].min(axis=1), return_inverse=True)[1]
+        return _dense_ids(self.parent.table[:, self.mask].min(axis=1), self.parent.order)
 
     def cosets(self) -> tuple[tuple[int, ...], ...]:
         """Members of each left coset x*H, ordered by smallest member
@@ -320,8 +336,7 @@ class FiniteGroup:
         return orders
 
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
-        vals, counts = np.unique(self.element_orders(), return_counts=True)
-        return tuple((int(v), int(c)) for v, c in zip(vals, counts))
+        return _quotient_histogram(self.element_orders())
 
     def centralizer(self, x: int) -> Subgroup:
         """Subgroup of all elements commuting with x."""
@@ -337,7 +352,7 @@ class FiniteGroup:
         # column x holds (g*x)*g^-1 for every g: its minimum is the smallest
         # member of x's class
         smallest = t[t, self.inverses()[:, None]].min(axis=0)
-        return _split_by_id(np.unique(smallest, return_inverse=True)[1])
+        return _split_by_id(_dense_ids(smallest, self.order))
 
     @_cached
     def element_keys(self) -> np.ndarray:
@@ -383,8 +398,7 @@ class FiniteGroup:
         gens = np.fromiter(seeds, dtype=np.int64)
         if gens.size and (gens.min() < 0 or gens.max() >= self.order):
             raise ValueError(f"generators must lie in 0..{self.order - 1}")
-        reached = np.zeros(self.order, dtype=bool)
-        reached[0] = True
+        reached = np.arange(self.order) == 0
         _right_closure(self.table, reached, gens)
         return Subgroup(self, tuple(np.flatnonzero(reached).tolist()))
 
@@ -429,16 +443,14 @@ class FiniteGroup:
         subgroup generated by G' and the p-th powers of the p-elements.  Raises
         ValueError on a group that is not nilpotent.
         """
-        seeds = [self._commutators()]
+        seeds = np.zeros(self.order, dtype=bool)  # each once: a round gathers frontier x seeds
+        seeds[self._commutators()] = True
         for p, k in _prime_factors(self.order).items():
             x = np.flatnonzero(self.p_element_mask(p))
             if x.size != p ** k:
                 raise ValueError("frattini() needs a nilpotent group")
-            powers = x
-            for _ in range(p - 1):
-                powers = self.table[powers, x]
-            seeds.append(powers)
-        return self.generated_subgroup(np.unique(np.concatenate(seeds)))
+            seeds[self.power_maps(p)[1, x]] = True  # their p-th powers
+        return self.generated_subgroup(np.flatnonzero(seeds))
 
     def commutator_subgroup(self) -> Subgroup:
         return self.generated_subgroup(self._commutators())
@@ -547,8 +559,7 @@ def _greedy_sequence(table: np.ndarray, rank: Optional[np.ndarray] = None) -> It
     generator is asked for."""
     n = table.shape[0]
     rank = np.arange(n) if rank is None else rank
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
+    reached = np.arange(n) == 0
     steps: list[int] = []  # the generators so far and their powers g^(2^i)
     while not reached.all():
         left = np.flatnonzero(~reached)
@@ -566,12 +577,12 @@ def _greedy_sequence(table: np.ndarray, rank: Optional[np.ndarray] = None) -> It
 
 def _right_closure(table: np.ndarray, reached: np.ndarray, gens) -> None:
     """Mark in place every element reached from the marked ones by right
-    multiplication with gens.  The images are cast to intp once, not at each
-    of the three index operations that read them (int32 tables)."""
+    multiplication with gens, a round's newly marked elements its frontier."""
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        img = table[frontier[:, None], gens].ravel().astype(np.intp, copy=False)
-        frontier = np.unique(img[~reached[img]])
+        hit = np.zeros_like(reached)
+        hit[table[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(hit > reached)
         reached[frontier] = True
 
 
@@ -625,10 +636,10 @@ def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
                 tree.append((i, x))
             act[x].append(k)
     n = len(nodes)
+    for x, a in enumerate(act):  # n images in 0..n-1: a permutation iff distinct
+        if len(set(a)) < n:
+            raise NotAGroup(f"letter {x} does not act as a permutation of 0..{n - 1}")
     rows = np.array(act, dtype=np.int64).reshape(width, n)
-    ok = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
-    if not ok.all():
-        raise NotAGroup(f"letter {int(np.argmin(ok))} does not act as a permutation of 0..{n - 1}")
     cols = np.empty((n, n), dtype=np.int64)  # cols[j] is column j
     cols[0] = np.arange(n)
     for j, (p, x) in enumerate(tree[1:], start=1):
@@ -643,8 +654,8 @@ def _action_table(start: Hashable, step: Callable[[Hashable, int], Hashable],
         table[:, s] = cols[s].T
     # y*g = 0 for a tested g puts y on 0's cycle under column g: a power of g, it passes
     gens: list[int] = []
-    for y in np.unique(elements).tolist():
-        if not (table[y, gens] == 0).any():
+    for y in sorted(set(elements.tolist())):
+        if all(table[y, g] for g in gens):
             gens.append(y)
     return table, nodes, tree, _check_associativity(table, gens)
 

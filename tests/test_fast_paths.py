@@ -518,12 +518,6 @@ def slow_commutators(g):
             for a in range(g.order) for b in range(g.order)}
 
 
-def parent_commutators(g):
-    """Distinct commutators (b*a)^-1 (a*b) by one whole-table gather and sort."""
-    t = g.table
-    return np.unique(t[g.inverses()[t.T], t])
-
-
 def slow_embeds(a, b_subgroups):
     """Whether abelian group a is isomorphic to one of the given subgroups."""
     return any(s.size == a.order and core.is_isomorphic(s.as_group(), a)
