@@ -537,10 +537,10 @@ def run_check(check_id: str, g: FiniteGroup, label: str = "G") -> CheckResult:
 def run_suite(groups: Iterable[tuple[str, FiniteGroup]],
               check_ids: Optional[Iterable[str]] = None) -> list[CheckResult]:
     """Run the selected checks over (label, group) pairs, group by group in
-    input order and each group's in the given id order.  Output is sorted
-    stably by (group order, label, check id): the groups are sorted once, and
-    each run of them with one order and label gives its results id by id.
-    """
+    input order and each group's in the given id order; an unknown id raises
+    before the first pair is drawn.  Output is sorted stably by (group order,
+    label, check id): the groups are sorted once, and each run of them with
+    one order and label gives its results id by id."""
     ids = list(CHECK_IDS) if check_ids is None else list(dict.fromkeys(check_ids))
     for cid in ids:
         if cid not in CHECK_IDS:

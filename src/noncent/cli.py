@@ -135,8 +135,7 @@ def cmd_verify(args) -> int:
     ids = args.checks and [c for part in args.checks for c in part.split(",") if c]
     if ids == []:
         raise SourceError("no check ids given")
-    pairs = [(e.label, e.group()) for e in entries]
-    results = checks.run_suite(pairs, ids)
+    results = checks.run_suite(((e.label, e.group()) for e in entries), ids)
     print(checks.results_to_kv(results) if args.kv else checks.format_results(results))
     return 1 if checks.failures(results) else 0
 
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem suite over catalogs")
     p.add_argument("--catalog", action="append", required=True)
     p.add_argument("--checks", action="append", default=None,
-                   help="comma-separated check ids (default: all)")
+                   help="comma-separated check ids (default: all): " + ", ".join(checks.CHECK_IDS))
     p.add_argument("--kv", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import FiniteGroup
 
@@ -46,8 +45,7 @@ class NonCentralizerGraph:
 def build_graph(g: FiniteGroup, induced: bool = False) -> NonCentralizerGraph:
     """Materialize the (induced) non-centralizer graph of g."""
     classes = g.beta_classes()
-    return NonCentralizerGraph(labels=g.labels, parts=classes[1:] if induced else classes,
-                               induced=induced)
+    return NonCentralizerGraph(g.labels, classes[1:] if induced else classes, induced)
 
 
 def export(graph: NonCentralizerGraph, fmt: str) -> str:
@@ -61,27 +59,30 @@ def export_rows(graph: NonCentralizerGraph, fmt: str) -> Iterator[str]:
         return _export_dot(graph)
     if fmt == "edge-list":
         return _edge_rows(graph, "", " ", "\n")
-    if fmt == "parts-json":
-        payload = {"parts": [list(p) for p in graph.parts], "induced": graph.induced}
-        return iter([json.dumps(payload, separators=(", ", ": ")) + "\n"])
+    if fmt == "parts-json":  # tuples dump as JSON arrays
+        return iter([json.dumps({"parts": graph.parts, "induced": graph.induced}) + "\n"])
     raise UnknownFormat(f"unknown export format: {fmt!r}")
 
 
 def _edge_rows(graph: NonCentralizerGraph, pre: str, mid: str, end: str) -> Iterator[str]:
-    """Every edge (u, v), u < v ascending, as pre + u + mid + v + end, a row per u:
-    u's later neighbours are a suffix of one list per part, the vertices after the
-    part's first member that are not in it, kept from that member to its last."""
+    """Every edge (u, v), u < v ascending, as pre + u + mid + v + end, a row per u. A part's
+    list, built by slices at its first member and dropped after its last, is "" and then the
+    later non-members named with end; u's row is pre + u + mid joined over the list from the
+    entry before u's neighbours, once that entry (read by no later member) is set to ""."""
+    if len(graph.parts) < 2:  # no edges
+        return
     verts = graph.vertices()
-    names, pos = [str(v) for v in verts], {v: i for i, v in enumerate(verts)}
+    names, pos = [f"{v}{end}" for v in verts], {v: i for i, v in enumerate(verts)}
     parts, rest = [sorted(pos[v] for v in p) for p in graph.parts], {}
     for i, j, at in sorted((i, j, at) for at in parts for j, i in enumerate(at)):
         if j == 0:  # keyed by the part's first position
-            gaps = zip(at, [*at[1:], len(names)])
-            rest[i] = list(chain.from_iterable(names[a + 1:b] for a, b in gaps))
-        later = (rest.pop(at[0]) if j == len(at) - 1 else rest[at[0]])[i - at[0] - j:]
-        if later:
-            head = f"{pre}{names[i]}{mid}"
-            yield head + (end + head).join(later) + end
+            rest[i] = r = [""]
+            for a, b in zip(at, [*at[1:], len(names)]):
+                r += names[a + 1:b]
+        r, k = (rest.pop(at[0]) if j == len(at) - 1 else rest[at[0]]), i - at[0] - j
+        if k + 1 < len(r):
+            r[k] = ""
+            yield f"{pre}{verts[i]}{mid}".join(r[k:])
 
 
 def _export_dot(graph: NonCentralizerGraph) -> Iterator[str]:

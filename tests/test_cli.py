@@ -220,6 +220,20 @@ class TestVerify:
                                "--checks", "nonsense")
         assert code == 2 and err == "error: unknown check id: 'nonsense'\n"
 
+    def test_unknown_check_id_before_any_group_is_built(self, capsys, monkeypatch):
+        def refuse(entry):
+            raise ValueError(f"{entry.label} built")
+
+        monkeypatch.setattr(catalog.CatalogEntry, "group", refuse)
+        code, out, err = run_cli(capsys, "verify", "--catalog",
+                                 catalog.shipped_path("order64.cat"), "--checks", "be,nope")
+        assert code == 2 and out == "" and err == "error: unknown check id: 'nope'\n"
+
+    def test_checks_help_names_every_id(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert ", ".join(checks.CHECK_IDS) in " ".join(capsys.readouterr().out.split())
+
     def test_directory_as_catalog(self, capsys, tmp_path):
         for argv in (["verify", "--catalog", str(tmp_path)], ["analyze", str(tmp_path)]):
             code, out, err = run_cli(capsys, *argv)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -120,6 +121,28 @@ class TestExport:
     def test_unknown_format_raises_before_any_row(self):
         with pytest.raises(UnknownFormat):
             export_rows(build_graph(families.cyclic(2)), "gml")  # no next() taken
+
+    @pytest.mark.parametrize("make, text_mb, bound_mib", [
+        (lambda: build_graph(families.dihedral(1024)), 14.6, 4.5),
+        # parts of two consecutive vertices: kept past their last members,
+        # their lists would add up to about 8.6 MiB
+        (lambda: graph.NonCentralizerGraph(
+            tuple(map(str, range(2048))), tuple((v, v + 1) for v in range(0, 2048, 2)), False),
+         18.7, 2),
+    ], ids=["dihedral:1024", "consecutive pairs"])
+    def test_rows_stream_in_bounded_memory(self, make, text_mb, bound_mib):
+        """Draining the edge-list rows never holds the whole text, and each
+        part's list of later non-members goes after the part's last member."""
+        built, size = make(), 0
+        tracemalloc.start()
+        try:
+            for row in export_rows(built, "edge-list"):
+                size += len(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert round(size / 1e6, 1) == text_mb
+        assert peak < bound_mib * 2**20, peak
 
     def test_deterministic(self):
         a = export(build_graph(families.modular_M(16)), "dot")
