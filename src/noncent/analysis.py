@@ -92,9 +92,8 @@ def h_subgroup(g: FiniteGroup, class_id: int) -> Subgroup:
         raise AbelianGroup("no proper centralizers in an abelian group")
     if class_id not in g.maximal_class_ids():
         raise NotMaximal(f"class {class_id} does not have a maximal centralizer")
-    classes = g.beta_classes()
     try:
-        return g.subgroup(np.union1d(classes[class_id], classes[0]))
+        return g.subgroup(np.flatnonzero(np.isin(g.beta_class_ids(), (0, class_id))))
     except ValueError as exc:
         raise NotASubgroup(
             f"beta-class {class_id} union center is not a subgroup: {exc}") from exc

@@ -25,7 +25,7 @@ __all__ = ["CheckResult", "CHECK_IDS", "run_suite", "run_check",
            "failures", "format_results", "results_to_kv"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckResult:
     check_id: str
     group_label: str
@@ -62,7 +62,8 @@ def _index(g: FiniteGroup) -> int:
 def _centralizer_rows(g: FiniteGroup) -> np.ndarray:
     """The mask of C(x) for one member x of each beta class, indexed by class
     id: a commuting-matrix row."""
-    return g.commuting_matrix()[[c[0] for c in g.beta_classes()]]
+    members, start = g.beta_class_members()
+    return g.commuting_matrix()[members[start]]
 
 
 def _centralizer_indices(g: FiniteGroup) -> list[int]:
@@ -111,12 +112,12 @@ def _exceeds_beta_z(g: FiniteGroup) -> np.ndarray:
 def _first_open(g: FiniteGroup, cids: list[int]) -> Optional[tuple[int, str]]:
     """The first class in cids whose beta(x) u Z(G) is not a subgroup, with
     h_subgroup's message, or None; one gather per class size (see check_lg)."""
-    ids, classes, found = g.beta_class_ids(), g.beta_classes(), []
+    ids, (members, start), found = g.beta_class_ids(), g.beta_class_members(), []
     sizes = g.beta_class_sizes().tolist()
     for size in sorted({sizes[c] for c in cids}):
         same = np.array([c for c in cids if sizes[c] == size])
-        members = np.array([classes[c] for c in same])
-        prod = ids[g.table[members[:, :, None], members[:, None, :]]]
+        block = members[start[same][:, None] + np.arange(size)]
+        prod = ids[g.table[block[:, :, None], block[:, None, :]]]
         found += same[((prod != same[:, None, None]) & (prod != 0)).any(axis=(1, 2))].tolist()
     for cid in sorted(found):
         try:
@@ -142,7 +143,7 @@ def check_be0(g, label="G") -> CheckResult:
     """Non-abelian groups have at least four distinct centralizers."""
     if g.is_abelian:
         return _na("be0", label, "abelian")
-    n = len(g.beta_classes())
+    n = len(g.beta_class_sizes())
     return _result("be0", label, n >= 4, witness=(("cent_count", n),),
                    details={"cent_count": n})
 
@@ -154,7 +155,7 @@ def check_be(g, label="G") -> CheckResult:
     p = _quotient_exponent(g)
     if p is None or _index(g) != p * p:
         return _na("be", label, "G/Z not of shape Cp x Cp")
-    n = len(g.beta_classes())
+    n = len(g.beta_class_sizes())
     return _result("be", label, n == p + 2, witness=(("cent_count", n), ("p", p)),
                    details={"p": p, "cent_count": n, "expected": p + 2})
 
@@ -171,7 +172,7 @@ def check_ba(g, label="G") -> CheckResult:
     p = pk[0]
     indices = _centralizer_indices(g)
     expected = p * p + p + 2 if indices == [p * p] else p * p + 2
-    n = len(g.beta_classes())
+    n = len(g.beta_class_sizes())
     return _result("ba", label, n == expected,
                    witness=(("cent_count", n), ("indices", tuple(indices))),
                    details={"p": p, "indices": tuple(indices),
@@ -183,10 +184,11 @@ def check_ereg1(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("ereg1", label, "abelian")
     lhs = analysis.is_regular(g) is not None
-    ids, coset = g.beta_class_ids(), g.center().coset_index()
+    ids, least = g.beta_class_ids(), g.center_coset_least()
+    members, start = g.beta_class_members()
     # C(xz) = C(x) for central z, so a class is a union of center cosets and
-    # is one coset exactly when every member lies in its first member's coset
-    bad = ids[coset != coset[[c[0] for c in g.beta_classes()]][ids]]
+    # is one coset exactly when every member lies in its least member's coset
+    bad = ids[least != least[members[start]][ids]]
     rhs = bad.size == 0
     bad = None if rhs else int(bad.min())
     return _result("ereg1", label, lhs == rhs,
@@ -200,7 +202,7 @@ def check_ereg2(g, label="G") -> CheckResult:
     if g.is_abelian:
         return _na("ereg2", label, "abelian")
     lhs = analysis.is_regular(g) is not None
-    n, index = len(g.beta_classes()), _index(g)
+    n, index = len(g.beta_class_sizes()), _index(g)
     return _result("ereg2", label, lhs == (n == index),
                    witness=(("regular", lhs), ("cent_count", n), ("index", index)),
                    details={"cent_count": n, "index": index})
@@ -269,7 +271,7 @@ def check_ncen(g, label="G") -> CheckResult:
         return _result("ncen", label, True, details={"classes_checked": len(cents)})
     cid, inside = int(bad[0]) + 1, cents[bad[0]]
     if not above[bad[0]]:
-        normal = g.is_normal(g.centralizer(g.beta_classes()[cid][0]))
+        normal = g.is_normal(g.subgroup(np.flatnonzero(inside)))  # C(x)
         return _result("ncen", label, False, witness=(
             ("class", cid), ("quotient_abelian" if normal else "normal", False)))
     hist = _quotient_histogram(g.orders_modulo(inside), np.count_nonzero(inside))

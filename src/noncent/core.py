@@ -41,8 +41,8 @@ __all__ = [
 ISO_ORDER_CAP = 512
 SUBGROUP_CAP = 20_000  # subgroups all_subgroups may find before it raises TooLarge
 TABLE_BYTE_BUDGET = 256 << 20
-"""Budget for a group's n x n work, counted at 8 bytes an entry (the table
-is int32, half that): order 5792.  cyclic(2048) counts 32 MiB, E(2^13) 512."""
+"""Budget for a group's n x n work at 8 bytes an entry (see check_table_budget):
+order 5792.  cyclic(2048) counts 32 MiB, E(2^13) 512."""
 
 TRIVIAL = "trivial"
 """Marker returned by is_p_group for the order-1 group (a p-group for every p)."""
@@ -61,9 +61,9 @@ class TooLarge(ValueError):
 
 
 def check_table_budget(n: int) -> None:
-    """Raise TooLarge when n x n entries at 8 bytes each would exceed
-    TABLE_BYTE_BUDGET, naming that size in MiB rounded up; called before the
-    table, or anything else of size n x n, is allocated."""
+    """Raise TooLarge, naming the size in MiB rounded up, when 8n^2 bytes exceed the budget;
+    called before anything n x n is allocated.  A table takes 4n^2 bytes (int32); 8n^2 is
+    _action_table's int64 column buffer, held beside its table, so it peaks near 12n^2."""
     if 8 * n * n > TABLE_BYTE_BUDGET:
         raise TooLarge(f"order {n} needs a {-(-8 * n * n >> 20)} MiB table, over the "
                        f"{TABLE_BYTE_BUDGET >> 20} MiB budget")
@@ -83,20 +83,13 @@ def _prime_factors(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def is_prime_power(n: int) -> Optional[tuple[int, int]]:
     """Return (p, k) when n = p^k with k >= 1, else None."""
-    if n < 2:
-        return None
-    fac = _prime_factors(n)
-    if len(fac) != 1:
-        return None
-    ((p, k),) = fac.items()
-    return p, k
+    fac = _prime_factors(n)  # empty below 2
+    return next(iter(fac.items())) if len(fac) == 1 else None
 
 
 def _cached(fn):
@@ -215,17 +208,17 @@ class FiniteGroup:
     direct_product, Subgroup.as_group and quotient build tables that are
     correct by construction.
 
-    Derived structure is computed once and kept in the group's one cache
-    (generators(), inverses, commuting matrix, beta classes, their sizes and
-    the maximal ones, power_maps(p), element orders and the orders of the center
-    cosets, conjugacy classes, element keys and their classes, fingerprint, the
-    regularity degrees and the theorem suite's per-group quantities).  It
-    holds read-only arrays, tuples, ints, bools and None, never a group, so
-    nothing in it refers back to this one: dropping the last reference to a
-    group frees its table at once instead of leaving a reference cycle.
-    generators() is the set a constructor checked the table with, else the greedy
-    one.  is_abelian compares it pairwise, so an abelian group's beta class, commutator
-    and element keys need no commuting matrix; commutators use one member per center coset.
+    Derived structure is computed once and kept in the group's one cache (generators(),
+    inverses, commuting matrix, beta class ids, sizes, members as the index arrays of
+    beta_class_members(), their tuples and the maximal ones, power_maps(p), element orders,
+    each center coset's least member and order, conjugacy classes, element keys and their
+    classes, fingerprint, the regularity degrees and the theorem suite's per-group
+    quantities).  It holds read-only arrays, tuples, ints, bools and None, never a group, so
+    nothing in it refers back to this one: dropping the last reference to a group frees its
+    table at once instead of leaving a reference cycle.  generators() is the set a
+    constructor checked the table with, else the greedy one.  is_abelian compares it
+    pairwise, so an abelian group's beta class, commutator and element keys need no
+    commuting matrix; commutators use one member per center coset.
     """
 
     __slots__ = ("order", "table", "labels", "_cache")
@@ -272,9 +265,18 @@ class FiniteGroup:
         return row_classes(self.commuting_matrix())
 
     @_cached
+    def beta_class_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stable argsort of beta_class_ids() and each class's start in it: class c
+        is members[start[c]:][:size], ascending, so members[start] are the least members."""
+        sizes = self.beta_class_sizes()
+        return np.argsort(self.beta_class_ids(), kind="stable"), np.cumsum(sizes) - sizes
+
+    @_cached
     def beta_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Members of each beta class, indexed by class id."""
-        return _split_by_id(self.beta_class_ids())
+        """Members of each beta class, indexed by class id: beta_class_members() split."""
+        members, start = self.beta_class_members()
+        members, cuts = members.tolist(), start.tolist() + [self.order]
+        return tuple(tuple(members[i:j]) for i, j in zip(cuts, cuts[1:]))
 
     @_cached
     def beta_class_sizes(self) -> np.ndarray:
@@ -286,8 +288,8 @@ class FiniteGroup:
         """Non-central beta classes whose centralizer is maximal under
         inclusion among proper centralizers, ascending; empty when abelian.
         Decided from the commuting-matrix rows of one member per class."""
-        reps = [c[0] for c in self.beta_classes()[1:]]
-        rows = self.commuting_matrix()[reps].astype(np.float32)
+        members, start = self.beta_class_members()
+        rows = self.commuting_matrix()[members[start[1:]]].astype(np.float32)
         common = rows @ rows.T  # |C_i & C_j| <= n <= 5792 < 2^24 (table budget): exact
         size = np.diag(common)
         inside_larger = (common == size[:, None]) & (size[None, :] > size[:, None])
@@ -320,6 +322,12 @@ class FiniteGroup:
         building G/Z(G)."""
         return self.orders_modulo(self.beta_class_ids() == 0)
 
+    @_cached
+    def center_coset_least(self) -> np.ndarray:
+        """Least member of every element's center coset xZ = Zx, the minimum of its
+        column over the center's rows; its callers skip an abelian group (Z = G)."""
+        return self.table[self.beta_class_ids() == 0].min(axis=0)
+
     def orders_modulo(self, inside_mask: np.ndarray) -> np.ndarray:
         """Least k >= 1 with x^k inside the mask, for every element x.
 
@@ -343,7 +351,7 @@ class FiniteGroup:
         return Subgroup(self, tuple(np.flatnonzero(self.commuting_matrix()[x]).tolist()))
 
     def center(self) -> Subgroup:
-        return Subgroup(self, self.beta_classes()[0])
+        return Subgroup(self, tuple(np.flatnonzero(self.beta_class_ids() == 0).tolist()))
 
     @_cached
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -462,7 +470,7 @@ class FiniteGroup:
         if self.is_abelian:
             return np.zeros(1, dtype=np.intp)
         t, inv = self.table, self.inverses()
-        reps = np.flatnonzero(t[self.beta_class_ids() == 0].min(axis=0) == np.arange(self.order))
+        reps = np.flatnonzero(self.center_coset_least() == np.arange(self.order))
         seen = np.zeros(self.order, dtype=bool)
         for s in _blocks(reps.size):
             seen[t[inv[t[reps[:, None], reps[s]].T], t[reps[s, None], reps]]] = True

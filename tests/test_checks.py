@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from noncent import checks, core, families
@@ -24,6 +26,27 @@ class TestBasics:
     def test_not_applicable_reason(self):
         r = run_check("be0", families.cyclic(4), "C4")
         assert not r.applicable and r.passed and r.reason == "abelian"
+
+    def test_check_result_is_a_plain_record(self):
+        fields = dataclasses.fields(CheckResult)
+        assert [f.name for f in fields] == ["check_id", "group_label", "applicable", "passed",
+                                            "witness", "details", "reason"]
+        assert [f.default for f in fields[4:] if f.name != "details"] == [(), ""]
+        assert fields[5].default_factory is dict
+        r = CheckResult("be0", "D8", True, True)
+        assert r == CheckResult("be0", "D8", True, True, (), {}, "")
+        assert r.details == {} and r.details is not CheckResult("be0", "D8", True, True).details
+        failed = dataclasses.replace(r, passed=False, witness=(("cent_count", 3),))
+        assert (r.passed, r.witness) == (True, ())
+        assert failed == CheckResult("be0", "D8", True, False, (("cent_count", 3),))
+        for name, other in (("check_id", "be"), ("group_label", "Q8"), ("applicable", False),
+                            ("details", {"p": 2}), ("reason", "abelian")):
+            assert dataclasses.replace(r, **{name: other}) != r, name
+        assert repr(failed) == ("CheckResult(check_id='be0', group_label='D8', applicable=True, "
+                                "passed=False, witness=(('cent_count', 3),), details={}, "
+                                "reason='')")
+        with pytest.raises(TypeError):
+            hash(r)
 
     def test_all_check_ids_runnable(self):
         g = families.dihedral(4)

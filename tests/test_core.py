@@ -451,6 +451,14 @@ class TestPGroupPredicates:
         assert families.heisenberg(3).is_p_group() == 3
         assert families.cyclic(1).is_p_group() == TRIVIAL
 
+    def test_prime_and_prime_power_by_trial_division(self):
+        for n in range(-3, 1100):
+            divisors = [d for d in range(2, n + 1) if n % d == 0]
+            p = divisors[0] if divisors else None
+            assert core.is_prime(n) == (divisors == [n]), n
+            k = next((k for k in range(1, 11) if p ** k == n), None) if p else None
+            assert core.is_prime_power(n) == (None if k is None else (p, k)), n
+
     def test_elementary_p(self):
         # the oracle the checks' G/Z exponent is compared with
         assert is_elementary_p(families.elementary_abelian(2, 3)) == 2

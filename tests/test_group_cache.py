@@ -114,7 +114,8 @@ def test_cache_keys_are_distinct():
     assert len(set(keys)) == len(keys), sorted(keys)
     assert {"fingerprint", "_key_classes", "is_abelian", "maximal_class_ids", "is_regular",
             "is_induced_regular", "_quotient_exponent", "_p_part_decomposition",
-            "_exceeds_beta_z", "generators", "power_maps"} <= set(keys)
+            "_exceeds_beta_z", "generators", "power_maps", "beta_class_members",
+            "center_coset_least"} <= set(keys)
 
 
 def test_verdicts_do_not_depend_on_cache_state_or_check_order(
