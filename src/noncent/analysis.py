@@ -132,7 +132,7 @@ def is_reduced_regular(g: FiniteGroup) -> Optional[bool]:
     """
     if g.is_abelian or g.is_p_group() != 2 or is_regular(g) is None:
         return None
-    return not _pure_cyclic(g, np.asarray(g.center().members[1:])).any()
+    return not _pure_cyclic(g, np.flatnonzero(g.beta_class_ids() == 0)[1:]).any()
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 """Executable verifiers for the structure theory of regular and induced
 regular groups.
 
-Every check takes a group, decides whether the statement's hypotheses apply,
-and measures the claimed conclusion, returning a CheckResult rather than
-asserting: on user catalogs a failure usually means bad catalog data, and on
-curated data a failure would be a falsification witness, so full measured
-context is always reported.
+Each check is a body registered by `@_check(cid, hypothesis)`.  The
+registration lists it in CHECK_IDS, in definition order, and decides the
+hypothesis: a group outside it gets n/a with the hypothesis's reason, and
+only the rest reach the body, which reports narrower conditions as n/a
+itself.  A body measures the claimed conclusion and returns the result's
+fields rather than asserting: on user catalogs a failure usually means bad
+catalog data, and on curated data a failure would be a falsification
+witness, so full measured context is always reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import groupby
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,13 +48,51 @@ class CheckResult:
         return f"{status}  {self.check_id:<14} {self.group_label}{extra}"
 
 
-def _na(cid, label, reason) -> CheckResult:
-    return CheckResult(cid, label, False, True, (), {}, reason)
+# A result's fields after check_id and group_label, which _check fills in:
+def _na(reason) -> tuple:
+    return False, True, (), {}, reason
 
 
-def _result(cid, label, passed, witness=(), details=None, reason="") -> CheckResult:
-    return CheckResult(cid, label, True, bool(passed), () if passed else tuple(witness),
-                       details or {}, reason)
+def _result(passed, witness=(), details=None, reason="") -> tuple:
+    return True, bool(passed), () if passed else tuple(witness), details or {}, reason
+
+
+class Hypothesis(NamedTuple):
+    """What a check assumes: `text` begins its row's "applies to" cell in
+    README's check table, and a group failing `holds` gets n/a with `reason`."""
+    text: str
+    reason: str
+    holds: Callable[[FiniteGroup], bool]
+
+
+# The predicates look analysis up at call time, so that a patched one holds;
+# REGULAR asks is_regular first, which leaves it cached for every group.
+NON_ABELIAN = Hypothesis("non-abelian", "abelian", lambda g: not g.is_abelian)
+REGULAR = Hypothesis("non-abelian, regular", "not a non-abelian regular group",
+                     lambda g: analysis.is_regular(g) is not None and not g.is_abelian)
+INDUCED = Hypothesis("non-abelian, induced regular", "not induced regular",
+                     lambda g: not g.is_abelian and analysis.is_induced_regular(g) is not None)
+INDUCED_NA = INDUCED._replace(reason="not a non-abelian induced regular group")
+
+CHECK_IDS: dict[str, Callable] = {}
+
+
+def _check(cid: str, hypothesis: Hypothesis):
+    """Register body as check cid: the returned `(g, label="G") -> CheckResult`
+    is n/a with the hypothesis's reason where it fails, else body(g)'s fields."""
+    holds, reason = hypothesis.holds, hypothesis.reason
+
+    def register(body):
+        @wraps(body)
+        def check(g: FiniteGroup, label: str = "G") -> CheckResult:
+            if not holds(g):
+                return CheckResult(cid, label, *_na(reason))
+            return CheckResult(cid, label, *body(g))
+        del check.__wrapped__  # so that help() shows (g, label), not the body's (g)
+        check.hypothesis = hypothesis
+        CHECK_IDS[cid] = check
+        return check
+    return register
 
 
 def _index(g: FiniteGroup) -> int:
@@ -139,50 +181,43 @@ def _witness_rows(g: FiniteGroup, cids: list[int]) -> np.ndarray:
 
 # --- section 2: the full graph ------------------------------------------------
 
-def check_be0(g, label="G") -> CheckResult:
+@_check("be0", NON_ABELIAN)
+def check_be0(g):
     """Non-abelian groups have at least four distinct centralizers."""
-    if g.is_abelian:
-        return _na("be0", label, "abelian")
     n = len(g.beta_class_sizes())
-    return _result("be0", label, n >= 4, witness=(("cent_count", n),),
-                   details={"cent_count": n})
+    return _result(n >= 4, witness=(("cent_count", n),), details={"cent_count": n})
 
 
-def check_be(g, label="G") -> CheckResult:
+@_check("be", NON_ABELIAN)
+def check_be(g):
     """G/Z isomorphic to Cp x Cp forces exactly p + 2 centralizers."""
-    if g.is_abelian:
-        return _na("be", label, "abelian")
     p = _quotient_exponent(g)
     if p is None or _index(g) != p * p:
-        return _na("be", label, "G/Z not of shape Cp x Cp")
+        return _na("G/Z not of shape Cp x Cp")
     n = len(g.beta_class_sizes())
-    return _result("be", label, n == p + 2, witness=(("cent_count", n), ("p", p)),
+    return _result(n == p + 2, witness=(("cent_count", n), ("p", p)),
                    details={"p": p, "cent_count": n, "expected": p + 2})
 
 
-def check_ba(g, label="G") -> CheckResult:
+@_check("ba", NON_ABELIAN)
+def check_ba(g):
     """Index p^3 over the center: |Cent| is p^2+p+2 when every non-central
     centralizer has index p^2, else p^2+2."""
-    if g.is_abelian:
-        return _na("ba", label, "abelian")
     pk = is_prime_power(_index(g))
-    fac_p = min(_prime_factors(g.order))
-    if pk is None or pk[1] != 3 or pk[0] != fac_p:
-        return _na("ba", label, "[G:Z] is not p^3 for the smallest prime p")
+    if pk is None or pk[1] != 3 or pk[0] != min(_prime_factors(g.order)):
+        return _na("[G:Z] is not p^3 for the smallest prime p")
     p = pk[0]
     indices = _centralizer_indices(g)
     expected = p * p + p + 2 if indices == [p * p] else p * p + 2
     n = len(g.beta_class_sizes())
-    return _result("ba", label, n == expected,
-                   witness=(("cent_count", n), ("indices", tuple(indices))),
+    return _result(n == expected, witness=(("cent_count", n), ("indices", tuple(indices))),
                    details={"p": p, "indices": tuple(indices),
                             "expected": expected, "cent_count": n})
 
 
-def check_ereg1(g, label="G") -> CheckResult:
+@_check("ereg1", NON_ABELIAN)
+def check_ereg1(g):
     """Regular iff every class is exactly one center coset (both directions)."""
-    if g.is_abelian:
-        return _na("ereg1", label, "abelian")
     lhs = analysis.is_regular(g) is not None
     ids, least = g.beta_class_ids(), g.center_coset_least()
     members, start = g.beta_class_members()
@@ -191,59 +226,54 @@ def check_ereg1(g, label="G") -> CheckResult:
     bad = ids[least != least[members[start]][ids]]
     rhs = bad.size == 0
     bad = None if rhs else int(bad.min())
-    return _result("ereg1", label, lhs == rhs,
-                   witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
-                            ("first_non_coset_class", bad)),
+    return _result(lhs == rhs, witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
+                                        ("first_non_coset_class", bad)),
                    details={"regular": lhs, "all_classes_are_cosets": rhs})
 
 
-def check_ereg2(g, label="G") -> CheckResult:
+@_check("ereg2", NON_ABELIAN)
+def check_ereg2(g):
     """Regular iff the number of centralizers equals [G:Z] (both directions)."""
-    if g.is_abelian:
-        return _na("ereg2", label, "abelian")
     lhs = analysis.is_regular(g) is not None
     n, index = len(g.beta_class_sizes()), _index(g)
-    return _result("ereg2", label, lhs == (n == index),
+    return _result(lhs == (n == index),
                    witness=(("regular", lhs), ("cent_count", n), ("index", index)),
                    details={"cent_count": n, "index": index})
 
 
-def check_creg(g, label="G") -> CheckResult:
+@_check("creg", REGULAR)
+def check_creg(g):
     """Regular groups have elementary abelian 2-group central quotients."""
-    if g.is_abelian or analysis.is_regular(g) is None:
-        return _na("creg", label, "not a non-abelian regular group")
-    return _result("creg", label, _quotient_exponent(g) == 2,
+    return _result(_quotient_exponent(g) == 2,
                    witness=(("quotient_order_histogram", _center_histogram(g)),),
                    details={"quotient_order": _index(g)})
 
 
-def check_ccreg_c2c2(g, label="G") -> CheckResult:
+@_check("ccreg_c2c2", NON_ABELIAN)
+def check_ccreg_c2c2(g):
     """G/Z isomorphic to C2 x C2 forces regularity."""
-    if g.is_abelian:
-        return _na("ccreg_c2c2", label, "abelian")
     if _index(g) != 4 or _quotient_exponent(g) != 2:
-        return _na("ccreg_c2c2", label, "G/Z not C2 x C2")
+        return _na("G/Z not C2 x C2")
     deg = analysis.is_regular(g)
-    return _result("ccreg_c2c2", label, deg is not None,
+    return _result(deg is not None,
                    witness=(("class_sizes", tuple(g.beta_class_sizes().tolist())),),
                    details={"degree": deg})
 
 
-def check_ccreg_c2cubed(g, label="G") -> CheckResult:
+@_check("ccreg_c2cubed", NON_ABELIAN)
+def check_ccreg_c2cubed(g):
     """Under G/Z = C2^3: regular iff every non-central centralizer has index 4."""
-    if g.is_abelian:
-        return _na("ccreg_c2cubed", label, "abelian")
     if _index(g) != 8 or _quotient_exponent(g) != 2:
-        return _na("ccreg_c2cubed", label, "G/Z not C2 x C2 x C2")
+        return _na("G/Z not C2 x C2 x C2")
     lhs = analysis.is_regular(g) is not None
     indices = _centralizer_indices(g)
     rhs = indices == [4]
-    return _result("ccreg_c2cubed", label, lhs == rhs,
-                   witness=(("regular", lhs), ("indices", tuple(indices))),
+    return _result(lhs == rhs, witness=(("regular", lhs), ("indices", tuple(indices))),
                    details={"regular": lhs, "indices": tuple(indices)})
 
 
-def check_ncen(g, label="G") -> CheckResult:
+@_check("ncen", REGULAR)
+def check_ncen(g):
     """In regular groups every centralizer is normal with G/C embedding in Z.
 
     C = C(x) is normal with G/C abelian exactly when C contains G' (every
@@ -262,42 +292,36 @@ def check_ncen(g, label="G") -> CheckResult:
     Omega_k(G/C) = Omega_k-1(G/C) while Omega_k(Z) only grows, so running
     p^k over every prime power dividing |G| is exact.
     """
-    if g.is_abelian or analysis.is_regular(g) is None:
-        return _na("ncen", label, "not a non-abelian regular group")
     cents = _centralizer_rows(g)[1:]
     above = cents[:, g._commutators()].all(axis=1)
     bad = np.flatnonzero(~(above & _embeds_in_center(g, cents)))
     if not bad.size:
-        return _result("ncen", label, True, details={"classes_checked": len(cents)})
+        return _result(True, details={"classes_checked": len(cents)})
     cid, inside = int(bad[0]) + 1, cents[bad[0]]
     if not above[bad[0]]:
         normal = g.is_normal(g.subgroup(np.flatnonzero(inside)))  # C(x)
-        return _result("ncen", label, False, witness=(
+        return _result(False, witness=(
             ("class", cid), ("quotient_abelian" if normal else "normal", False)))
     hist = _quotient_histogram(g.orders_modulo(inside), np.count_nonzero(inside))
-    return _result("ncen", label, False, witness=(("class", cid), ("quotient_histogram", hist)))
+    return _result(False, witness=(("class", cid), ("quotient_histogram", hist)))
 
 
-def check_preg(g, label="G") -> CheckResult:
+@_check("preg", REGULAR)
+def check_preg(g):
     """The degree of a regular graph on a non-abelian group is never a prime
     power."""
     n = analysis.is_regular(g)
-    if g.is_abelian or n is None:
-        return _na("preg", label, "not a non-abelian regular group")
     pk = is_prime_power(n)
-    return _result("preg", label, pk is None, witness=(("degree", n), ("prime_power", pk)),
-                   details={"degree": n})
+    return _result(pk is None, witness=(("degree", n), ("prime_power", pk)), details={"degree": n})
 
 
-def check_bound(g, label="G") -> CheckResult:
+@_check("bound", REGULAR)
+def check_bound(g):
     """For n-regular non-abelian groups: n even, 8 divides |G|, and
     n+2 <= |G| <= 4n/3."""
-    n = analysis.is_regular(g)
-    if g.is_abelian or n is None:
-        return _na("bound", label, "not a non-abelian regular group")
-    order = g.order
+    n, order = analysis.is_regular(g), g.order
     ok = (n % 2 == 0) and (order % 8 == 0) and (n + 2 <= order) and (3 * order <= 4 * n)
-    return _result("bound", label, ok, witness=(("degree", n), ("order", order)),
+    return _result(ok, witness=(("degree", n), ("order", order)),
                    details={"degree": n, "order": order})
 
 
@@ -324,7 +348,8 @@ def _p_part_decomposition(g: FiniteGroup, p: int):
     return (h.size, a), ()
 
 
-def check_big(g, label="G") -> CheckResult:
+@_check("big", REGULAR)
+def check_big(g):
     """Regular groups split as (regular 2-group) x (odd abelian).
 
     _p_part_decomposition finds H, the 2-elements, checked to be a subgroup
@@ -338,20 +363,18 @@ def check_big(g, label="G") -> CheckResult:
     every class of G has |Z(G)| members exactly when every class of H has
     |Z(H)|, and deg H = |H| - |Z(H)| = deg G / |A|.
     """
-    deg = analysis.is_regular(g)
-    if g.is_abelian or deg is None:
-        return _na("big", label, "not a non-abelian regular group")
     split, witness = _p_part_decomposition(g, 2)
     if split is None:
-        return _result("big", label, False, witness=witness)
+        return _result(False, witness=witness)
     h, a = split
-    return _result("big", label, True, details={
-        "sylow2_order": h, "abelian_order": a, "sylow2_degree": deg // a})
+    return _result(True, details={
+        "sylow2_order": h, "abelian_order": a, "sylow2_degree": analysis.is_regular(g) // a})
 
 
 # --- section 3: the induced graph ----------------------------------------------
 
-def check_lg(g, label="G") -> CheckResult:
+@_check("lg", NON_ABELIAN)
+def check_lg(g):
     """beta(x) union Z(G) is a subgroup whenever C(x) is maximal.
 
     A class is a union of center cosets (C(xz) = C(x) for central z), so
@@ -360,113 +383,104 @@ def check_lg(g, label="G") -> CheckResult:
     members of beta(x) lands in beta(x) or in Z.  _first_open tests that for
     all maximal classes of one size by one gather.
     """
-    if g.is_abelian:
-        return _na("lg", label, "abelian")
     maximal = list(g.maximal_class_ids())
     bad = _first_open(g, maximal)
     if bad:
-        return _result("lg", label, False, witness=(("class", bad[0]), ("error", bad[1])))
-    return _result("lg", label, True, details={"maximal_classes": len(maximal)})
+        return _result(False, witness=(("class", bad[0]), ("error", bad[1])))
+    return _result(True, details={"maximal_classes": len(maximal)})
 
 
-def check_lg1(g, label="G") -> CheckResult:
+@_check("lg1", INDUCED)
+def check_lg1(g):
     """Induced regular with C(x) strictly above beta(x) u Z: some y in
     C(x) minus beta(x) has prime coset order."""
-    if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return _na("lg1", label, "not induced regular")
     exceeds = _exceeds_beta_z(g)
     strict = [cid for cid in g.maximal_class_ids() if exceeds[cid]]
     if not strict:
-        return _na("lg1", label, "no maximal centralizer exceeds beta u Z")
+        return _na("no maximal centralizer exceeds beta u Z")
     rows = _witness_rows(g, strict)
     found = rows.any(axis=1)
     if not found.all():
-        return _result("lg1", label, False, witness=(("class", strict[int(np.argmin(found))]),))
-    return _result("lg1", label, True,
-                   details={"witnesses": dict(zip(strict, rows.argmax(axis=1).tolist()))})
+        return _result(False, witness=(("class", strict[int(np.argmin(found))]),))
+    return _result(True, details={"witnesses": dict(zip(strict, rows.argmax(axis=1).tolist()))})
 
 
-def check_lg2(g, label="G") -> CheckResult:
+@_check("lg2", INDUCED)
+def check_lg2(g):
     """Odd-prime coset-order witness in C(x) minus beta(x) forces
     (beta(x) u Z)/Z to be an elementary p-group: in G/Z its non-identity
     elements are the cosets of beta(x), so each member of beta(x) must have
     coset order p."""
-    if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return _na("lg2", label, "not induced regular")
     ids, coset_orders = g.beta_class_ids(), g.center_coset_orders()
     maximal = list(g.maximal_class_ids())
     rows = _witness_rows(g, maximal) & (coset_orders != 2)
     witnessed = [cid for cid, row in zip(maximal, rows) if row.any()]
     if not witnessed:
-        return _na("lg2", label, "no odd-prime coset-order witness")
+        return _na("no odd-prime coset-order witness")
     bad = _first_open(g, witnessed) or (None, "")
     for cid, row in zip(maximal, rows):
         if cid == bad[0]:
-            return _result("lg2", label, False, witness=(("class", cid), ("error", bad[1])))
+            return _result(False, witness=(("class", cid), ("error", bad[1])))
         for p in np.flatnonzero(np.bincount(coset_orders[row])).tolist():
             if (coset_orders[ids == cid] != p).any():
                 hist = _quotient_histogram(coset_orders[(ids == cid) | (ids == 0)],
                                            g.beta_class_sizes()[0])
-                return _result("lg2", label, False, witness=(
+                return _result(False, witness=(
                     ("class", cid), ("p", p), ("hx_quotient_histogram", hist)))
-    return _result("lg2", label, True)
+    return _result(True)
 
 
-def check_mg(g, label="G") -> CheckResult:
+@_check("mg", INDUCED_NA)
+def check_mg(g):
     """Induced regular groups have prime-power central quotients."""
-    if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return _na("mg", label, "not a non-abelian induced regular group")
     index = _index(g)
     pk = is_prime_power(index)
-    return _result("mg", label, pk is not None, witness=(("quotient_order", index),),
+    return _result(pk is not None, witness=(("quotient_order", index),),
                    details={"quotient_order": index, "p": pk[0] if pk else None})
 
 
-def check_pq_index(g, label="G") -> CheckResult:
+@_check("pq_index", INDUCED)
+def check_pq_index(g):
     """[G:Z] = p^q with q prime (induced regular): G/Z is elementary p and
     every class has size (p-1)|Z|."""
-    if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return _na("pq_index", label, "not induced regular")
     pk = is_prime_power(_index(g))
     if pk is None or not is_prime(pk[1]):
-        return _na("pq_index", label, "[G:Z] not p^q with q prime")
+        return _na("[G:Z] not p^q with q prime")
     p, _ = pk
     elem_ok = _quotient_exponent(g) == p
     zsize, *rest = g.beta_class_sizes().tolist()
     sizes = tuple(sorted(set(rest)))
     sizes_ok = sizes == ((p - 1) * zsize,)
-    return _result("pq_index", label, elem_ok and sizes_ok,
-                   witness=(("elementary", elem_ok), ("class_sizes", sizes)),
+    return _result(elem_ok and sizes_ok, witness=(("elementary", elem_ok), ("class_sizes", sizes)),
                    details={"p": p, "expected_class_size": (p - 1) * zsize})
 
 
-def check_cmg(g, label="G") -> CheckResult:
+@_check("cmg", INDUCED)
+def check_cmg(g):
     """Odd-order induced regular groups with every C(x) above beta u Z have
     elementary p-group central quotients."""
-    if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return _na("cmg", label, "not induced regular")
     if g.order % 2 == 0:
-        return _na("cmg", label, "even order")
+        return _na("even order")
     if not _exceeds_beta_z(g)[1:].all():
-        return _na("cmg", label, "some centralizer equals beta u Z")
-    return _result("cmg", label, _quotient_exponent(g) is not None,
+        return _na("some centralizer equals beta u Z")
+    return _result(_quotient_exponent(g) is not None,
                    witness=(("quotient_histogram", _center_histogram(g)),))
 
 
-def check_pp(g, label="G") -> CheckResult:
+@_check("pp", NON_ABELIAN)
+def check_pp(g):
     """G/Z isomorphic to Cp x Cp forces induced regularity."""
-    if g.is_abelian:
-        return _na("pp", label, "abelian")
     p = _quotient_exponent(g)
     if p is None or _index(g) != p * p:
-        return _na("pp", label, "G/Z not of shape Cp x Cp")
+        return _na("G/Z not of shape Cp x Cp")
     deg = analysis.is_induced_regular(g)
-    return _result("pp", label, deg is not None,
+    return _result(deg is not None,
                    witness=(("class_sizes", tuple(g.beta_class_sizes().tolist())),),
                    details={"p": p, "induced_degree": deg})
 
 
-def check_big1(g, label="G") -> CheckResult:
+@_check("big1", INDUCED_NA)
+def check_big1(g):
     """Induced regular groups split as (induced regular p-group) x abelian.
 
     With p the prime of [G:Z], _p_part_decomposition finds H, the
@@ -478,56 +492,39 @@ def check_big1(g, label="G") -> CheckResult:
     non-central classes of G are the beta_H(h) x A with h outside Z(H), so
     they share one size exactly when those of H do.
     """
-    if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return _na("big1", label, "not a non-abelian induced regular group")
     pk = is_prime_power(_index(g))
     if pk is None:
-        return _result("big1", label, False,
-                       witness=(("central_quotient_not_p_group", _index(g)),))
+        return _result(False, witness=(("central_quotient_not_p_group", _index(g)),))
     p = pk[0]
     split, witness = _p_part_decomposition(g, p)
     if split is None:
-        return _result("big1", label, False, witness=witness)
+        return _result(False, witness=witness)
     h, a = split
-    return _result("big1", label, True, details={"p": p, "p_part_order": h, "abelian_order": a})
+    return _result(True, details={"p": p, "p_part_order": h, "abelian_order": a})
 
 
 # --- conjecture scans -----------------------------------------------------------
 
-def scan_conjecture_tconj(g, label="G") -> CheckResult:
+@_check("tconj", REGULAR)
+def scan_conjecture_tconj(g):
     """Flag any regular group whose degree is prime (none should exist)."""
     deg = analysis.is_regular(g)
-    if g.is_abelian or deg is None:
-        return _na("tconj", label, "not a non-abelian regular group")
-    return _result("tconj", label, not is_prime(deg), witness=(("degree", deg),),
-                   details={"degree": deg})
+    return _result(not is_prime(deg), witness=(("degree", deg),), details={"degree": deg})
 
 
-def scan_conjecture_lco(g, label="G") -> CheckResult:
+@_check("lco", INDUCED_NA)
+def scan_conjecture_lco(g):
     """Report whether G/Z is an elementary p-group for induced regular G.
 
     Open conjecture: counterexamples are flagged in the details, never
     asserted as failures.
     """
-    if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return _na("lco", label, "not a non-abelian induced regular group")
     p = _quotient_exponent(g)
     status = "consistent" if p is not None else "COUNTEREXAMPLE CANDIDATE"
-    return _result("lco", label, True,
-                   details={"elementary_p": p, "status": status,
-                            "quotient_histogram": _center_histogram(g)},
+    return _result(True, details={"elementary_p": p, "status": status,
+                                  "quotient_histogram": _center_histogram(g)},
                    reason=status)
 
-
-CHECK_IDS: dict[str, Callable] = {
-    "be0": check_be0, "be": check_be, "ba": check_ba, "ereg1": check_ereg1,
-    "ereg2": check_ereg2, "creg": check_creg, "ccreg_c2c2": check_ccreg_c2c2,
-    "ccreg_c2cubed": check_ccreg_c2cubed, "ncen": check_ncen, "preg": check_preg,
-    "bound": check_bound, "big": check_big, "lg": check_lg, "lg1": check_lg1,
-    "lg2": check_lg2, "mg": check_mg, "pq_index": check_pq_index, "cmg": check_cmg,
-    "pp": check_pp, "big1": check_big1, "tconj": scan_conjecture_tconj,
-    "lco": scan_conjecture_lco,
-}
 
 CONJECTURE_IDS = frozenset({"tconj", "lco"})
 

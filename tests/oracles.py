@@ -12,8 +12,8 @@ import numpy as np
 
 from noncent import analysis
 from noncent.catalog import label_sort_key
-from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _index, _na,
-                            _quotient_exponent, _quotient_histogram, _result)
+from noncent.checks import (CheckResult, _center_histogram, _centralizer_rows, _index,
+                            _quotient_exponent, _quotient_histogram)
 from noncent.core import (ISO_ORDER_CAP, FiniteGroup, NotAGroup, Subgroup, TooLarge,
                           _blocks, _check_associativity, _find_identity, _inverses, _greedy_sequence,
                           _prime_factors, all_subgroups, check_table_budget, fingerprint,
@@ -21,6 +21,15 @@ from noncent.core import (ISO_ORDER_CAP, FiniteGroup, NotAGroup, Subgroup, TooLa
 
 BRUTE_FACTOR_CAP = 64
 ORACLE_CAP = 256
+
+
+def _na(cid, label, reason) -> CheckResult:
+    return CheckResult(cid, label, False, True, (), {}, reason)
+
+
+def _result(cid, label, passed, witness=(), details=None, reason="") -> CheckResult:
+    return CheckResult(cid, label, True, bool(passed), () if passed else tuple(witness),
+                       details or {}, reason)
 
 
 def brute_force_abelian_factor(

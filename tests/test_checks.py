@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import pytest
 
@@ -49,10 +50,14 @@ class TestBasics:
             hash(r)
 
     def test_all_check_ids_runnable(self):
-        g = families.dihedral(4)
-        for cid in CHECK_IDS:
-            r = run_check(cid, g, "D8")
-            assert r.check_id == cid
+        for label, g in (("D8", families.dihedral(4)), ("C4", families.cyclic(4))):
+            for cid, fn in CHECK_IDS.items():
+                r = run_check(cid, g, label)
+                assert (r.check_id, r.group_label) == (cid, label)
+                assert fn.__name__ in (f"check_{cid}", f"scan_conjecture_{cid}")
+                assert str(inspect.signature(fn)) == "(g, label='G')"
+                direct = getattr(checks, fn.__name__)
+                assert direct is fn and direct(g, label) == r
 
 
 class TestSpecificResults:

@@ -544,30 +544,30 @@ def parent_ncen(g, label):
     """check_ncen as it was before the G' containment test: it builds C(x)
     and G/C(x) for every class and reads their structure."""
     if g.is_abelian or analysis.is_regular(g) is None:
-        return checks._na("ncen", label, "not a non-abelian regular group")
+        return oracles._na("ncen", label, "not a non-abelian regular group")
     classes = g.beta_classes()
     z_orders = g.element_orders()[g.beta_class_ids() == 0]
     for cid in range(1, len(classes)):
         cent = g.centralizer(classes[cid][0])
         if not g.is_normal(cent):
-            return checks._result("ncen", label, False,
-                                  witness=(("class", cid), ("normal", False)))
+            return oracles._result("ncen", label, False,
+                                   witness=(("class", cid), ("normal", False)))
         quo = g.quotient(cent)
         if not quo.is_abelian:
-            return checks._result("ncen", label, False,
-                                  witness=(("class", cid), ("quotient_abelian", False)))
+            return oracles._result("ncen", label, False,
+                                   witness=(("class", cid), ("quotient_abelian", False)))
         if not abelian_embeds(quo.element_orders(), z_orders):
-            return checks._result("ncen", label, False,
-                                  witness=(("class", cid),
-                                           ("quotient_histogram", quo.order_histogram())))
-    return checks._result("ncen", label, True, details={"classes_checked": len(classes) - 1})
+            return oracles._result("ncen", label, False,
+                                   witness=(("class", cid),
+                                            ("quotient_histogram", quo.order_histogram())))
+    return oracles._result("ncen", label, True, details={"classes_checked": len(classes) - 1})
 
 
 def parent_lg2(g, label):
     """check_lg2 as it was before it read coset orders: it builds
     (beta(x) u Z)/Z as a group for every applicable maximal class."""
     if g.is_abelian or analysis.is_induced_regular(g) is None:
-        return checks._na("lg2", label, "not induced regular")
+        return oracles._na("lg2", label, "not induced regular")
     ids = g.beta_class_ids()
     coset_orders = slow_coset_orders(g)
     applicable = False
@@ -582,19 +582,19 @@ def parent_lg2(g, label):
         hq = hx_group.quotient(hx_group.subgroup(np.flatnonzero(ids[hx.mask] == 0)))
         for p in sorted(primes):
             if is_elementary_p(hq) != p:
-                return checks._result("lg2", label, False,
-                                      witness=(("class", cid), ("p", p),
-                                               ("hx_quotient_histogram", hq.order_histogram())))
+                return oracles._result("lg2", label, False,
+                                       witness=(("class", cid), ("p", p),
+                                                ("hx_quotient_histogram", hq.order_histogram())))
     if not applicable:
-        return checks._na("lg2", label, "no odd-prime coset-order witness")
-    return checks._result("lg2", label, True)
+        return oracles._na("lg2", label, "no odd-prime coset-order witness")
+    return oracles._result("lg2", label, True)
 
 
 def parent_ereg1(g, label):
     """check_ereg1 as it was before the whole-array comparison: it compares
     every beta class with the center coset of its first member."""
     if g.is_abelian:
-        return checks._na("ereg1", label, "abelian")
+        return oracles._na("ereg1", label, "abelian")
     lhs = analysis.is_regular(g) is not None
     cidx = g.center().coset_index()
     rhs, bad = True, None
@@ -603,10 +603,10 @@ def parent_ereg1(g, label):
         if tuple(coset.tolist()) != members:
             rhs, bad = False, cid
             break
-    return checks._result("ereg1", label, lhs == rhs,
-                          witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
-                                   ("first_non_coset_class", bad)),
-                          details={"regular": lhs, "all_classes_are_cosets": rhs})
+    return oracles._result("ereg1", label, lhs == rhs,
+                           witness=(("regular", lhs), ("all_classes_are_cosets", rhs),
+                                    ("first_non_coset_class", bad)),
+                           details={"regular": lhs, "all_classes_are_cosets": rhs})
 
 
 def slow_element_orders(g):

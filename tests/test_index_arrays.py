@@ -3,12 +3,13 @@ only the class ids or the table: FiniteGroup.beta_class_members(), the stable
 argsort of the beta class ids with each class's start offset, and
 FiniteGroup.center_coset_least(), the least member of every element's center
 coset.  The suite reads these in place of the class tuples and the center
-subgroup, so it gives the same results with those made to raise."""
+subgroup, so it gives the same results with those made to raise, and so
+does the Table 1 search, whose reducedness test reads the center's ids."""
 
 import numpy as np
 import pytest
 
-from noncent import checks, core, families
+from noncent import catalog, checks, core, families
 from noncent.core import FiniteGroup, direct_product, from_permutations, from_table
 from test_acceptance import _family_instances, _with_cyclic_products
 from test_check_passes import with_classes
@@ -131,7 +132,11 @@ def test_suite_reads_no_class_tuples_and_no_center_subgroup(monkeypatch, shipped
     def fresh():
         return [(label, FiniteGroup(g.table, g.labels)) for label, g in pairs]
 
-    expected = checks.run_suite(fresh())
+    def table1():  # fresh entries, so every group is built and searched again
+        return catalog.table1_search(e for name in catalog.SHIPPED
+                                     for e in catalog.load(catalog.shipped_path(name)))
+
+    expected, expected_rows = checks.run_suite(fresh()), table1()
 
     def refuse(*args):
         raise AssertionError("a check read the class tuples, the center subgroup or a split")
@@ -140,3 +145,4 @@ def test_suite_reads_no_class_tuples_and_no_center_subgroup(monkeypatch, shipped
                         (core, "_split_by_id")):
         monkeypatch.setattr(owner, name, refuse)
     assert checks.run_suite(fresh()) == expected
+    assert table1() == expected_rows

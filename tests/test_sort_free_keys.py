@@ -206,5 +206,12 @@ def test_readme_table_names_every_check_id_with_its_statement():
     rows = readme_check_rows()
     assert list(rows) == list(checks.CHECK_IDS)
     for cid, (hypothesis, statement) in rows.items():
-        first = " ".join(inspect.getdoc(checks.CHECK_IDS[cid]).split("\n\n")[0].split())
-        assert hypothesis and statement == first, cid
+        fn = checks.CHECK_IDS[cid]
+        first = " ".join(inspect.getdoc(fn).split("\n\n")[0].split())
+        assert statement == first, cid
+        # the "applies to" cell begins with the hypothesis the check declares
+        declared = fn.hypothesis.text
+        assert hypothesis.startswith(declared), cid
+        if fn.hypothesis is checks.NON_ABELIAN:
+            rest = hypothesis[len(declared):].lstrip(", ")
+            assert not rest.startswith(("regular", "induced regular")), cid
